@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -52,5 +54,54 @@ func TestRunErrors(t *testing.T) {
 				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.msg)
 			}
 		})
+	}
+}
+
+// TestRunViewSubcommands smokes `hercli views` and `hercli extract`
+// (no training: they only generate, extract and print). The direct view
+// is a row of the same table as the rule view, and extracts like one.
+func TestRunViewSubcommands(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "small.view")
+	rules := "view smallparts\nvertex part where size = 1 label part_name\nattrs part part_name brand\n"
+	if err := os.WriteFile(file, []byte(rules), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-dataset", "Synthetic", "-entities", "10", "-views", file}
+	runOK := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, common...), &stdout, &stderr); code != 0 {
+			t.Fatalf("run %v = %d, stderr:\n%s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+
+	views := runOK("views")
+	for _, re := range []string{
+		`(?m)^VIEW +RULES +\|V\| +\|E\| +GEN$`,
+		`(?m)^direct +[1-9]\d* +[1-9]\d* +[1-9]\d* +1$`,
+		`(?m)^smallparts +1 +\d+ +\d+ +0$`,
+	} {
+		if !regexp.MustCompile(re).MatchString(views) {
+			t.Errorf("views output missing %s:\n%s", re, views)
+		}
+	}
+	if strings.Index(views, "direct") > strings.Index(views, "smallparts") {
+		t.Errorf("direct is not listed first:\n%s", views)
+	}
+
+	direct := runOK("extract", "-view", "direct")
+	if direct != runOK("extract") {
+		t.Error("extract defaults to something other than the direct view")
+	}
+	small := runOK("extract", "-view", "smallparts")
+	if !strings.Contains(direct, "\tpart\n") || small == direct || len(small) >= len(direct) {
+		t.Errorf("extract: direct %d bytes, smallparts %d bytes", len(direct), len(small))
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"extract", "-view", "nope"}, common...), &stdout, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), `unknown view "nope"`) {
+		t.Errorf("extract -view nope = %d, stderr %q", code, stderr.String())
 	}
 }

@@ -1,8 +1,11 @@
 package her
 
 import (
+	"context"
 	"sync"
 	"testing"
+
+	"her/internal/shard"
 )
 
 // concurrencyFixture builds a small untrained system with a tuple
@@ -105,6 +108,50 @@ func TestThresholdsRaceWithParallelAPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, _, err := sys.APairParallelAsync(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestRetrainRaceWithShardedServing pins the lock discipline of the
+// ranker rebind: TrainRanker swaps the language model and every hosted
+// view's rankers, which a sharded engine's Snapshot hook and every
+// matcher rebuild read under s.mu. Before the fix the swap happened
+// outside the lock; each retrain bumps the generation, so the serving
+// goroutines below keep rebuilding the engine through the hook while
+// the next retrain lands. Run with -race to regress it.
+func TestRetrainRaceWithShardedServing(t *testing.T) {
+	sys, src, _ := concurrencyFixture(t)
+	eng, err := shard.NewEngine(sys.ShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					// Errors are transients (a request racing a rebuild);
+					// the race detector is the oracle.
+					_, _ = eng.VPair(context.Background(), src)
+					sys.RankerD()
+					sys.RankerG()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if err := sys.TrainRanker(10, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"her/internal/bsp"
 	"her/internal/core"
@@ -37,6 +36,7 @@ import (
 	"her/internal/rdb2rdf"
 	"her/internal/relational"
 	"her/internal/shard"
+	"her/internal/view"
 )
 
 // Public aliases so downstream users can name the library's types
@@ -103,39 +103,30 @@ type System struct {
 	opts Options // guarded by mu — SetThresholds and LoadModels mutate it while queries read it
 
 	DB      *relational.Database
-	GD      *graph.Graph
-	Mapping *rdb2rdf.Mapping
+	GD      *graph.Graph     // the direct view's graph (direct.gd)
+	Mapping *rdb2rdf.Mapping // the direct view's mapping; nil when built with NewFromGraphs
 	G       *graph.Graph
 
 	sc      *scorers
-	lm      *lstm.Model
-	rankerD *ranking.Ranker
-	rankerG *ranking.Ranker
+	lm      *lstm.Model     // guarded by mu — swapped whole on retrain/load
+	rankerG *ranking.Ranker // guarded by mu — rebuilt with lm
 
-	mu        sync.Mutex         // serializes matching and mutation
-	matcher   *core.Matcher      // guarded by mu
-	ix        *index.Inverted    // guarded by mu — the G-side blocking index, shared by all views
-	gen       core.CandidateGen  // guarded by mu — swapped whole on index rebuilds
-	overrides map[core.Pair]bool // guarded by mu — user-verified pairs (Section IV refinement)
-	lastPar   *bsp.Stats         // guarded by mu — stats of the most recent parallel APair run
+	mu      sync.Mutex      // serializes matching and mutation
+	ix      *index.Inverted // guarded by mu — the G-side blocking index, shared by all views
+	lastPar *bsp.Stats      // guarded by mu — stats of the most recent parallel APair run
 
-	// views hosts the named graph views (viewapi.go); each carries its
-	// own G_D-side graph, mapping, matcher, generation and delta log.
-	// Guarded by mu.
-	views map[string]*viewState
-
-	// generation counts semantic mutations: incremental updates to D or
-	// G, feedback, retraining, threshold changes — anything that can
-	// change a match verdict. Each bump records exactly one typed delta
-	// in the delta log, so external engines (internal/shard) can tell
-	// incremental updates — maintainable in place, with vertex-scoped
-	// cache invalidation — from resets that force a full rebuild.
-	generation atomic.Uint64
-	deltas     *shard.DeltaLog
+	// hosted is the table of graphs over D the system links against G:
+	// the direct view first, then the named views in sorted order — the
+	// fixed order every write path walks. Guarded by mu.
+	hosted []*ViewHandle
+	// direct is hosted[0], the view "" resolves to. It is set once at
+	// construction, so the top-level query methods (and the lock-free
+	// Generation) reach it without the lock.
+	direct *ViewHandle
 }
 
-// New builds a System from a relational database and a graph, converting
-// the database with the RDB2RDF canonical mapping.
+// New builds a System from a relational database and a graph; the
+// direct view is extracted with the RDB2RDF canonical mapping.
 func New(db *relational.Database, g *graph.Graph, opts Options) (*System, error) {
 	if db == nil || g == nil {
 		return nil, fmt.Errorf("her: database and graph must be non-nil")
@@ -148,8 +139,8 @@ func New(db *relational.Database, g *graph.Graph, opts Options) (*System, error)
 	if err != nil {
 		return nil, err
 	}
-	s.DB = db
-	s.Mapping = mapping
+	s.DB, s.Mapping = db, mapping
+	s.direct.mapping, s.direct.rules = mapping, view.Direct(db).RuleCount()
 	return s, nil
 }
 
@@ -161,15 +152,22 @@ func NewFromGraphs(gd, g *graph.Graph, opts Options) (*System, error) {
 	}
 	o := opts.Normalize()
 	s := &System{
-		opts:      o,
-		GD:        gd,
-		G:         g,
-		sc:        newScorers(embed.NewEncoder(o.EmbeddingDim)),
+		opts:    o,
+		GD:      gd,
+		G:       g,
+		sc:      newScorers(embed.NewEncoder(o.EmbeddingDim)),
+		rankerG: ranking.NewRanker(g, nil, o.MaxPathLen),
+	}
+	s.direct = &ViewHandle{
+		sys:       s,
+		name:      DirectViewName,
+		errp:      "her: ",
+		gd:        gd,
 		rankerD:   ranking.NewRanker(gd, nil, o.MaxPathLen),
-		rankerG:   ranking.NewRanker(g, nil, o.MaxPathLen),
 		overrides: make(map[core.Pair]bool),
 		deltas:    shard.NewDeltaLog(0),
 	}
+	s.hosted = []*ViewHandle{s.direct}
 	s.buildCandidateGenLocked()
 	if err := s.resetMatcherLocked(); err != nil {
 		return nil, err
@@ -205,53 +203,48 @@ func (s *System) paramsLocked() core.Params {
 // over its own G_D-side graph. Callers hold s.mu (construction-time
 // calls own the System exclusively).
 func (s *System) buildCandidateGenLocked() {
-	ix := index.BuildDocs(s.G,
+	s.ix = index.BuildDocs(s.G,
 		func(v graph.VID) bool { return !s.G.IsLeaf(v) },
 		index.NeighborhoodDoc(s.G))
-	s.ix = ix
-	docD := index.NeighborhoodDoc(s.GD)
-	min := s.opts.MinSharedTokens
-	s.gen = func(u graph.VID) []graph.VID {
-		return ix.Lookup(docD(u), min)
-	}
-	for _, vs := range s.views {
-		vs.rebuildGenFrom(ix, min)
+	for _, h := range s.hosted {
+		h.rebuildGenLocked()
 	}
 }
 
+// resetMatcherLocked rebuilds every hosted view's matcher around the
+// current scorers, rankers and thresholds. Every matcher reset is a
+// semantic change (new scorers, thresholds or feedback) that can flip
+// verdicts anywhere: each view records it as a reset delta, which
+// poisons incremental maintenance and forces external engines into a
+// full rebuild with total cache invalidation. Callers hold s.mu.
 func (s *System) resetMatcherLocked() error {
-	m, err := core.NewMatcher(s.GD, s.G, s.rankerD, s.rankerG, s.paramsLocked())
-	if err != nil {
-		return err
+	for _, h := range s.hosted {
+		if err := h.rebuildMatcherLocked(); err != nil {
+			return err
+		}
+		h.recordLocked(shard.Delta{Kind: shard.DeltaReset})
 	}
-	m.SetMetrics(s.opts.Metrics)
-	s.matcher = m
-	// Every matcher reset is a semantic change (new scorers, thresholds
-	// or feedback) that can flip verdicts anywhere: record it as a reset
-	// delta, which poisons incremental maintenance and forces external
-	// engines into a full rebuild with total cache invalidation. The
-	// hosted views share the scorers and thresholds, so each gets the
-	// same treatment: a rebuilt matcher and a reset delta in its own log.
-	s.recordDelta(shard.Delta{Kind: shard.DeltaReset})
-	return s.resetViewsLocked()
+	return nil
 }
 
-// recordDelta stamps d with the next generation, records it in the
-// delta log, and only then publishes the generation bump — so any
-// engine that observes the new generation is guaranteed to find its
-// delta in the log. Callers hold s.mu (all mutation paths do), which
-// serializes the stamp-record-bump sequence.
-func (s *System) recordDelta(d shard.Delta) {
-	d.Gen = s.generation.Load() + 1
-	s.deltas.Record(d)
-	s.generation.Add(1)
+// installLMLocked swaps in a new path language model: the G-side ranker
+// and every hosted view's G_D-side ranker are rebuilt around it. The
+// matchers still hold the old rankers until the matcher reset every
+// caller follows up with under the same lock acquisition. Callers hold
+// s.mu.
+func (s *System) installLMLocked(lm *lstm.Model) {
+	s.lm = lm
+	s.rankerG = ranking.NewRanker(s.G, lm, s.opts.MaxPathLen)
+	for _, h := range s.hosted {
+		h.rankerD = ranking.NewRanker(h.gd, lm, s.opts.MaxPathLen)
+	}
 }
 
-// Generation reports the system's mutation generation. It changes
+// Generation reports the direct view's mutation generation. It changes
 // whenever a match verdict could: incremental updates (AddTuple,
 // AddGraphVertex, AddGraphEdge), feedback (Refine), retraining and
 // threshold changes all bump it. Safe for concurrent use.
-func (s *System) Generation() uint64 { return s.generation.Load() }
+func (s *System) Generation() uint64 { return s.direct.Generation() }
 
 // Metrics returns the registry the system was built with (nil when
 // instrumentation is disabled).
@@ -288,33 +281,6 @@ func (s *System) SetThresholds(th Thresholds) error {
 	return s.resetMatcherLocked()
 }
 
-// tupleVertex resolves a tuple to its canonical-graph vertex via f_D.
-// The lookup takes the system lock: AddTuple extends the mapping's
-// tables while serving paths resolve concurrently.
-func (s *System) tupleVertex(rel string, tupleID int) (graph.VID, error) {
-	if s.Mapping == nil {
-		return graph.NoVertex, fmt.Errorf("her: no tuple mapping (built with NewFromGraphs)")
-	}
-	s.mu.Lock()
-	u, ok := s.Mapping.VertexOf(rel, tupleID)
-	s.mu.Unlock()
-	if !ok {
-		return graph.NoVertex, fmt.Errorf("her: unknown tuple %s/%d", rel, tupleID)
-	}
-	return u, nil
-}
-
-// TupleOf reports which tuple a G_D vertex canonicalizes (the inverse of
-// TupleVertex), under the system lock — safe against concurrent AddTuple.
-func (s *System) TupleOf(u VertexID) (TupleRef, bool) {
-	if s.Mapping == nil {
-		return TupleRef{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Mapping.TupleOf(u)
-}
-
 // GraphValid reports whether v is a vertex of G, under the system lock —
 // safe against a concurrent AddGraphVertex growing the vertex table.
 func (s *System) GraphValid(v VertexID) bool {
@@ -335,105 +301,47 @@ func (s *System) GraphLabel(v VertexID) string {
 	return s.G.Label(v)
 }
 
+// The tuple- and G_D-addressed queries below are the direct view's
+// (viewapi.go): System.X(...) is View("").X(...).
+
+// TupleOf reports which tuple a G_D vertex canonicalizes (the inverse
+// of TupleVertex).
+func (s *System) TupleOf(u VertexID) (TupleRef, bool) { return s.direct.TupleOf(u) }
+
 // GDLabel returns the label of G_D vertex u ("" when u is not a vertex
-// of G_D), under the system lock — AddTuple extends G_D while serving.
-func (s *System) GDLabel(u VertexID) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.GD.Valid(u) {
-		return ""
-	}
-	return s.GD.Label(u)
-}
+// of G_D).
+func (s *System) GDLabel(u VertexID) string { return s.direct.GDLabel(u) }
 
 // TupleVertex resolves a tuple to its canonical-graph vertex via f_D —
-// the public form of the resolution every tuple-addressed query runs.
+// the resolution every tuple-addressed query runs.
 func (s *System) TupleVertex(rel string, tupleID int) (VertexID, error) {
-	return s.tupleVertex(rel, tupleID)
+	return s.direct.TupleVertex(rel, tupleID)
 }
 
 // SPair checks whether tuple (rel, tupleID) and vertex v refer to the
 // same entity (mode SPair of Fig. 2).
 func (s *System) SPair(rel string, tupleID int, v VertexID) (bool, error) {
-	u, err := s.tupleVertex(rel, tupleID)
-	if err != nil {
-		return false, err
-	}
-	return s.SPairVertices(u, v), nil
+	return s.direct.SPair(rel, tupleID, v)
 }
 
 // SPairVertices is SPair addressed by vertex ids.
-func (s *System) SPairVertices(u, v VertexID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if verdict, ok := s.overrides[core.Pair{U: u, V: v}]; ok {
-		return verdict
-	}
-	return s.matcher.Match(u, v)
-}
+func (s *System) SPairVertices(u, v VertexID) bool { return s.direct.spairVertices(u, v) }
 
 // VPair finds all vertices of G matching tuple (rel, tupleID).
 func (s *System) VPair(rel string, tupleID int) ([]Pair, error) {
-	u, err := s.tupleVertex(rel, tupleID)
-	if err != nil {
-		return nil, err
-	}
-	return s.VPairVertex(u), nil
+	return s.direct.VPair(rel, tupleID)
 }
 
 // VPairVertex is VPair addressed by the tuple's canonical vertex.
-func (s *System) VPairVertex(u VertexID) []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyOverridesLocked(s.matcher.VPair(u, s.gen), u)
-}
+func (s *System) VPairVertex(u VertexID) []Pair { return s.direct.vpairVertex(u, nil) }
 
-// VPairTraced is VPair with request tracing: sp, when non-nil, receives
-// a "resolve" child for the tuple lookup and — through the matcher —
-// the per-phase children of the sequential ParaMatch run (candgen,
-// simulate). The span is installed on the matcher under the system
-// lock, the same lock that serializes matching, and detached before
-// the lock is released, so concurrent requests never share it. A nil
-// sp makes this identical to VPair.
+// VPairTraced is VPair with request tracing; see ViewHandle.VPairTraced.
 func (s *System) VPairTraced(rel string, tupleID int, sp *Span) ([]Pair, error) {
-	rsp := sp.Child("resolve")
-	u, err := s.tupleVertex(rel, tupleID)
-	rsp.End()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.matcher.SetSpan(sp)
-	defer s.matcher.SetSpan(nil)
-	return s.applyOverridesLocked(s.matcher.VPair(u, s.gen), u), nil
-}
-
-// sources returns the G_D vertices APair ranges over: the tuple vertices
-// when a mapping exists, every vertex otherwise.
-func (s *System) sources() []graph.VID {
-	if s.Mapping == nil {
-		return nil
-	}
-	names := s.DB.RelationNames()
-	total := 0
-	for _, relName := range names {
-		total += len(s.DB.Relation(relName).Tuples)
-	}
-	out := make([]graph.VID, 0, total)
-	for _, relName := range names {
-		rel := s.DB.Relation(relName)
-		out = append(out, s.Mapping.TupleVertices(relName, len(rel.Tuples))...)
-	}
-	return out
+	return s.direct.VPairTraced(rel, tupleID, sp)
 }
 
 // APair computes all matches across D and G sequentially.
-func (s *System) APair() []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyOverridesLocked(s.matcher.APair(s.sources(), s.gen), graph.NoVertex)
-}
+func (s *System) APair() []Pair { return s.direct.APair() }
 
 // APairOf computes all matches for an explicit set of G_D source
 // vertices — the entry point for data formats without a tuple mapping,
@@ -441,88 +349,19 @@ func (s *System) APair() []Pair {
 func (s *System) APairOf(sources []VertexID) []Pair {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyOverridesLocked(s.matcher.APair(sources, s.gen), graph.NoVertex)
+	return s.direct.apairLocked(sources)
 }
 
-// APairParallel computes all matches with the BSP engine on n workers.
-// The run parameters (thresholds, metrics registry, candidate generator,
-// source set) are snapshotted under the system lock before the engine
-// starts, so a concurrent SetThresholds or index rebuild cannot tear
-// them mid-run; the engine itself runs without the lock.
+// APairParallel computes all matches with the BSP engine on n workers;
+// see ViewHandle.APairParallel.
 func (s *System) APairParallel(workers int) ([]Pair, ParallelStats, error) {
-	s.mu.Lock()
-	p := s.paramsLocked()
-	met := s.opts.Metrics
-	gen := s.gen
-	sources := s.sources()
-	s.mu.Unlock()
-	eng, err := bsp.NewEngine(s.GD, s.G, s.rankerD, s.rankerG, p)
-	if err != nil {
-		return nil, ParallelStats{}, err
-	}
-	eng.Metrics = met
-	matches, stats, err := eng.Run(sources, gen, bsp.Config{Workers: workers})
-	if err != nil {
-		return nil, stats, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastPar = &stats
-	return s.applyOverridesLocked(matches, graph.NoVertex), stats, nil
+	return s.direct.APairParallel(workers)
 }
 
-// APairParallelAsync computes all matches with the asynchronous engine
-// (Section VI-B remark 1): no superstep barriers; workers exchange
-// messages as they arrive until quiescence.
+// APairParallelAsync computes all matches with the asynchronous engine;
+// see ViewHandle.APairParallelAsync.
 func (s *System) APairParallelAsync(workers int) ([]Pair, ParallelStats, error) {
-	s.mu.Lock()
-	p := s.paramsLocked()
-	met := s.opts.Metrics
-	gen := s.gen
-	sources := s.sources()
-	s.mu.Unlock()
-	eng, err := bsp.NewEngine(s.GD, s.G, s.rankerD, s.rankerG, p)
-	if err != nil {
-		return nil, ParallelStats{}, err
-	}
-	eng.Metrics = met
-	matches, stats, err := eng.RunAsync(sources, gen, bsp.Config{Workers: workers})
-	if err != nil {
-		return nil, stats, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastPar = &stats
-	return s.applyOverridesLocked(matches, graph.NoVertex), stats, nil
-}
-
-// applyOverridesLocked reconciles algorithmic matches with user-verified
-// verdicts: refuted pairs are removed; confirmed pairs for the scoped
-// vertex (or any vertex when scope is NoVertex) are added. Callers hold
-// s.mu (the overrides map mutates under it).
-func (s *System) applyOverridesLocked(matches []Pair, scope graph.VID) []Pair {
-	if len(s.overrides) == 0 {
-		return matches
-	}
-	out := matches[:0]
-	have := make(map[core.Pair]bool, len(matches))
-	for _, p := range matches {
-		if verdict, ok := s.overrides[p]; ok && !verdict {
-			continue
-		}
-		out = append(out, p)
-		have[p] = true
-	}
-	// Collect the confirmed additions and sort them: s.overrides is a
-	// map, and letting its iteration order reach the returned match list
-	// would make VPair/APair responses differ run to run.
-	added := make([]Pair, 0, len(s.overrides))
-	for p, verdict := range s.overrides {
-		if verdict && !have[p] && (scope == graph.NoVertex || p.U == scope) {
-			added = append(added, p)
-		}
-	}
-	return append(out, core.SortPairs(added)...)
+	return s.direct.APairParallelAsync(workers)
 }
 
 // ApplyOverrides reconciles an externally computed match set with the
@@ -532,19 +371,17 @@ func (s *System) applyOverridesLocked(matches []Pair, scope graph.VID) []Pair {
 // (VPair); pass NoVertex for APair-style results. The input slice is
 // reused, matching the internal call sites.
 func (s *System) ApplyOverrides(matches []Pair, scope VertexID) []Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyOverridesLocked(matches, scope)
+	return s.direct.applyOverrides(matches, scope)
 }
 
 // SourceVertices returns the G_D source vertices APair ranges over: the
 // tuple vertices when a relational mapping exists, nil (= every vertex)
 // otherwise.
-func (s *System) SourceVertices() []VertexID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sources()
-}
+func (s *System) SourceVertices() []VertexID { return s.direct.SourceVertices() }
+
+// Explain returns the explanation of a confirmed match (running the
+// match first if needed).
+func (s *System) Explain(u, v VertexID) (*Explanation, error) { return s.direct.Explain(u, v) }
 
 // Candidates exposes the blocking candidate generator: the G vertices
 // considered for a G_D vertex before the σ filter. Baselines reuse it so
@@ -553,17 +390,25 @@ func (s *System) SourceVertices() []VertexID {
 // rebuilds) and invoked outside it — generators are immutable closures.
 func (s *System) Candidates(u VertexID) []VertexID {
 	s.mu.Lock()
-	gen := s.gen
+	gen := s.direct.gen
 	s.mu.Unlock()
 	return gen(u)
 }
 
 // RankerD exposes the G_D-side ranking function h_r (for harnesses that
 // assemble custom matchers over this system's learned parameters).
-func (s *System) RankerD() *ranking.Ranker { return s.rankerD }
+func (s *System) RankerD() *ranking.Ranker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.direct.rankerD
+}
 
 // RankerG exposes the G-side ranking function h_r.
-func (s *System) RankerG() *ranking.Ranker { return s.rankerG }
+func (s *System) RankerG() *ranking.Ranker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rankerG
+}
 
 // CoreParams exposes the assembled parametric-simulation parameters.
 func (s *System) CoreParams() core.Params {
@@ -576,7 +421,7 @@ func (s *System) CoreParams() core.Params {
 func (s *System) Stats() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.matcher.Stats()
+	return s.direct.matcher.Stats()
 }
 
 // LastParallelStats reports the statistics of the most recent parallel
@@ -596,42 +441,30 @@ type Explanation struct {
 	Witness       []Pair        // the match relation Π(u, v)
 	Lineage       []Pair        // the lineage set S(u, v)
 	SchemaMatches []SchemaMatch // Γ(u, v): attribute → path
+
+	view *ViewHandle // the view whose vertex ids Witness and Lineage use
 }
 
 // Render writes a human-readable explanation, resolving vertex ids to
-// labels through the system's graphs — the paper's "showing why two
-// vertices match based on matching vertex pairs and the accumulated
-// score".
+// labels through the graphs of the view that produced it (the direct
+// view for an Explanation not obtained from Explain) — the paper's
+// "showing why two vertices match based on matching vertex pairs and
+// the accumulated score". Labels are read under the system lock.
 func (e *Explanation) Render(sys *System) string {
+	vh := e.view
+	if vh == nil {
+		vh = sys.direct
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "witness Pi: %d pairs\nlineage S:\n", len(e.Witness))
 	for _, p := range e.Lineage {
-		fmt.Fprintf(&b, "  (%q, %q)\n", sys.GD.Label(p.U), sys.G.Label(p.V))
+		fmt.Fprintf(&b, "  (%q, %q)\n", vh.GDLabel(p.U), sys.GraphLabel(p.V))
 	}
 	b.WriteString("schema matches Gamma:\n")
 	for _, sm := range e.SchemaMatches {
 		fmt.Fprintf(&b, "  %s -> %s\n", sm.Attr, sm.Rho.LabelString())
 	}
 	return b.String()
-}
-
-// Explain returns the explanation of a confirmed match (running the
-// match first if needed).
-func (s *System) Explain(u, v VertexID) (*Explanation, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.matcher.Match(u, v) {
-		return nil, fmt.Errorf("her: (%d, %d) is not a match", u, v)
-	}
-	sm, err := s.matcher.SchemaMatches(u, v)
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{
-		Witness:       s.matcher.Witness(u, v),
-		Lineage:       s.matcher.Lineage(u, v),
-		SchemaMatches: sm,
-	}, nil
 }
 
 // Predictor returns a learn.Predictor over the current system state,

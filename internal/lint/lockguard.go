@@ -194,7 +194,9 @@ type lockguardFunc struct {
 }
 
 // entryState seeds the lock set of a *Locked/*RLocked method: by
-// convention the caller holds every mutex field of the receiver.
+// convention the caller holds every mutex field of the receiver — and,
+// one pointer hop out, of the owner structs the receiver points at (a
+// hosted view has no lock of its own; it lives under its System's).
 func (lg *lockguardFunc) entryState(fd *ast.FuncDecl) lockset {
 	st := lockset{}
 	name := fd.Name.Name
@@ -214,20 +216,29 @@ func (lg *lockguardFunc) entryState(fd *ast.FuncDecl) lockset {
 	if obj == nil {
 		return st
 	}
-	t := obj.Type()
+	seedMutexFields(st, objRoot(obj), obj.Type(), bits, true)
+	return st
+}
+
+// seedMutexFields marks every mutex field of the struct behind t as
+// held at path; with owners set it follows pointer-to-struct fields one
+// hop and seeds theirs too.
+func seedMutexFields(st lockset, path string, t types.Type, bits uint8, owners bool) {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	strct, ok := t.Underlying().(*types.Struct)
 	if !ok {
-		return st
+		return
 	}
 	for i := 0; i < strct.NumFields(); i++ {
-		if f := strct.Field(i); isMutexType(f.Type()) {
-			st[objRoot(obj)+"."+f.Name()] = bits
+		f := strct.Field(i)
+		if isMutexType(f.Type()) {
+			st[path+"."+f.Name()] = bits
+		} else if _, isPtr := f.Type().Underlying().(*types.Pointer); isPtr && owners {
+			seedMutexFields(st, path+"."+f.Name(), f.Type(), bits, false)
 		}
 	}
-	return st
 }
 
 func (lg *lockguardFunc) analyze(body *ast.BlockStmt, entry lockset) {

@@ -7,21 +7,26 @@ import (
 )
 
 // SnapLeak enforces the shard engine's snapshot-isolation contract: the
-// live graphs hanging off a System (`s.G`, `s.GD` — the ones AddTuple/
-// AddGraphVertex/AddGraphEdge mutate under the system lock) must never
-// escape into the shard serving layer, which reads its graphs at
-// request time without that lock. The only legal hand-off is a private
-// copy: `s.G.Clone()`. The analyzer taints every expression reachable
-// from a *Graph field of a System (including single-assignment local
-// aliases) and reports taint flowing into a shard-package sink — a
-// shard composite literal, a call into a shard package, or a store to a
-// shard-declared struct field. Clone() calls produce fresh values and
-// clear the taint.
+// live graphs hanging off a System (`s.G`, `s.GD`) or one of its hosted
+// views (`h.gd`) — the ones AddTuple/AddGraphVertex/AddGraphEdge mutate
+// under the system lock — must never escape into the shard serving
+// layer, which reads its graphs at request time without that lock. The
+// only legal hand-off is a private copy: `s.G.Clone()`. The analyzer
+// taints every expression reachable from a *Graph field of a live-graph
+// owner (including single-assignment local aliases) and reports taint
+// flowing into a shard-package sink — a shard composite literal, a call
+// into a shard package, or a store to a shard-declared struct field.
+// Clone() calls produce fresh values and clear the taint.
 var SnapLeak = &Analyzer{
 	Name: "snapleak",
 	Doc:  "System's live graphs must not escape into shard engine state except through Clone()",
 	Run:  runSnapLeak,
 }
+
+// liveGraphOwners names the struct types whose *Graph fields are live:
+// her.System (G, GD) and its hosted-view state her.ViewHandle (gd,
+// extended in place by AddTuple under the system lock).
+var liveGraphOwners = map[string]bool{"System": true, "ViewHandle": true}
 
 func runSnapLeak(p *Pass) {
 	for _, f := range p.Pkg.Files {
@@ -63,8 +68,8 @@ func (sl *snapLeak) collectAliases(f *ast.File) {
 	})
 }
 
-// liveGraphSource reports whether e evaluates to a live System graph,
-// and which one.
+// liveGraphSource reports whether e evaluates to a live graph, and
+// which one.
 func (sl *snapLeak) liveGraphSource(e ast.Expr) (string, bool) {
 	for {
 		p, ok := e.(*ast.ParenExpr)
@@ -83,10 +88,11 @@ func (sl *snapLeak) liveGraphSource(e ast.Expr) (string, bool) {
 		if !ok || !isGraphPtr(v.Type()) {
 			return "", false
 		}
-		if ownerName(s.Recv()) != "System" {
+		owner := ownerName(s.Recv())
+		if !liveGraphOwners[owner] {
 			return "", false
 		}
-		return "System." + v.Name(), true
+		return owner + "." + v.Name(), true
 	case *ast.Ident:
 		obj := sl.p.Pkg.Info.ObjectOf(e)
 		if obj == nil {

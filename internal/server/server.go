@@ -11,6 +11,13 @@
 //	POST /feedback     [{"rel":"item","tuple":0,"vertex":12,"match":true}]
 //	GET  /stats
 //	GET  /metrics      (Prometheus text exposition)
+//	GET  /views, /extract, /debug/requests   (views.go, below)
+//
+// A System hosts views — graphs over D, "direct" (the RDB2RDF mapping)
+// the default — and every matching endpoint addresses one of them
+// through the view= parameter (views.go). The server has one code path
+// per endpoint whichever view is named: it resolves the handle and asks
+// it, or the shard engine serving it.
 //
 // The matching endpoints (/spair, /vpair, /apair) honor a server-level
 // Deadline plus an optional timeout_ms query parameter (the smaller
@@ -22,15 +29,17 @@
 // admission control.
 //
 // NewSharded builds the server in sharded mode: /vpair and /apair are
-// scatter-gathered across an internal/shard engine — partitioned G,
-// halo-replicated fragments, per-shard workers with bounded queues and
-// a generation-stamped result cache — instead of the single sequential
-// matcher. When shard queues are full the request is shed with 429 and
-// a Retry-After hint rather than queueing unbounded work. Writes are
-// maintained incrementally: the engine replays the system's typed delta
-// log against its private snapshots (halo-scoped fragment updates,
-// vertex-scoped cache invalidation), so a write retires only the cached
-// results it can actually affect and the rest keep serving warm.
+// scatter-gathered across one internal/shard engine per hosted view —
+// partitioned G, halo-replicated fragments, per-shard workers with
+// bounded queues and a generation-stamped result cache — instead of the
+// view's sequential matcher (and, for /apair, the BSP engine its
+// workers parameter sizes). When shard queues are full the request is
+// shed with 429 and a Retry-After hint rather than queueing unbounded
+// work. Writes are maintained incrementally: each engine replays its
+// view's typed delta log against its private snapshots (halo-scoped
+// fragment updates, vertex-scoped cache invalidation), so a write
+// retires only the cached results it can actually affect and the rest
+// keep serving warm.
 //
 // Every request passes through an instrumentation middleware that
 // records per-endpoint request counts, status codes and latency
@@ -59,13 +68,12 @@ import (
 // Server wraps a System with HTTP handlers.
 type Server struct {
 	sys *her.System
-	eng *shard.Engine // non-nil in sharded mode (NewSharded)
-	// viewEngs holds one shard engine per named view present when
-	// NewSharded built the server (views.go); nil in single-system mode.
-	viewEngs map[string]*shard.Engine
-	extract  extractCache // memoized GET /extract rendering (views.go)
-	mux      *http.ServeMux
-	reg      *obs.Registry
+	// engs holds one shard engine per view hosted when NewSharded built
+	// the server, by view name; nil in single-system mode.
+	engs    map[string]*shard.Engine
+	extract extractCache // memoized GET /extract rendering (views.go)
+	mux     *http.ServeMux
+	reg     *obs.Registry
 	// MaxAPairMatches caps the matches returned inline by /apair
 	// (default 1000); the full count is always reported.
 	MaxAPairMatches int
@@ -133,12 +141,14 @@ func New(sys *her.System) *Server {
 }
 
 // NewSharded builds the server in sharded serving mode: /vpair and
-// /apair route through a shard.Engine over the system's graphs.
+// /apair route through one shard.Engine per hosted view, each over the
+// view's ShardConfig — its own snapshots, generation anchor and delta
+// log. A view installed later is served sequentially.
 //
 // Read-your-writes semantics: a request that starts after a mutation
-// returns never observes pre-mutation results. The engine keys its
-// cache on the system's generation counter and, before reading the
-// cache, replays the system's typed delta log against its private
+// returns never observes pre-mutation results. Each engine keys its
+// cache on its view's generation counter and, before reading the
+// cache, replays the view's typed delta log against its private
 // snapshots — incremental writes (AddTuple, AddGraphVertex,
 // AddGraphEdge) update only the fragments whose halo regions contain
 // the touched vertices and evict only the cached entries whose key
@@ -148,46 +158,35 @@ func New(sys *her.System) *Server {
 // while unaffected entries keep serving without recomputation.
 // Call Close to stop the shard workers.
 func NewSharded(sys *her.System, shards int) (*Server, error) {
-	eng, err := shard.NewEngine(sys.ShardConfig(shards))
-	if err != nil {
-		return nil, err
-	}
 	s := New(sys)
-	s.eng = eng
-	// Every named view present now gets its own engine over the view's
-	// ShardConfig — its own snapshots, generation anchor and delta log.
+	s.engs = make(map[string]*shard.Engine)
 	for _, name := range sys.ViewNames() {
-		if name == her.DirectViewName {
-			continue
-		}
 		vh, err := sys.View(name)
 		if err != nil {
 			continue
 		}
-		ve, err := shard.NewEngine(vh.ShardConfig(shards))
+		eng, err := shard.NewEngine(vh.ShardConfig(shards))
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		if s.viewEngs == nil {
-			s.viewEngs = make(map[string]*shard.Engine)
-		}
-		s.viewEngs[name] = ve
+		s.engs[name] = eng
 	}
 	return s, nil
 }
 
-// Engine exposes the sharded engine (nil in single-system mode).
-func (s *Server) Engine() *shard.Engine { return s.eng }
+// Engine exposes the sharded engine of the default view — the one a
+// request without view= addresses (nil in single-system mode).
+func (s *Server) Engine() *shard.Engine {
+	vh, _ := s.sys.View("")
+	return s.engs[vh.Name()]
+}
 
-// Close stops the shard workers (direct and per-view); a no-op in
-// single-system mode.
+// Close stops every view's shard workers; a no-op in single-system
+// mode.
 func (s *Server) Close() {
-	if s.eng != nil {
-		s.eng.Close()
-	}
-	for _, ve := range s.viewEngs {
-		ve.Close()
+	for _, eng := range s.engs {
+		eng.Close()
 	}
 }
 
@@ -457,39 +456,31 @@ type matchJSON struct {
 }
 
 // vpairMatches routes a VPair request to the configured backend: the
-// test seam, the view's sharded engine, or the sequential view call
-// wrapped in the deadline runner.
+// test seam, the view's sharded engine, or the sequential view call —
+// the first and last wrapped in the deadline runner.
 func (s *Server) vpairMatches(ctx context.Context, vh *her.ViewHandle, rel string, tuple int) ([]her.Pair, error) {
-	if s.vpairFn != nil {
-		type res struct {
-			pairs []her.Pair
-			err   error
+	vpair := s.vpairFn
+	if vpair == nil {
+		sp := obs.SpanFrom(ctx)
+		if eng := s.engs[vh.Name()]; eng != nil {
+			rsp := sp.Child("resolve")
+			u, err := vh.TupleVertex(rel, tuple)
+			rsp.End()
+			if err != nil {
+				return nil, err
+			}
+			return eng.VPair(ctx, u)
 		}
-		out, err := runSeq(ctx, s.seqSlots(), func() res {
-			p, e := s.vpairFn(rel, tuple)
-			return res{pairs: p, err: e}
-		})
-		if err != nil {
-			return nil, err
+		vpair = func(rel string, tuple int) ([]her.Pair, error) {
+			return vh.VPairTraced(rel, tuple, sp)
 		}
-		return out.pairs, out.err
-	}
-	sp := obs.SpanFrom(ctx)
-	if eng := s.engineFor(vh.Name()); eng != nil {
-		rsp := sp.Child("resolve")
-		u, err := vh.TupleVertex(rel, tuple)
-		rsp.End()
-		if err != nil {
-			return nil, err
-		}
-		return eng.VPair(ctx, u)
 	}
 	type res struct {
 		pairs []her.Pair
 		err   error
 	}
 	out, err := runSeq(ctx, s.seqSlots(), func() res {
-		p, e := vh.VPairTraced(rel, tuple, sp)
+		p, e := vpair(rel, tuple)
 		return res{pairs: p, err: e}
 	})
 	if err != nil {
@@ -561,42 +552,26 @@ func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var matches []her.Pair
 	var statsOut interface{}
-	switch {
-	case s.apairFn == nil && !vh.IsDirect():
-		// Named view: scatter-gather on the view's engine when it has
-		// one, the view's sequential matcher otherwise. (The BSP workers
-		// parameter applies only to the direct view's parallel engine.)
-		if eng := s.engineFor(vh.Name()); eng != nil {
-			matches, err = eng.APair(ctx, vh.SourceVertices())
-			if err != nil {
-				writeMatchErr(w, err, http.StatusInternalServerError)
-				return
-			}
-			info := eng.Snapshot()
-			statsOut = map[string]interface{}{
-				"view":       vh.Name(),
-				"shards":     info.Shards,
-				"haloRadius": info.HaloRadius,
-				"generation": info.Generation,
-			}
-			break
-		}
-		type res struct{ pairs []her.Pair }
-		out, rErr := runSeq(ctx, s.seqSlots(), func() res {
-			return res{pairs: vh.APair()}
-		})
-		if rErr != nil {
-			writeMatchErr(w, rErr, http.StatusInternalServerError)
+	if eng := s.engs[vh.Name()]; eng != nil && s.apairFn == nil {
+		// Sharded mode: the engine scatter-gathers over its fixed shard
+		// workers; the workers parameter does not apply.
+		matches, err = eng.APair(ctx, vh.SourceVertices())
+		if err != nil {
+			writeMatchErr(w, err, http.StatusInternalServerError)
 			return
 		}
-		matches = out.pairs
-		statsOut = map[string]interface{}{"view": vh.Name(), "mode": "sequential"}
-	case s.apairFn != nil || s.eng == nil:
+		info := eng.Snapshot()
+		statsOut = map[string]interface{}{
+			"shards":     info.Shards,
+			"haloRadius": info.HaloRadius,
+			"generation": info.Generation,
+		}
+	} else {
 		apair := s.apairFn
 		if apair == nil {
-			apair = func(n int) ([]her.Pair, her.ParallelStats, error) {
-				return s.sys.APairParallel(n)
-			}
+			// A literal, not the method value: herlint's call graph follows
+			// only direct calls, and hotalloc must see the BSP engine here.
+			apair = func(n int) ([]her.Pair, her.ParallelStats, error) { return vh.APairParallel(n) }
 		}
 		type res struct {
 			pairs []her.Pair
@@ -619,20 +594,6 @@ func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
 			"workers":        out.stats.Workers,
 			"supersteps":     out.stats.Supersteps,
 			"candidatePairs": out.stats.CandidatePairs,
-		}
-	default:
-		// Sharded mode: the engine scatter-gathers over its fixed shard
-		// workers; the workers parameter does not apply.
-		matches, err = s.eng.APair(ctx, s.sys.SourceVertices())
-		if err != nil {
-			writeMatchErr(w, err, http.StatusInternalServerError)
-			return
-		}
-		info := s.eng.Snapshot()
-		statsOut = map[string]interface{}{
-			"shards":     info.Shards,
-			"haloRadius": info.HaloRadius,
-			"generation": info.Generation,
 		}
 	}
 	shown := matches
@@ -754,8 +715,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"cleanups": st.Cleanups, "rechecks": st.Rechecks,
 		},
 	}
-	if s.eng != nil {
-		out["shard"] = s.eng.Snapshot()
+	if eng := s.Engine(); eng != nil {
+		out["shard"] = eng.Snapshot()
 	}
 	out["views"] = s.viewStats()
 	if ps, ok := s.sys.LastParallelStats(); ok {

@@ -7,23 +7,22 @@ import (
 	"sync"
 
 	"her"
-	"her/internal/shard"
 )
 
-// This file serves the hosted graph views (her/viewapi.go) over HTTP.
-// The matching endpoints accept a view= query parameter addressing the
-// query at a named view's extraction ("" and "direct" are the built-in
-// canonical mapping; an unknown name is 404). Two endpoints are
-// view-specific:
+// This file addresses requests at the hosted graph views
+// (her/viewapi.go). The matching endpoints accept a view= query
+// parameter naming the view to query; her.System.View resolves it ("" is
+// the default view, "direct"; an unknown name is 404) and the handlers
+// never ask which view they got. Two endpoints are view-specific:
 //
 //	GET /views                 — list hosted views (name, rules, |V|, |E|, generation)
 //	GET /extract?view=<name>   — the view's materialized graph as TSV
 //
-// In sharded mode every view present at construction gets its own
-// shard.Engine over the view's ShardConfig — anchored to the view's
-// generation counter and delta log — so /vpair?view=x scatter-gathers
-// exactly like the direct view does. Views installed after NewSharded
-// fall back to the sequential path.
+// In sharded mode every view hosted at construction — direct like any
+// other — gets its own shard.Engine over the view's ShardConfig,
+// anchored to the view's generation counter and delta log, in
+// Server.engs. Views installed after NewSharded have no engine and are
+// served by their sequential matcher.
 
 // viewParam resolves the request's view= parameter to a handle; the
 // empty value names the direct view. The her_view_requests_total
@@ -36,15 +35,6 @@ func (s *Server) viewParam(r *http.Request, op string) (*her.ViewHandle, error) 
 	}
 	s.reg.Counter(fmt.Sprintf(`her_view_requests_total{view=%q,op=%q}`, vh.Name(), op)).Inc()
 	return vh, nil
-}
-
-// engineFor returns the shard engine serving a view (nil when the view
-// has none — single-system mode, or a view installed after NewSharded).
-func (s *Server) engineFor(viewName string) *shard.Engine {
-	if viewName == her.DirectViewName {
-		return s.eng
-	}
-	return s.viewEngs[viewName]
 }
 
 // extractReq keys the extract cache. The view name can never be elided:
@@ -142,7 +132,7 @@ func (s *Server) viewStats() []map[string]interface{} {
 			"edges":      info.Edges,
 			"tuples":     info.Tuples,
 			"generation": info.Generation,
-			"sharded":    s.engineFor(name) != nil,
+			"sharded":    s.engs[name] != nil,
 		}
 		out = append(out, entry)
 	}

@@ -91,14 +91,13 @@ func (s *System) TrainRanker(sampleVertices, epochs int) error {
 	lm.Train(corpus, lstm.TrainConfig{
 		Epochs: epochs, LearnRate: 0.05, Clip: 5, Seed: o.Seed,
 	})
-	s.lm = lm
-	s.rankerD = ranking.NewRanker(s.GD, lm, o.MaxPathLen)
-	s.rankerG = ranking.NewRanker(s.G, lm, o.MaxPathLen)
+	// One lock acquisition for the swap and the matcher reset that
+	// publishes it: a sharded engine's Snapshot hook reads s.lm under
+	// this lock while it serves.
 	s.mu.Lock()
-	s.rebuildViewRankersLocked()
-	s.mu.Unlock()
-	s.ResetMatchState()
-	return nil
+	defer s.mu.Unlock()
+	s.installLMLocked(lm)
+	return s.resetMatcherLocked()
 }
 
 // LearnThresholds runs the paper's random search over (σ, δ, k) against
@@ -126,7 +125,7 @@ func (s *System) LearnThresholds(val []Annotation, space learn.SearchSpace, tria
 // matcher (shared rankers and scorers), without touching system state.
 func (s *System) EvaluateWith(th Thresholds, anns []Annotation) learn.Eval {
 	p := core.Params{Mv: s.sc.Mv, Mrho: s.sc.Mrho, Sigma: th.Sigma, Delta: th.Delta, K: th.K}
-	m, err := core.NewMatcher(s.GD, s.G, s.rankerD, s.rankerG, p)
+	m, err := core.NewMatcher(s.GD, s.G, s.RankerD(), s.RankerG(), p)
 	if err != nil {
 		return learn.Eval{}
 	}
@@ -153,7 +152,7 @@ func (s *System) Refine(fb []Feedback) {
 	s.mu.Lock()
 	seed := s.opts.Seed // captured here: the fine-tune below runs unlocked
 	for _, f := range fb {
-		s.overrides[f.Pair] = f.IsMatch
+		s.direct.overrides[f.Pair] = f.IsMatch
 		feats := s.alignedPathFeaturesLocked(f.Pair)
 		if f.IsMatch {
 			pos = append(pos, feats...)
@@ -181,7 +180,7 @@ func (s *System) Refine(fb []Feedback) {
 // the "path-path matches" the paper marks as similar or dissimilar.
 // Callers hold s.mu (k lives in s.opts).
 func (s *System) alignedPathFeaturesLocked(p Pair) [][]float64 {
-	du := s.rankerD.TopK(p.U, s.opts.K)
+	du := s.direct.rankerD.TopK(p.U, s.opts.K)
 	dv := s.rankerG.TopK(p.V, s.opts.K)
 	n := len(du)
 	if len(dv) < n {
@@ -198,7 +197,7 @@ func (s *System) alignedPathFeaturesLocked(p Pair) [][]float64 {
 func (s *System) Overrides() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.overrides)
+	return len(s.direct.overrides)
 }
 
 // MrhoScore exposes the raw M_ρ score for diagnostics and examples.

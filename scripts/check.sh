@@ -50,6 +50,14 @@ lint_start=$(date +%s)
 go run ./cmd/herlint -baseline .herlint-baseline.json ./... || fail "herlint"
 echo "check.sh: herlint self-lint clean in $(($(date +%s) - lint_start))s"
 stage "go test" go test ./...
+# The benchmark is its own module (benchmark/go.mod replaces `her` with
+# ..), so ./... above never compiles it: vet and short-test it against
+# the working tree here, or an API change that breaks it is first seen
+# when the benchmark refuses to build.
+benchmark_module() {
+    (cd benchmark && go vet ./... && go test -short ./...)
+}
+stage "benchmark module" benchmark_module
 stage "go test -race -short" go test -race -short ./...
 # The sharded serving engine is the most concurrency-dense code in the
 # repo (per-shard workers, singleflight, LRU cache, generation rebuilds),

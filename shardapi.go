@@ -1,7 +1,6 @@
 package her
 
 import (
-	"her/internal/core"
 	"her/internal/graph"
 	"her/internal/ranking"
 	"her/internal/shard"
@@ -12,7 +11,7 @@ import (
 const NoVertex = graph.NoVertex
 
 // ShardConfig assembles the configuration of a sharded serving engine
-// (internal/shard) over this system:
+// (internal/shard) over this view:
 //
 //   - the Snapshot hook clones the graphs and re-reads the language
 //     model and thresholds under the system lock at every (re)build:
@@ -24,33 +23,33 @@ const NoVertex = graph.NoVertex
 //     the generation bump, which retires the snapshot on the next
 //     request;
 //   - Generation ties the engine's result cache and maintenance trigger
-//     to the system's mutation counter — AddTuple, AddGraphVertex,
+//     to the view's mutation counter — AddTuple, AddGraphVertex,
 //     AddGraphEdge, Refine, retraining and threshold changes all bump it;
-//   - Deltas exposes the system's typed delta log: incremental updates
+//   - Deltas exposes the view's typed delta log: incremental updates
 //     are applied to the engine's private snapshots in place (halo-scoped
 //     fragment updates, vertex-scoped cache invalidation) instead of
-//     re-cloning; resets (feedback, retraining, threshold changes)
-//     poison the log and force the full rebuild they require;
-//   - Overrides routes every merged match set through the system's
+//     re-cloning; resets (feedback, retraining, threshold changes, a
+//     rule view's recompile) poison the log and force the full rebuild
+//     they require;
+//   - Overrides routes every merged match set through the view's
 //     user-verified verdicts, exactly like the sequential query paths.
 //
 // The remaining shared components (scorers, language model) are safe for
 // the engine's concurrent reads: scorers memoize behind RWMutexes and a
 // retrained model is built aside and swapped in whole.
-func (s *System) ShardConfig(shards int) shard.Config {
+func (h *ViewHandle) ShardConfig(shards int) shard.Config {
+	s := h.sys
 	cfg := shard.Config{
 		Shards:     shards,
-		Generation: s.Generation,
-		Deltas:     s.deltas.Since,
-		Overrides: func(matches []core.Pair, scope graph.VID) []core.Pair {
-			return s.ApplyOverrides(matches, scope)
-		},
-		Metrics: s.Metrics(),
+		Generation: h.Generation,
+		Deltas:     h.deltas.Since,
+		Overrides:  h.applyOverrides,
+		Metrics:    s.Metrics(),
 	}
 	cfg.Snapshot = func(c shard.Config) shard.Config {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		c.GD, c.G = s.GD.Clone(), s.G.Clone()
+		c.GD, c.G = h.gd.Clone(), s.G.Clone()
 		c.LM = s.lm
 		c.RankerD = ranking.NewRanker(c.GD, s.lm, s.opts.MaxPathLen)
 		c.Params = s.paramsLocked()
@@ -59,8 +58,11 @@ func (s *System) ShardConfig(shards int) shard.Config {
 		// SnapGen anchors delta replay: it is read under the same lock
 		// that serializes mutations, so the clones are exactly the graphs
 		// of this generation — never a mid-request mix.
-		c.SnapGen = s.generation.Load()
+		c.SnapGen = h.Generation()
 		return c
 	}
 	return cfg.Snapshot(cfg)
 }
+
+// ShardConfig is the direct view's ViewHandle.ShardConfig.
+func (s *System) ShardConfig(shards int) shard.Config { return s.direct.ShardConfig(shards) }

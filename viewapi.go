@@ -7,29 +7,34 @@ import (
 	"sync/atomic"
 	"time"
 
+	"her/internal/bsp"
 	"her/internal/core"
 	"her/internal/graph"
 	"her/internal/index"
 	"her/internal/ranking"
+	"her/internal/rdb2rdf"
 	"her/internal/shard"
 	"her/internal/view"
 )
 
-// This file hosts named graph views (internal/view) as first-class
-// linking targets: every view carries its own G_D-side graph, mapping,
-// matcher, candidate generator, generation counter and delta log, all
-// maintained by the same write paths that maintain the direct mapping.
-// The reserved view "direct" is the System's own canonical state — the
-// rdb2rdf machinery stays exactly as it was, and a ViewHandle for it
-// just delegates — so existing callers pay nothing for the view layer.
+// This file is the hosted-graph state and its one query method set.
+// Every graph over D the System links against G is a hosted view: its
+// own G_D-side graph, tuple↔vertex mapping, ranker, matcher, candidate
+// generator, overrides, generation counter and delta log, maintained by
+// one loop per write path over System.hosted. The reserved view
+// "direct" is the first entry of that table and differs only in its
+// extractor: rdb2rdf.Map builds it and rdb2rdf.AddTuple extends it
+// (append-only forever — the reference internal/testkit.DirectViewDiff
+// compares the rule compiler against), where a named view is compiled
+// from its rules by internal/view.
 //
-// Maintenance rides PR 7's delta machinery per view: AddTuple
-// re-extracts each view's fresh region and records a DeltaTuple in that
-// view's log; G mutations fan out as graph deltas; and any change
-// append-only extraction cannot express — a new tuple resolving a
-// reference that dangled at extraction time — recompiles the view and
-// records a DeltaReset, which forces that view's serving engines into
-// the full rebuild they need.
+// Maintenance rides PR 7's delta machinery per view: AddTuple extends
+// each view's graph by the new tuple's fresh region and records a
+// DeltaTuple in that view's log; G mutations fan out as graph deltas;
+// and a change append-only extraction cannot express — a new tuple
+// resolving a reference that dangled when a rule view was extracted —
+// recompiles that view and records a DeltaReset, which forces its
+// serving engines into the full rebuild they need.
 
 // ViewDef re-exports the view definition type for the builder API.
 type ViewDef = view.Def
@@ -43,49 +48,173 @@ func NewViewDef(name string) *ViewDef { return view.NewDef(name) }
 // ParseViews parses view definitions in the rule language.
 func ParseViews(src []byte) ([]*ViewDef, error) { return view.Parse(src) }
 
-// viewState is the per-view mirror of the System's canonical-graph
-// state. All fields are guarded by System.mu except generation, which
-// serving engines read without the lock (same contract as
-// System.generation).
-type viewState struct {
-	def     *view.Def
+// tupleMapping is the tuple↔vertex surface queries need of a view's
+// mapping; *rdb2rdf.Mapping and *view.Mapping both provide it.
+type tupleMapping interface {
+	VertexOf(rel string, tupleID int) (graph.VID, bool)
+	TupleOf(v graph.VID) (rdb2rdf.TupleRef, bool)
+	TupleVertices(rel string, count int) []graph.VID
+	NumTupleVertices() int
+}
+
+// ViewInfo describes one hosted view for /stats and the CLI.
+type ViewInfo struct {
+	Name       string `json:"name"`
+	Rules      int    `json:"rules"`
+	Vertices   int    `json:"vertices"`
+	Edges      int    `json:"edges"`
+	Tuples     int    `json:"tuples"`
+	Generation uint64 `json:"generation"`
+}
+
+// ViewHandle is one hosted view: the state of one graph over D and the
+// queries addressed at it. All fields are guarded by System.mu except
+// the immutable identity (sys, name, errp, def, rules, deltas) and
+// generation, which serving engines read without the lock.
+type ViewHandle struct {
+	sys   *System
+	name  string
+	errp  string    // error prefix naming the view ("her: " for direct)
+	def   *view.Def // extraction rules; nil when rdb2rdf extracts the graph
+	rules int       // rule count of the definition the graph denotes
+
 	gd      *graph.Graph
-	mapping *view.Mapping
+	mapping tupleMapping // nil without a relational database (NewFromGraphs)
 	rankerD *ranking.Ranker
 	matcher *core.Matcher
 	gen     core.CandidateGen
+	// overrides holds the user-verified pairs (Section IV refinement) in
+	// this view's vertex space. Feedback addresses the direct view, so
+	// it stays empty on every other one.
+	overrides map[core.Pair]bool
 
+	// generation counts semantic mutations: incremental updates to D or
+	// G, feedback, retraining, threshold changes — anything that can
+	// change a match verdict. Each bump records exactly one typed delta
+	// in deltas, so external engines (internal/shard) can tell
+	// incremental updates — maintainable in place, with vertex-scoped
+	// cache invalidation — from resets that force a full rebuild.
 	generation atomic.Uint64
 	deltas     *shard.DeltaLog
 }
 
-// record stamps d with the view's next generation, logs it, then
-// publishes the bump — the same stamp-record-bump sequence as
-// System.recordDelta, serialized by the same lock.
-func (vs *viewState) record(d shard.Delta) {
-	d.Gen = vs.generation.Load() + 1
-	vs.deltas.Record(d)
-	vs.generation.Add(1)
-}
-
-// rebuildGenFrom derives the view's candidate generator from the shared
-// G-side inverted index and the view's own G_D-side neighborhood docs.
-func (vs *viewState) rebuildGenFrom(ix *index.Inverted, minShared int) {
-	docD := index.NeighborhoodDoc(vs.gd)
-	vs.gen = func(u graph.VID) []graph.VID {
-		return ix.Lookup(docD(u), minShared)
-	}
+// recordLocked stamps d with the view's next generation, records it in
+// the delta log, and only then publishes the generation bump — so any
+// engine that observes the new generation is guaranteed to find its
+// delta in the log. Callers hold s.mu (all mutation paths do), which
+// serializes the stamp-record-bump sequence.
+func (h *ViewHandle) recordLocked(d shard.Delta) {
+	d.Gen = h.generation.Load() + 1
+	h.deltas.Record(d)
+	h.generation.Add(1)
+	h.publishMetricsLocked()
 }
 
 // publishMetricsLocked refreshes the view's her_view_* gauges.
-func (s *System) publishViewMetricsLocked(name string, vs *viewState) {
-	reg := s.opts.Metrics
+func (h *ViewHandle) publishMetricsLocked() {
+	reg := h.sys.opts.Metrics
 	if reg == nil {
 		return
 	}
-	reg.Gauge(fmt.Sprintf("her_view_vertices{view=%q}", name)).Set(float64(vs.gd.NumVertices()))
-	reg.Gauge(fmt.Sprintf("her_view_edges{view=%q}", name)).Set(float64(vs.gd.NumEdges()))
-	reg.Gauge(fmt.Sprintf("her_view_generation{view=%q}", name)).Set(float64(vs.generation.Load()))
+	reg.Gauge(fmt.Sprintf("her_view_vertices{view=%q}", h.name)).Set(float64(h.gd.NumVertices()))
+	reg.Gauge(fmt.Sprintf("her_view_edges{view=%q}", h.name)).Set(float64(h.gd.NumEdges()))
+	reg.Gauge(fmt.Sprintf("her_view_generation{view=%q}", h.name)).Set(float64(h.generation.Load()))
+}
+
+// rebuildGenLocked derives the view's candidate generator from the
+// shared G-side inverted index and the view's own G_D-side neighborhood
+// docs. The closure captures the index it was built over, so a fetched
+// generator stays valid across later index rebuilds.
+func (h *ViewHandle) rebuildGenLocked() {
+	ix, min := h.sys.ix, h.sys.opts.MinSharedTokens
+	docD := index.NeighborhoodDoc(h.gd)
+	h.gen = func(u graph.VID) []graph.VID {
+		return ix.Lookup(docD(u), min)
+	}
+}
+
+// rebuildMatcherLocked builds a fresh matcher (no cached decisions)
+// around the current scorers, rankers and thresholds.
+func (h *ViewHandle) rebuildMatcherLocked() error {
+	s := h.sys
+	m, err := core.NewMatcher(h.gd, s.G, h.rankerD, s.rankerG, s.paramsLocked())
+	if err != nil {
+		return err
+	}
+	m.SetMetrics(s.opts.Metrics)
+	h.matcher = m
+	return nil
+}
+
+// compileLocked extracts a rule view from scratch and rebuilds its
+// ranker, candidate generator and matcher around the new graph.
+func (h *ViewHandle) compileLocked() error {
+	s := h.sys
+	t0 := time.Now()
+	gd, mapping, err := view.Compile(h.def, s.DB)
+	if err != nil {
+		return err
+	}
+	h.gd, h.mapping = gd, mapping
+	h.rankerD = ranking.NewRanker(gd, s.lm, s.opts.MaxPathLen)
+	h.rebuildGenLocked()
+	if err := h.rebuildMatcherLocked(); err != nil {
+		return err
+	}
+	if reg := s.opts.Metrics; reg != nil {
+		reg.Histogram(fmt.Sprintf("her_view_extract_seconds{view=%q}", h.name),
+			nil).ObserveSince(t0)
+	}
+	return nil
+}
+
+// extendTupleLocked maintains the view after tuple (rel, id) was
+// appended to the database. This is the one place that knows how each
+// view is extracted: rdb2rdf.AddTuple extends the direct view (append-
+// only, dangling references stay dangling); a rule view is extended by
+// view.ExtendTuple when that is sound and recompiled — a DeltaReset —
+// when the new tuple resolves a reference that dangled at extraction
+// time. Callers hold s.mu.
+func (h *ViewHandle) extendTupleLocked(rel string, id int) error {
+	s := h.sys
+	base := h.gd.NumVertices()
+	switch m := h.mapping.(type) {
+	case *rdb2rdf.Mapping:
+		if err := rdb2rdf.AddTuple(h.gd, m, s.DB, rel, id); err != nil {
+			return err
+		}
+	case *view.Mapping:
+		// Extension is best-effort; a full recompile is always sound.
+		if m.ResolvesDangling(s.DB, rel, id) || view.ExtendTuple(h.gd, m, h.def, s.DB, rel, id) != nil {
+			if err := h.compileLocked(); err != nil {
+				return err
+			}
+			if reg := s.opts.Metrics; reg != nil {
+				reg.Counter(fmt.Sprintf("her_view_resets_total{view=%q}", h.name)).Inc()
+			}
+			h.recordLocked(shard.Delta{Kind: shard.DeltaReset})
+			return nil
+		}
+	}
+	// The new tuple extends G_D and the source set: unscoped APair
+	// results are stale now, while VPair and explicit-source results
+	// survive (the fresh region has no incoming edges from old
+	// vertices). The delta carries the exact new region — vertices in id
+	// order, edges grouped by source in insertion order (only the new
+	// vertices gained out-edges) — so an engine mirror replaying it is
+	// byte-identical to this G_D.
+	d := shard.Delta{Kind: shard.DeltaTuple, GDBase: base}
+	for v := base; v < h.gd.NumVertices(); v++ {
+		d.GDLabels = append(d.GDLabels, h.gd.Label(graph.VID(v)))
+		for _, e := range h.gd.Out(graph.VID(v)) {
+			d.GDEdges = append(d.GDEdges, shard.GDEdge{From: graph.VID(v), To: e.To, Label: e.Label})
+		}
+	}
+	if reg := s.opts.Metrics; reg != nil {
+		reg.Counter(fmt.Sprintf("her_view_delta_tuples_total{view=%q}", h.name)).Inc()
+	}
+	h.recordLocked(d)
+	return nil
 }
 
 // AddViewDef compiles def against the System's database and installs it
@@ -103,37 +232,26 @@ func (s *System) AddViewDef(def *ViewDef) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.views[def.Name]; dup {
-		return fmt.Errorf("her: view %q already exists", def.Name)
+	for _, o := range s.hosted {
+		if o.name == def.Name {
+			return fmt.Errorf("her: view %q already exists", def.Name)
+		}
 	}
-	t0 := time.Now()
-	gd, mapping, err := view.Compile(def, s.DB)
-	if err != nil {
+	h := &ViewHandle{
+		sys:    s,
+		name:   def.Name,
+		errp:   fmt.Sprintf("her: view %s: ", def.Name),
+		def:    def,
+		rules:  def.RuleCount(),
+		deltas: shard.NewDeltaLog(0),
+	}
+	if err := h.compileLocked(); err != nil {
 		return err
 	}
-	vs := &viewState{
-		def:     def,
-		gd:      gd,
-		mapping: mapping,
-		rankerD: ranking.NewRanker(gd, s.lm, s.opts.MaxPathLen),
-		deltas:  shard.NewDeltaLog(0),
-	}
-	vs.rebuildGenFrom(s.ix, s.opts.MinSharedTokens)
-	m, err := core.NewMatcher(vs.gd, s.G, vs.rankerD, s.rankerG, s.paramsLocked())
-	if err != nil {
-		return err
-	}
-	m.SetMetrics(s.opts.Metrics)
-	vs.matcher = m
-	if s.views == nil {
-		s.views = make(map[string]*viewState)
-	}
-	s.views[def.Name] = vs
-	if reg := s.opts.Metrics; reg != nil {
-		reg.Histogram(fmt.Sprintf("her_view_extract_seconds{view=%q}", def.Name),
-			nil).ObserveSince(t0)
-	}
-	s.publishViewMetricsLocked(def.Name, vs)
+	s.hosted = append(s.hosted, h)
+	named := s.hosted[1:] // direct stays first; the rest sort by name
+	sort.Slice(named, func(i, j int) bool { return named[i].name < named[j].name })
+	h.publishMetricsLocked()
 	return nil
 }
 
@@ -157,409 +275,305 @@ func (s *System) LoadViewFile(r io.Reader) error {
 func (s *System) ViewNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.views)+1)
-	out = append(out, DirectViewName)
-	for name := range s.views {
-		out = append(out, name)
+	out := make([]string, len(s.hosted))
+	for i, h := range s.hosted {
+		out[i] = h.name
 	}
-	sort.Strings(out[1:])
 	return out
 }
 
-// View resolves a view by name; "" and "direct" name the built-in
-// canonical mapping. The returned handle addresses queries at the
-// view's graph and mapping.
+// View resolves a view by name; "" names the direct view. The returned
+// handle addresses queries at the view's graph and mapping.
 func (s *System) View(name string) (*ViewHandle, error) {
-	if name == "" || name == DirectViewName {
-		return &ViewHandle{sys: s, name: DirectViewName}, nil
+	if name == "" {
+		return s.direct, nil
 	}
 	s.mu.Lock()
-	vs := s.views[name]
-	s.mu.Unlock()
-	if vs == nil {
-		return nil, fmt.Errorf("her: unknown view %q", name)
-	}
-	return &ViewHandle{sys: s, name: name, vs: vs}, nil
-}
-
-// sortedViewNamesLocked returns the named views in deterministic order;
-// callers hold s.mu.
-func (s *System) sortedViewNamesLocked() []string {
-	names := make([]string, 0, len(s.views))
-	for n := range s.views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// resetViewsLocked rebuilds every view's matcher around the current
-// scorers and thresholds and records a reset delta per view — the
-// view-side half of resetMatcherLocked. Callers hold s.mu.
-func (s *System) resetViewsLocked() error {
-	for _, name := range s.sortedViewNamesLocked() {
-		vs := s.views[name]
-		m, err := core.NewMatcher(vs.gd, s.G, vs.rankerD, s.rankerG, s.paramsLocked())
-		if err != nil {
-			return err
+	defer s.mu.Unlock()
+	for _, h := range s.hosted {
+		if h.name == name {
+			return h, nil
 		}
-		m.SetMetrics(s.opts.Metrics)
-		vs.matcher = m
-		vs.record(shard.Delta{Kind: shard.DeltaReset})
-		s.publishViewMetricsLocked(name, vs)
 	}
-	return nil
-}
-
-// rebuildViewRankersLocked rebinds every view's G_D-side ranker to a
-// new language model, mirroring what TrainRanker/LoadModels do for the
-// canonical ranker. The subsequent matcher reset rebuilds the matchers
-// around the new rankers. Callers hold s.mu.
-func (s *System) rebuildViewRankersLocked() {
-	for _, vs := range s.views {
-		vs.rankerD = ranking.NewRanker(vs.gd, s.lm, s.opts.MaxPathLen)
-	}
-}
-
-// recompileViewLocked re-extracts a view from scratch — the fallback
-// when append-only maintenance cannot express a change — and records a
-// reset delta. Callers hold s.mu.
-func (s *System) recompileViewLocked(name string, vs *viewState) error {
-	t0 := time.Now()
-	gd, mapping, err := view.Compile(vs.def, s.DB)
-	if err != nil {
-		return err
-	}
-	vs.gd, vs.mapping = gd, mapping
-	vs.rankerD = ranking.NewRanker(gd, s.lm, s.opts.MaxPathLen)
-	vs.rebuildGenFrom(s.ix, s.opts.MinSharedTokens)
-	m, err := core.NewMatcher(vs.gd, s.G, vs.rankerD, s.rankerG, s.paramsLocked())
-	if err != nil {
-		return err
-	}
-	m.SetMetrics(s.opts.Metrics)
-	vs.matcher = m
-	vs.record(shard.Delta{Kind: shard.DeltaReset})
-	if reg := s.opts.Metrics; reg != nil {
-		reg.Counter(fmt.Sprintf("her_view_resets_total{view=%q}", name)).Inc()
-		reg.Histogram(fmt.Sprintf("her_view_extract_seconds{view=%q}", name),
-			nil).ObserveSince(t0)
-	}
-	s.publishViewMetricsLocked(name, vs)
-	return nil
-}
-
-// extendViewsLocked maintains every named view after tuple (rel, id)
-// was appended to the database: append-only extension with a DeltaTuple
-// when sound, full recompile with a DeltaReset when the new tuple
-// resolves a dangling reference. Callers hold s.mu.
-func (s *System) extendViewsLocked(rel string, id int) error {
-	for _, name := range s.sortedViewNamesLocked() {
-		vs := s.views[name]
-		if vs.mapping.ResolvesDangling(s.DB, rel, id) {
-			if err := s.recompileViewLocked(name, vs); err != nil {
-				return err
-			}
-			continue
-		}
-		base := vs.gd.NumVertices()
-		if err := view.ExtendTuple(vs.gd, vs.mapping, vs.def, s.DB, rel, id); err != nil {
-			// Extension is best-effort; a full recompile is always sound.
-			if err := s.recompileViewLocked(name, vs); err != nil {
-				return err
-			}
-			continue
-		}
-		d := shard.Delta{Kind: shard.DeltaTuple, GDBase: base}
-		for v := base; v < vs.gd.NumVertices(); v++ {
-			d.GDLabels = append(d.GDLabels, vs.gd.Label(graph.VID(v)))
-			for _, e := range vs.gd.Out(graph.VID(v)) {
-				d.GDEdges = append(d.GDEdges, shard.GDEdge{From: graph.VID(v), To: e.To, Label: e.Label})
-			}
-		}
-		vs.record(d)
-		if reg := s.opts.Metrics; reg != nil {
-			reg.Counter(fmt.Sprintf("her_view_delta_tuples_total{view=%q}", name)).Inc()
-		}
-		s.publishViewMetricsLocked(name, vs)
-	}
-	return nil
-}
-
-// ViewInfo describes one hosted view for /stats and the CLI.
-type ViewInfo struct {
-	Name       string `json:"name"`
-	Rules      int    `json:"rules"`
-	Vertices   int    `json:"vertices"`
-	Edges      int    `json:"edges"`
-	Tuples     int    `json:"tuples"`
-	Generation uint64 `json:"generation"`
-}
-
-// ViewHandle addresses queries at one hosted view. For the built-in
-// direct view it delegates to the System's canonical state (including
-// user-verified overrides); named views answer from their own graph,
-// mapping and matcher. Overrides are pairs in the direct view's vertex
-// space, so named views do not consult them.
-type ViewHandle struct {
-	sys  *System
-	name string
-	vs   *viewState // nil for the direct view
+	return nil, fmt.Errorf("her: unknown view %q", name)
 }
 
 // Name returns the view's name.
 func (h *ViewHandle) Name() string { return h.name }
 
-// IsDirect reports whether this is the built-in canonical view.
-func (h *ViewHandle) IsDirect() bool { return h.vs == nil }
-
-// Generation reports the view's mutation generation.
-func (h *ViewHandle) Generation() uint64 {
-	if h.vs == nil {
-		return h.sys.Generation()
-	}
-	return h.vs.generation.Load()
-}
+// Generation reports the view's mutation generation. Safe for
+// concurrent use.
+func (h *ViewHandle) Generation() uint64 { return h.generation.Load() }
 
 // Info snapshots the view's shape for /stats and the CLI.
 func (h *ViewHandle) Info() ViewInfo {
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info := ViewInfo{Name: h.name, Generation: h.Generation()}
-	if h.vs == nil {
-		info.Vertices = s.GD.NumVertices()
-		info.Edges = s.GD.NumEdges()
-		if s.Mapping != nil {
-			info.Tuples = s.Mapping.NumTupleVertices()
-			info.Rules = view.Direct(s.DB).RuleCount()
-		}
-		return info
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	info := ViewInfo{
+		Name:       h.name,
+		Rules:      h.rules,
+		Vertices:   h.gd.NumVertices(),
+		Edges:      h.gd.NumEdges(),
+		Generation: h.Generation(),
 	}
-	info.Rules = h.vs.def.RuleCount()
-	info.Vertices = h.vs.gd.NumVertices()
-	info.Edges = h.vs.gd.NumEdges()
-	info.Tuples = h.vs.mapping.NumTupleVertices()
+	if h.mapping != nil {
+		info.Tuples = h.mapping.NumTupleVertices()
+	}
 	return info
 }
 
 // TupleOf reports which tuple a view-graph vertex materializes (the
-// inverse of TupleVertex), under the system lock.
+// inverse of TupleVertex), under the system lock — safe against
+// concurrent AddTuple.
 func (h *ViewHandle) TupleOf(u VertexID) (TupleRef, bool) {
-	if h.vs == nil {
-		return h.sys.TupleOf(u)
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	if h.mapping == nil {
+		return TupleRef{}, false
 	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return h.vs.mapping.TupleOf(u)
+	return h.mapping.TupleOf(u)
 }
 
-// TupleVertex resolves a tuple to its vertex in this view's graph.
+// TupleVertex resolves a tuple to its vertex in this view's graph. The
+// lookup takes the system lock: AddTuple extends the mapping's tables
+// while serving paths resolve concurrently.
 func (h *ViewHandle) TupleVertex(rel string, tupleID int) (VertexID, error) {
-	if h.vs == nil {
-		return h.sys.TupleVertex(rel, tupleID)
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	if h.mapping == nil {
+		return NoVertex, fmt.Errorf("%sno tuple mapping (built with NewFromGraphs)", h.errp)
 	}
-	s := h.sys
-	s.mu.Lock()
-	u, ok := h.vs.mapping.VertexOf(rel, tupleID)
-	s.mu.Unlock()
+	u, ok := h.mapping.VertexOf(rel, tupleID)
 	if !ok {
-		return NoVertex, fmt.Errorf("her: view %s: tuple %s/%d not materialized", h.name, rel, tupleID)
+		return NoVertex, fmt.Errorf("%sunknown tuple %s/%d", h.errp, rel, tupleID)
 	}
 	return u, nil
 }
 
-// GDLabel returns the label of vertex u in this view's graph.
+// GDLabel returns the label of vertex u in this view's graph ("" when u
+// is not a vertex of it), under the system lock — AddTuple extends the
+// graph while serving.
 func (h *ViewHandle) GDLabel(u VertexID) string {
-	if h.vs == nil {
-		return h.sys.GDLabel(u)
-	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !h.vs.gd.Valid(u) {
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	if !h.gd.Valid(u) {
 		return ""
 	}
-	return h.vs.gd.Label(u)
+	return h.gd.Label(u)
 }
 
 // SPair checks whether the tuple and vertex v refer to the same entity,
 // through this view's extraction.
 func (h *ViewHandle) SPair(rel string, tupleID int, v VertexID) (bool, error) {
-	if h.vs == nil {
-		return h.sys.SPair(rel, tupleID, v)
-	}
 	u, err := h.TupleVertex(rel, tupleID)
 	if err != nil {
 		return false, err
 	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return h.vs.matcher.Match(u, v), nil
+	return h.spairVertices(u, v), nil
+}
+
+func (h *ViewHandle) spairVertices(u, v VertexID) bool {
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	if verdict, ok := h.overrides[core.Pair{U: u, V: v}]; ok {
+		return verdict
+	}
+	return h.matcher.Match(u, v)
 }
 
 // VPair finds all vertices of G matching the tuple through this view.
 func (h *ViewHandle) VPair(rel string, tupleID int) ([]Pair, error) {
-	if h.vs == nil {
-		return h.sys.VPair(rel, tupleID)
-	}
-	u, err := h.TupleVertex(rel, tupleID)
-	if err != nil {
-		return nil, err
-	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return h.vs.matcher.VPair(u, h.vs.gen), nil
+	return h.VPairTraced(rel, tupleID, nil)
 }
 
-// VPairTraced is VPair with request tracing (see System.VPairTraced).
+// VPairTraced is VPair with request tracing: sp, when non-nil, receives
+// a "resolve" child for the tuple lookup and — through the matcher —
+// the per-phase children of the sequential ParaMatch run (candgen,
+// simulate). A nil sp makes this identical to VPair.
 func (h *ViewHandle) VPairTraced(rel string, tupleID int, sp *Span) ([]Pair, error) {
-	if h.vs == nil {
-		return h.sys.VPairTraced(rel, tupleID, sp)
-	}
 	rsp := sp.Child("resolve")
 	u, err := h.TupleVertex(rel, tupleID)
 	rsp.End()
 	if err != nil {
 		return nil, err
 	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h.vs.matcher.SetSpan(sp)
-	defer h.vs.matcher.SetSpan(nil)
-	return h.vs.matcher.VPair(u, h.vs.gen), nil
+	return h.vpairVertex(u, sp), nil
 }
 
-// SourceVertices returns the view's tuple vertices in relation order —
-// the source set its APair ranges over.
+// vpairVertex is VPair addressed by the tuple's vertex. The span is
+// installed on the matcher under the system lock, the same lock that
+// serializes matching, and detached before the lock is released, so
+// concurrent requests never share it.
+func (h *ViewHandle) vpairVertex(u VertexID, sp *Span) []Pair {
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	h.matcher.SetSpan(sp)
+	defer h.matcher.SetSpan(nil)
+	return h.applyOverridesLocked(h.matcher.VPair(u, h.gen), u)
+}
+
+// SourceVertices returns the source vertices the view's APair ranges
+// over: its tuple vertices in relation order, nil (= every vertex)
+// without a tuple mapping.
 func (h *ViewHandle) SourceVertices() []VertexID {
-	if h.vs == nil {
-		return h.sys.SourceVertices()
-	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
 	return h.sourcesLocked()
 }
 
 func (h *ViewHandle) sourcesLocked() []graph.VID {
-	s := h.sys
-	names := s.DB.RelationNames()
+	if h.mapping == nil {
+		return nil
+	}
+	db := h.sys.DB
+	names := db.RelationNames()
 	total := 0
 	for _, relName := range names {
-		total += len(s.DB.Relation(relName).Tuples)
+		total += len(db.Relation(relName).Tuples)
 	}
 	out := make([]graph.VID, 0, total)
 	for _, relName := range names {
-		rel := s.DB.Relation(relName)
-		out = append(out, h.vs.mapping.TupleVertices(relName, len(rel.Tuples))...)
+		out = append(out, h.mapping.TupleVertices(relName, len(db.Relation(relName).Tuples))...)
 	}
 	return out
 }
 
 // APair computes all matches across the view and G sequentially.
 func (h *ViewHandle) APair() []Pair {
-	if h.vs == nil {
-		return h.sys.APair()
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	return h.apairLocked(h.sourcesLocked())
+}
+
+func (h *ViewHandle) apairLocked(sources []graph.VID) []Pair {
+	return h.applyOverridesLocked(h.matcher.APair(sources, h.gen), graph.NoVertex)
+}
+
+// APairParallel computes all matches with the BSP engine on n workers.
+func (h *ViewHandle) APairParallel(workers int) ([]Pair, ParallelStats, error) {
+	eng, sources, gen, err := h.parallelEngine()
+	if err != nil {
+		return nil, ParallelStats{}, err
 	}
+	return h.parallelResult(eng.Run(sources, gen, bsp.Config{Workers: workers}))
+}
+
+// APairParallelAsync computes all matches with the asynchronous engine
+// (Section VI-B remark 1): no superstep barriers; workers exchange
+// messages as they arrive until quiescence.
+func (h *ViewHandle) APairParallelAsync(workers int) ([]Pair, ParallelStats, error) {
+	eng, sources, gen, err := h.parallelEngine()
+	if err != nil {
+		return nil, ParallelStats{}, err
+	}
+	return h.parallelResult(eng.RunAsync(sources, gen, bsp.Config{Workers: workers}))
+}
+
+// parallelEngine snapshots a parallel run's parameters (graph, rankers,
+// thresholds, metrics registry, candidate generator, source set) under
+// the system lock, so a concurrent SetThresholds, retrain or index
+// rebuild cannot tear them mid-run; the engine itself runs without the
+// lock.
+func (h *ViewHandle) parallelEngine() (*bsp.Engine, []graph.VID, core.CandidateGen, error) {
 	s := h.sys
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return h.vs.matcher.APair(h.sourcesLocked(), h.vs.gen)
+	eng, err := bsp.NewEngine(h.gd, s.G, h.rankerD, s.rankerG, s.paramsLocked())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	eng.Metrics = s.opts.Metrics
+	return eng, h.sourcesLocked(), h.gen, nil
+}
+
+// parallelResult finishes a parallel run: its stats become the system's
+// most recent, its matches pass through the view's overrides.
+func (h *ViewHandle) parallelResult(matches []Pair, stats ParallelStats, err error) ([]Pair, ParallelStats, error) {
+	if err != nil {
+		return nil, stats, err
+	}
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	h.sys.lastPar = &stats
+	return h.applyOverridesLocked(matches, graph.NoVertex), stats, nil
+}
+
+// applyOverridesLocked reconciles algorithmic matches with user-verified
+// verdicts: refuted pairs are removed; confirmed pairs for the scoped
+// vertex (or any vertex when scope is NoVertex) are added. Callers hold
+// s.mu (the overrides map mutates under it).
+func (h *ViewHandle) applyOverridesLocked(matches []Pair, scope graph.VID) []Pair {
+	if len(h.overrides) == 0 {
+		return matches
+	}
+	out := matches[:0]
+	have := make(map[core.Pair]bool, len(matches))
+	for _, p := range matches {
+		if verdict, ok := h.overrides[p]; ok && !verdict {
+			continue
+		}
+		out = append(out, p)
+		have[p] = true
+	}
+	// Collect the confirmed additions and sort them: overrides is a map,
+	// and letting its iteration order reach the returned match list
+	// would make VPair/APair responses differ run to run.
+	added := make([]Pair, 0, len(h.overrides))
+	for p, verdict := range h.overrides {
+		if verdict && !have[p] && (scope == graph.NoVertex || p.U == scope) {
+			added = append(added, p)
+		}
+	}
+	return append(out, core.SortPairs(added)...)
+}
+
+func (h *ViewHandle) applyOverrides(matches []Pair, scope VertexID) []Pair {
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	return h.applyOverridesLocked(matches, scope)
 }
 
 // Explain explains a confirmed match of this view (running the match
 // first if needed).
 func (h *ViewHandle) Explain(u, v VertexID) (*Explanation, error) {
-	if h.vs == nil {
-		return h.sys.Explain(u, v)
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	if !h.matcher.Match(u, v) {
+		return nil, fmt.Errorf("%s(%d, %d) is not a match", h.errp, u, v)
 	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !h.vs.matcher.Match(u, v) {
-		return nil, fmt.Errorf("her: view %s: (%d, %d) is not a match", h.name, u, v)
-	}
-	sm, err := h.vs.matcher.SchemaMatches(u, v)
+	sm, err := h.matcher.SchemaMatches(u, v)
 	if err != nil {
 		return nil, err
 	}
 	return &Explanation{
-		Witness:       h.vs.matcher.Witness(u, v),
-		Lineage:       h.vs.matcher.Lineage(u, v),
+		Witness:       h.matcher.Witness(u, v),
+		Lineage:       h.matcher.Lineage(u, v),
 		SchemaMatches: sm,
+		view:          h,
 	}, nil
 }
 
-// CanonicalDump serializes a named view in the vertex-id-independent
+// CanonicalDump serializes a rule view in the vertex-id-independent
 // form of view.CanonicalDump — the equality the mutation-sequence
 // differential compares, since append-only maintenance and a fresh
 // recompile interleave vertex ids differently while denoting the same
-// graph. Errors on the direct view (its mapping is the rdb2rdf one).
+// graph. Errors on a view no rules extract (the direct view, which is
+// pinned byte-identically instead).
 func (h *ViewHandle) CanonicalDump() (string, error) {
-	if h.vs == nil {
-		return "", fmt.Errorf("her: CanonicalDump is for named views; the direct view is pinned byte-identically instead")
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	m, ok := h.mapping.(*view.Mapping)
+	if !ok {
+		return "", fmt.Errorf("%sCanonicalDump is for rule-extracted views", h.errp)
 	}
-	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return view.CanonicalDump(h.vs.gd, h.vs.mapping, s.DB), nil
-}
-
-// Def returns the view's definition (nil for the direct view, whose
-// definition is implicit — view.Direct(db) builds the equivalent).
-func (h *ViewHandle) Def() *ViewDef {
-	if h.vs == nil {
-		return nil
-	}
-	return h.vs.def
+	return view.CanonicalDump(h.gd, m, h.sys.DB), nil
 }
 
 // WriteTSV serializes the view's graph (cloned under the system lock,
 // written without it) — hercli extract and GET /extract use this.
 func (h *ViewHandle) WriteTSV(w io.Writer) error {
-	s := h.sys
-	s.mu.Lock()
-	var g *graph.Graph
-	if h.vs == nil {
-		g = s.GD.Clone()
-	} else {
-		g = h.vs.gd.Clone()
-	}
-	s.mu.Unlock()
+	h.sys.mu.Lock()
+	g := h.gd.Clone()
+	h.sys.mu.Unlock()
 	return g.WriteTSV(w)
-}
-
-// ShardConfig assembles a sharded serving engine configuration over
-// this view — the per-view analog of System.ShardConfig, anchored to
-// the view's own generation counter and delta log. The direct view
-// keeps the canonical configuration (including override routing).
-func (h *ViewHandle) ShardConfig(shards int) shard.Config {
-	if h.vs == nil {
-		return h.sys.ShardConfig(shards)
-	}
-	s, vs := h.sys, h.vs
-	cfg := shard.Config{
-		Shards:     shards,
-		Generation: vs.generation.Load,
-		Deltas:     vs.deltas.Since,
-		Metrics:    s.Metrics(),
-	}
-	cfg.Snapshot = func(c shard.Config) shard.Config {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		c.GD, c.G = vs.gd.Clone(), s.G.Clone()
-		c.LM = s.lm
-		c.RankerD = ranking.NewRanker(c.GD, s.lm, s.opts.MaxPathLen)
-		c.Params = s.paramsLocked()
-		c.MaxPathLen = s.opts.MaxPathLen
-		c.MinSharedTokens = s.opts.MinSharedTokens
-		c.SnapGen = vs.generation.Load()
-		return c
-	}
-	return cfg.Snapshot(cfg)
 }
