@@ -12,12 +12,8 @@
 //
 //	herbench -json BENCH_results.json -dataset Synthetic -entities 100 -workers 1,2,4,8
 //
-// With -serve-json the command benchmarks the HTTP serving path
-// instead: concurrent /vpair throughput of a single sequential matcher
-// versus the sharded serving engine at 1, 2, 4 and 8 shards (see
-// internal/shard) — the file the repository tracks as BENCH_serve.json:
-//
-//	herbench -serve-json BENCH_serve.json -dataset Synthetic -entities 100 -clients 8
+// The serving path is measured by the repository benchmark instead; see
+// benchmark/README.md.
 package main
 
 import (
@@ -39,12 +35,10 @@ func main() {
 	seed := flag.Int64("seed", 0, "model seed (0 = default)")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark record to this path instead of running -exp")
-	serveOut := flag.String("serve-json", "", "write a concurrent serving benchmark record (single vs sharded) to this path instead of running -exp")
-	clients := flag.Int("clients", 0, "concurrent client goroutines for -serve-json (0 = NumCPU, min 4)")
-	dsName := flag.String("dataset", "Synthetic", "dataset for the -json and -serve-json benchmark records")
+	dsName := flag.String("dataset", "Synthetic", "dataset for the -json benchmark record")
 	flag.Parse()
 
-	if *exp == "" && *jsonOut == "" && *serveOut == "" {
+	if *exp == "" && *jsonOut == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -63,14 +57,6 @@ func main() {
 			}
 			cfg.Workers = append(cfg.Workers, n)
 		}
-	}
-
-	if *serveOut != "" {
-		if err := runServeBench(*serveOut, *dsName, *entities, *clients, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "herbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *jsonOut != "" {

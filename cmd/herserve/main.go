@@ -8,10 +8,10 @@
 // With -models the learned parameters are loaded from (or, with
 // -save-models, written to) a model file, so training happens once.
 //
-// With -shards N the server runs in sharded serving mode: G is
-// partitioned into N halo-replicated fragments matched by per-shard
-// workers behind a generation-stamped result cache, and overloaded
-// queues shed requests with 429 (see internal/shard). -deadline-ms
+// Every hosted view is served by a shard engine (see internal/shard): G
+// is partitioned into -shards halo-replicated fragments (default 1)
+// matched by per-shard workers behind a generation-stamped result
+// cache, and overloaded queues shed requests with 429. -deadline-ms
 // bounds per-request matching work (503 on expiry; requests can tighten
 // it further with timeout_ms).
 //
@@ -54,9 +54,8 @@ func main() {
 	models := flag.String("models", "", "load learned parameters from this file instead of training")
 	saveModels := flag.String("save-models", "", "write learned parameters to this file after training")
 	views := flag.String("views", "", "comma-separated view definition files; each view becomes a linking target addressable with ?view=")
-	shards := flag.Int("shards", 0, "serve /vpair and /apair from this many halo-replicated shards (0 = single sequential matcher)")
+	shards := flag.Int("shards", 1, "halo-replicated shards each view's serving engine partitions G into")
 	deadlineMS := flag.Int("deadline-ms", 0, "per-request matching deadline in milliseconds (0 = unbounded; expired requests answer 503)")
-	maxInflight := flag.Int("max-inflight", 0, "bound on concurrent sequential matches, abandoned ones included (0 = default 64; saturation answers 429)")
 	noTrace := flag.Bool("no-trace", false, "disable request tracing and the flight recorder (/debug/requests answers 404)")
 	traceSlow := flag.Int("trace-slow", 0, "slowest traces retained per endpoint by the flight recorder (0 = default 16)")
 	traceErrors := flag.Int("trace-errors", 0, "recent errored traces retained per endpoint (0 = default 64)")
@@ -80,8 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *views != "" {
-		// Load views before NewSharded so every view gets its own shard
-		// engine in sharded mode.
+		// Load views before NewSharded so it builds their engines up front.
 		for _, path := range strings.Split(*views, ",") {
 			f, err := os.Open(path)
 			if err != nil {
@@ -156,22 +154,14 @@ func main() {
 		}()
 	}
 
-	var srv *server.Server
-	if *shards > 0 {
-		srv, err = server.NewSharded(sys, *shards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		info := srv.Engine().Snapshot()
-		log.Printf("sharded serving: %d shards, halo radius %d", info.Shards, info.HaloRadius)
-	} else {
-		srv = server.New(sys)
+	srv, err := server.NewSharded(sys, *shards)
+	if err != nil {
+		log.Fatal(err)
 	}
+	info := srv.Engine().Snapshot()
+	log.Printf("serving from %d shards, halo radius %d", info.Shards, info.HaloRadius)
 	if *deadlineMS > 0 {
 		srv.Deadline = time.Duration(*deadlineMS) * time.Millisecond
-	}
-	if *maxInflight > 0 {
-		srv.MaxInflight = *maxInflight
 	}
 	if *noTrace {
 		srv.Recorder = nil

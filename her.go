@@ -111,9 +111,8 @@ type System struct {
 	lm      *lstm.Model     // guarded by mu — swapped whole on retrain/load
 	rankerG *ranking.Ranker // guarded by mu — rebuilt with lm
 
-	mu      sync.Mutex      // serializes matching and mutation
-	ix      *index.Inverted // guarded by mu — the G-side blocking index, shared by all views
-	lastPar *bsp.Stats      // guarded by mu — stats of the most recent parallel APair run
+	mu sync.Mutex      // serializes matching and mutation
+	ix *index.Inverted // guarded by mu — the G-side blocking index, shared by all views
 
 	// hosted is the table of graphs over D the system links against G:
 	// the direct view first, then the named views in sorted order — the
@@ -333,12 +332,7 @@ func (s *System) VPair(rel string, tupleID int) ([]Pair, error) {
 }
 
 // VPairVertex is VPair addressed by the tuple's canonical vertex.
-func (s *System) VPairVertex(u VertexID) []Pair { return s.direct.vpairVertex(u, nil) }
-
-// VPairTraced is VPair with request tracing; see ViewHandle.VPairTraced.
-func (s *System) VPairTraced(rel string, tupleID int, sp *Span) ([]Pair, error) {
-	return s.direct.VPairTraced(rel, tupleID, sp)
-}
+func (s *System) VPairVertex(u VertexID) []Pair { return s.direct.vpairVertex(u) }
 
 // APair computes all matches across D and G sequentially.
 func (s *System) APair() []Pair { return s.direct.APair() }
@@ -422,18 +416,6 @@ func (s *System) Stats() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.direct.matcher.Stats()
-}
-
-// LastParallelStats reports the statistics of the most recent parallel
-// APair run (synchronous or asynchronous); ok is false when no parallel
-// run has happened yet.
-func (s *System) LastParallelStats() (st ParallelStats, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lastPar == nil {
-		return ParallelStats{}, false
-	}
-	return *s.lastPar, true
 }
 
 // Explanation explains why a pair matches.

@@ -2,7 +2,6 @@ package bsp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,12 +29,6 @@ func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if sources == nil {
-		sources = make([]graph.VID, e.GD.NumVertices())
-		for i := range sources {
-			sources[i] = graph.VID(i)
-		}
-	}
 
 	ws := make([]*asyncWorker, n)
 	// pending counts initial phases plus in-flight messages; when it
@@ -50,11 +43,13 @@ func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config
 		}
 	}
 
+	ms := make([]*core.Matcher, n)
 	for i := 0; i < n; i++ {
 		m, err := core.NewMatcher(e.GD, e.G, e.RD, e.RG, e.P)
 		if err != nil {
 			return nil, Stats{}, err
 		}
+		ms[i] = m
 		m.EnableReadTracking()
 		m.SetMetrics(e.Metrics)
 		w := &asyncWorker{id: i, m: m, subs: make(map[core.Pair]map[int]bool)}
@@ -109,19 +104,10 @@ func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config
 		}
 	}
 
-	// Distribute candidate pairs by owner.
-	stats := Stats{Workers: n, PerWorkerPairs: make([]int, n)}
-	probe := ws[0].m
-	for _, u := range sources {
-		for _, v := range probe.CandidatesFor(u, gen) {
-			w := ws[part.Of[v]]
-			w.cands = append(w.cands, core.Pair{U: u, V: v})
-			stats.CandidatePairs++
-			stats.PerWorkerPairs[part.Of[v]]++
-		}
+	cands, stats := e.distribute(ms, sources, gen, part, met)
+	for i, w := range ws {
+		w.cands = cands[i]
 	}
-	probe.Reset()
-	met.pairs.Add(int64(stats.CandidatePairs))
 
 	var wg sync.WaitGroup
 	for _, w := range ws {
@@ -157,23 +143,7 @@ func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config
 	stats.Invalidations = int(atomic.LoadInt64(&invalidations))
 	stats.Supersteps = 1 // asynchronous: a single logical round
 
-	var matches []core.Pair
-	stats.PerWorkerCalls = make([]int, n)
-	for _, w := range ws {
-		stats.PerWorkerCalls[w.id] = w.m.Stats().Calls
-		stats.Calls += w.m.Stats().Calls
-		for _, p := range w.cands {
-			if valid, found := w.m.Cached(p); found && valid {
-				matches = append(matches, p)
-			}
-		}
-	}
-	sort.Slice(matches, func(a, b int) bool {
-		if matches[a].U != matches[b].U {
-			return matches[a].U < matches[b].U
-		}
-		return matches[a].V < matches[b].V
-	})
+	matches := union(&stats, ms, cands)
 	stats.WallTime = time.Since(runStart)
 	stats.SuperstepDurations = []time.Duration{stats.WallTime}
 	met.superstep.Observe(stats.WallTime.Seconds())

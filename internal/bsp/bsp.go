@@ -20,7 +20,6 @@ package bsp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -147,20 +146,15 @@ func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]
 		return nil, Stats{}, err
 	}
 
-	if sources == nil {
-		sources = make([]graph.VID, e.GD.NumVertices())
-		for i := range sources {
-			sources[i] = graph.VID(i)
-		}
-	}
-
 	// Build workers with private matchers.
 	workers := make([]*worker, n)
+	ms := make([]*core.Matcher, n)
 	for i := 0; i < n; i++ {
 		m, err := core.NewMatcher(e.GD, e.G, e.RD, e.RG, e.P)
 		if err != nil {
 			return nil, Stats{}, err
 		}
+		ms[i] = m
 		m.EnableReadTracking()
 		m.SetMetrics(e.Metrics)
 		w := &worker{id: i, eng: e, m: m, subs: make(map[core.Pair]map[int]bool)}
@@ -187,21 +181,10 @@ func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]
 		workers[i] = w
 	}
 
-	// Distribute candidate pairs to the owners of their G-side vertex.
-	// Candidate generation mirrors Matcher.CandidatesFor; one scan serves
-	// all workers.
-	probe := workers[0].m
-	stats := Stats{Workers: n, PerWorkerPairs: make([]int, n)}
-	for _, u := range sources {
-		for _, v := range probe.CandidatesFor(u, gen) {
-			w := workers[part.Of[v]]
-			w.cands = append(w.cands, core.Pair{U: u, V: v})
-			stats.CandidatePairs++
-			stats.PerWorkerPairs[part.Of[v]]++
-		}
+	cands, stats := e.distribute(ms, sources, gen, part, met)
+	for i, w := range workers {
+		w.cands = cands[i]
 	}
-	probe.Reset() // discard any state CandidatesFor warmed
-	met.pairs.Add(int64(stats.CandidatePairs))
 
 	// Inboxes for the next superstep.
 	inRequests := make([][]request, n)
@@ -267,33 +250,56 @@ func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]
 		}
 	}
 
-	// Union of partial results, read from the final per-owner caches.
-	totalCands := 0
-	for _, w := range workers {
-		totalCands += len(w.cands)
+	matches := union(&stats, ms, cands)
+	stats.WallTime = time.Since(runStart)
+	met.run.Observe(stats.WallTime.Seconds())
+	return matches, stats, nil
+}
+
+// distribute generates the candidate pairs of the source vertices (nil
+// means every vertex of G_D) and deals each to the worker whose
+// fragment owns its G-side vertex: one scan, mirroring
+// Matcher.CandidatesFor, serves all workers. ms holds the workers'
+// matchers; the state the scan warms in the one it borrows is discarded.
+func (e *Engine) distribute(ms []*core.Matcher, sources []graph.VID, gen core.CandidateGen, part *graph.Partition, met engineMetrics) ([][]core.Pair, Stats) {
+	if sources == nil {
+		sources = make([]graph.VID, e.GD.NumVertices())
+		for i := range sources {
+			sources[i] = graph.VID(i)
+		}
 	}
-	matches := make([]core.Pair, 0, totalCands)
-	stats.PerWorkerCalls = make([]int, n)
-	for _, w := range workers {
-		stats.PerWorkerCalls[w.id] = w.m.Stats().Calls
-		stats.Calls += w.m.Stats().Calls
-		for _, p := range w.cands {
-			if valid, found := w.m.Cached(p); found && valid {
+	n, probe := len(ms), ms[0]
+	cands := make([][]core.Pair, n)
+	stats := Stats{Workers: n, PerWorkerPairs: make([]int, n)}
+	for _, u := range sources {
+		for _, v := range probe.CandidatesFor(u, gen) {
+			cands[part.Of[v]] = append(cands[part.Of[v]], core.Pair{U: u, V: v})
+			stats.CandidatePairs++
+			stats.PerWorkerPairs[part.Of[v]]++
+		}
+	}
+	probe.Reset()
+	met.pairs.Add(int64(stats.CandidatePairs))
+	return cands, stats
+}
+
+// union reads Π out of the final per-owner caches — the valid pairs
+// among each worker's own candidates, sorted — and totals the workers'
+// ParaMatch calls into stats. Candidate lists are disjoint across
+// workers (owned by v), so no dedup is needed.
+func union(stats *Stats, ms []*core.Matcher, cands [][]core.Pair) []core.Pair {
+	matches := make([]core.Pair, 0, stats.CandidatePairs)
+	stats.PerWorkerCalls = make([]int, len(ms))
+	for i, m := range ms {
+		stats.PerWorkerCalls[i] = m.Stats().Calls
+		stats.Calls += stats.PerWorkerCalls[i]
+		for _, p := range cands[i] {
+			if valid, found := m.Cached(p); found && valid {
 				matches = append(matches, p)
 			}
 		}
 	}
-	sort.Slice(matches, func(a, b int) bool {
-		if matches[a].U != matches[b].U {
-			return matches[a].U < matches[b].U
-		}
-		return matches[a].V < matches[b].V
-	})
-	// Candidate lists are disjoint across workers (owned by v), so no
-	// dedup is needed.
-	stats.WallTime = time.Since(runStart)
-	met.run.Observe(stats.WallTime.Seconds())
-	return matches, stats, nil
+	return core.SortPairs(matches)
 }
 
 // superstep processes one BSP round for the worker: apply incoming

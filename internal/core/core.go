@@ -18,7 +18,6 @@ import (
 
 	"her/internal/feq"
 	"her/internal/graph"
-	"her/internal/obs"
 	"her/internal/ranking"
 )
 
@@ -125,10 +124,6 @@ type Matcher struct {
 	// met mirrors the stats counters into an obs.Registry and adds
 	// phase latency histograms; the zero value is disabled.
 	met coreMetrics
-
-	// span, when non-nil, receives per-phase child spans (candgen,
-	// simulate) for the duration of one traced request; see SetSpan.
-	span *obs.Span
 
 	// onInvalid, when set, observes pairs whose cached state becomes
 	// false (used by the BSP engine to emit messages).

@@ -44,15 +44,6 @@ func (m *Matcher) SetMetrics(r *obs.Registry) {
 	}
 }
 
-// SetSpan attaches a tracing span for the duration of one request: the
-// matcher's query-mode entry points (VPair, APair) open their phase
-// spans (candgen, simulate) as children of it. The matcher is not
-// thread-safe, so the owner installs the span under the same lock that
-// serializes matching and clears it with SetSpan(nil) afterwards. A nil
-// span (the default) disables phase tracing at the cost of one nil
-// check per phase — the zero-cost-when-disabled contract.
-func (m *Matcher) SetSpan(sp *obs.Span) { m.span = sp }
-
 // timedMatch wraps a top-level match evaluation with the phase timer.
 func (m *Matcher) timedMatch(p Pair) bool {
 	if m.met.matchSeconds == nil {

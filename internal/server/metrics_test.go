@@ -10,7 +10,7 @@ import (
 )
 
 // instrumentedSystem is trainedSystem with a metrics registry attached,
-// so HTTP, core and (after /apair) BSP metrics share one exposition.
+// so HTTP, shard and core metrics share one exposition.
 func instrumentedSystem(t *testing.T) (*her.System, her.VertexID) {
 	t.Helper()
 	sys, p1, _ := trainedSystemWithOpts(t, her.Options{Seed: 2, Metrics: her.NewMetrics()})
@@ -27,14 +27,14 @@ func getRaw(t *testing.T, h http.Handler, url string) (int, string) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	sys, p1 := instrumentedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 
-	// Generate traffic across statuses and a parallel run.
+	// Generate traffic across statuses.
 	get(t, srv, "/spair?rel=product&tuple=0&vertex="+itoa(p1)) // 200
 	get(t, srv, "/vpair?rel=product&tuple=0")                  // 200
 	get(t, srv, "/spair?rel=product&tuple=zzz&vertex=0")       // 400
 	get(t, srv, "/spair?rel=ghost&tuple=0&vertex=0")           // 404
-	get(t, srv, "/apair?workers=2")                            // 200, BSP run
+	get(t, srv, "/apair")                                      // 200
 
 	code, body := getRaw(t, srv, "/metrics")
 	if code != http.StatusOK {
@@ -51,16 +51,21 @@ func TestMetricsEndpoint(t *testing.T) {
 		`her_http_request_seconds_count{op="/vpair",code="200"} 1`,
 		// Sub-millisecond resolution: the finest TimeBuckets bound shows.
 		`her_http_request_seconds_bucket{op="/vpair",code="200",le="1e-06"}`,
-		// Core phase metrics flow through the shared registry.
 		"# TYPE her_core_paramatch_seconds histogram",
-		"her_core_paramatch_calls_total",
-		// BSP metrics from the /apair run.
-		"# TYPE her_bsp_superstep_seconds histogram",
-		`her_bsp_run_seconds_count{mode="bsp"} 1`,
+		"# TYPE her_core_candgen_seconds histogram",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// The server asks only shard engines, so every core observation here
+	// was recorded by a shard worker's matcher: served traffic reaches
+	// the candgen-vs-match split through the shared registry.
+	reg := sys.Metrics()
+	if reg.Counter("her_core_paramatch_calls_total").Value() == 0 ||
+		reg.Histogram("her_core_paramatch_seconds", nil).Count() == 0 ||
+		reg.Histogram("her_core_candgen_seconds", nil).Count() == 0 {
+		t.Error("engine-served requests recorded no her_core_* observations")
 	}
 }
 
@@ -68,7 +73,7 @@ func TestMetricsWithoutSystemRegistry(t *testing.T) {
 	// A system built without Options.Metrics still gets HTTP metrics
 	// from the server's private registry.
 	sys, _, _ := trainedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 	get(t, srv, "/healthz")
 	code, body := getRaw(t, srv, "/metrics")
 	if code != http.StatusOK {
@@ -85,7 +90,7 @@ func TestMetricsWithoutSystemRegistry(t *testing.T) {
 
 func TestMiddlewareBoundsEndpointCardinality(t *testing.T) {
 	sys, _, _ := trainedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 	getRaw(t, srv, "/totally/unknown/path-1")
 	getRaw(t, srv, "/totally/unknown/path-2")
 	_, body := getRaw(t, srv, "/metrics")
@@ -97,55 +102,9 @@ func TestMiddlewareBoundsEndpointCardinality(t *testing.T) {
 	}
 }
 
-func TestAPairWorkersBound(t *testing.T) {
-	sys, _, _ := trainedSystem(t)
-	srv := New(sys)
-	if code, _ := get(t, srv, "/apair?workers=100000"); code != http.StatusBadRequest {
-		t.Errorf("absurd workers accepted: %d", code)
-	}
-	if code, _ := get(t, srv, "/apair?workers=-3"); code != http.StatusBadRequest {
-		t.Errorf("negative workers accepted: %d", code)
-	}
-	srv.MaxWorkers = 2
-	if code, _ := get(t, srv, "/apair?workers=3"); code != http.StatusBadRequest {
-		t.Errorf("workers above custom bound accepted: %d", code)
-	}
-	if code, _ := get(t, srv, "/apair?workers=2"); code != http.StatusOK {
-		t.Errorf("workers at the bound rejected: %d", code)
-	}
-}
-
-func TestStatsIncludesParallelRun(t *testing.T) {
-	sys, _, _ := trainedSystem(t)
-	srv := New(sys)
-	// Before any parallel run the key is absent.
-	_, body := get(t, srv, "/stats")
-	if _, ok := body["parallel"]; ok {
-		t.Error("parallel stats present before any parallel run")
-	}
-	get(t, srv, "/apair?workers=2")
-	_, body = get(t, srv, "/stats")
-	par, ok := body["parallel"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("no parallel stats after /apair: %v", body)
-	}
-	if par["workers"].(float64) != 2 {
-		t.Errorf("workers = %v", par["workers"])
-	}
-	if par["supersteps"].(float64) < 1 {
-		t.Errorf("supersteps = %v", par["supersteps"])
-	}
-	if _, ok := par["perWorkerPairs"].([]interface{}); !ok {
-		t.Errorf("perWorkerPairs = %v", par["perWorkerPairs"])
-	}
-	if par["wallMillis"].(float64) <= 0 {
-		t.Errorf("wallMillis = %v", par["wallMillis"])
-	}
-}
-
 func TestServerErrorPaths(t *testing.T) {
 	sys, _, _ := trainedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 	cases := []struct {
 		url  string
 		want int

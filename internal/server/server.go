@@ -6,7 +6,7 @@
 //	GET  /healthz
 //	GET  /spair?rel=item&tuple=0&vertex=12
 //	GET  /vpair?rel=item&tuple=0
-//	GET  /apair?workers=4
+//	GET  /apair
 //	GET  /explain?rel=item&tuple=0&vertex=12
 //	POST /feedback     [{"rel":"item","tuple":0,"vertex":12,"match":true}]
 //	GET  /stats
@@ -15,31 +15,25 @@
 //
 // A System hosts views — graphs over D, "direct" (the RDB2RDF mapping)
 // the default — and every matching endpoint addresses one of them
-// through the view= parameter (views.go). The server has one code path
-// per endpoint whichever view is named: it resolves the handle and asks
-// it, or the shard engine serving it.
+// through the view= parameter (views.go). There is one serving path:
+// /spair, /vpair and /apair resolve the view's handle and ask its
+// internal/shard engine — partitioned G, halo-replicated fragments,
+// per-shard workers with bounded queues and, for /vpair and /apair, a
+// generation-stamped result cache. New serves from one shard per view,
+// NewSharded from as many as it is given; nothing else differs. The
+// sequential library API (System.SPair/VPair/APair) is the oracle the
+// tests compare the served answers against, not a second way to serve.
 //
-// The matching endpoints (/spair, /vpair, /apair) honor a server-level
-// Deadline plus an optional timeout_ms query parameter (the smaller
-// wins) and answer 503 when the budget expires before matching
-// finishes. Because the sequential matcher cannot be interrupted, an
-// expired request abandons its matcher goroutine; MaxInflight bounds
-// how many sequential matches (live or abandoned) may exist at once and
-// sheds the excess with 429 + Retry-After, mirroring the shard engine's
-// admission control.
-//
-// NewSharded builds the server in sharded mode: /vpair and /apair are
-// scatter-gathered across one internal/shard engine per hosted view —
-// partitioned G, halo-replicated fragments, per-shard workers with
-// bounded queues and a generation-stamped result cache — instead of the
-// view's sequential matcher (and, for /apair, the BSP engine its
-// workers parameter sizes). When shard queues are full the request is
-// shed with 429 and a Retry-After hint rather than queueing unbounded
-// work. Writes are maintained incrementally: each engine replays its
-// view's typed delta log against its private snapshots (halo-scoped
-// fragment updates, vertex-scoped cache invalidation), so a write
-// retires only the cached results it can actually affect and the rest
-// keep serving warm.
+// The matching endpoints honor a server-level Deadline plus an optional
+// timeout_ms query parameter (the smaller wins) and answer 503 when the
+// budget expires before matching finishes; the request then leaves
+// nothing behind but a queued task its shard worker skips. When a shard
+// queue is full the request is shed with 429 and a Retry-After hint
+// rather than queueing unbounded work. Writes are maintained
+// incrementally: each engine replays its view's typed delta log against
+// its private snapshots (halo-scoped fragment updates, vertex-scoped
+// cache invalidation), so a write retires only the cached results it
+// can actually affect and the rest keep serving warm.
 //
 // Every request passes through an instrumentation middleware that
 // records per-endpoint request counts, status codes and latency
@@ -67,30 +61,28 @@ import (
 
 // Server wraps a System with HTTP handlers.
 type Server struct {
-	sys *her.System
-	// engs holds one shard engine per view hosted when NewSharded built
-	// the server, by view name; nil in single-system mode.
-	engs    map[string]*shard.Engine
+	sys    *her.System
+	shards int // fragments per view engine
+
+	// engs holds one shard engine per hosted view (*her.ViewHandle →
+	// *shard.Engine), built when a request first needs it (NewSharded
+	// builds them up front). Every matching request reads it, from every
+	// client at once, so reads take no lock; engMu serializes the builds
+	// with each other and with Close.
+	engs   sync.Map
+	engMu  sync.Mutex
+	closed bool // guarded by engMu
+
 	extract extractCache // memoized GET /extract rendering (views.go)
 	mux     *http.ServeMux
 	reg     *obs.Registry
 	// MaxAPairMatches caps the matches returned inline by /apair
 	// (default 1000); the full count is always reported.
 	MaxAPairMatches int
-	// MaxWorkers bounds the workers query parameter of /apair (default
-	// 32): a request may not spawn an arbitrary goroutine fleet.
-	MaxWorkers int
 	// Deadline bounds the matching work of one request (0 = unbounded).
 	// The timeout_ms query parameter can only tighten it. Expired
 	// requests answer 503.
 	Deadline time.Duration
-	// MaxInflight bounds concurrent sequential matches, including the
-	// abandoned goroutines expired requests leave running (default 64):
-	// under sustained load with Deadline shorter than match time they
-	// would otherwise pile up without bound behind the System mutex.
-	// Saturation sheds with 429 + Retry-After. Set before the first
-	// request; the bound latches on first use.
-	MaxInflight int
 	// Recorder is the always-on flight recorder: every request gets an
 	// ID and a root span, and the finished trace is retained when it is
 	// among the op's slowest or it errored. New installs one with the
@@ -103,28 +95,21 @@ type Server struct {
 	// Recorder: either enables root-span tracing.
 	Logger *slog.Logger
 
-	reqSeq  atomic.Uint64 // request-ID sequence
-	seqOnce sync.Once
-	seqSem  chan struct{} // semaphore of MaxInflight sequential-match slots
-
-	// Test seams: when non-nil they replace the matching backends so
-	// tests can inject slow or failing matchers without training a
-	// system. Production wiring leaves them nil.
-	spairFn func(rel string, tuple int, v her.VertexID) (bool, error)
-	vpairFn func(rel string, tuple int) ([]her.Pair, error)
-	apairFn func(workers int) ([]her.Pair, her.ParallelStats, error)
+	reqSeq atomic.Uint64 // request-ID sequence
 }
 
-// New builds the handler around a trained system. HTTP metrics land in
-// the system's registry when it has one, so core/bsp and serving
-// metrics share one /metrics page; otherwise a server-private registry
-// still captures the HTTP side.
+// New builds the handler around a trained system, serving each hosted
+// view from a one-shard engine built at the view's first request. HTTP
+// metrics land in the system's registry when it has one, so core, shard
+// and serving metrics share one /metrics page; otherwise a
+// server-private registry still captures the HTTP side. Call Close to
+// stop the shard workers.
 func New(sys *her.System) *Server {
 	reg := sys.Metrics()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Server{sys: sys, mux: http.NewServeMux(), reg: reg, MaxAPairMatches: 1000, MaxWorkers: 32,
+	s := &Server{sys: sys, shards: 1, mux: http.NewServeMux(), reg: reg, MaxAPairMatches: 1000,
 		Recorder: obs.NewFlightRecorder(0, 0)}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/spair", s.handleSPair)
@@ -140,10 +125,9 @@ func New(sys *her.System) *Server {
 	return s
 }
 
-// NewSharded builds the server in sharded serving mode: /vpair and
-// /apair route through one shard.Engine per hosted view, each over the
-// view's ShardConfig — its own snapshots, generation anchor and delta
-// log. A view installed later is served sequentially.
+// NewSharded is New with the given number of shards per view, and with
+// the engine of every view hosted now built before it returns, so a
+// bad shard count fails here and no request pays for a build.
 //
 // Read-your-writes semantics: a request that starts after a mutation
 // returns never observes pre-mutation results. Each engine keys its
@@ -156,38 +140,63 @@ func New(sys *her.System) *Server {
 // (feedback, retraining, thresholds) poison the log and force a full
 // rebuild. Either way no stale entry survives a write it depends on,
 // while unaffected entries keep serving without recomputation.
-// Call Close to stop the shard workers.
 func NewSharded(sys *her.System, shards int) (*Server, error) {
 	s := New(sys)
-	s.engs = make(map[string]*shard.Engine)
+	s.shards = shards
 	for _, name := range sys.ViewNames() {
 		vh, err := sys.View(name)
 		if err != nil {
 			continue
 		}
-		eng, err := shard.NewEngine(vh.ShardConfig(shards))
-		if err != nil {
+		if _, err := s.engine(vh); err != nil {
 			s.Close()
 			return nil, err
 		}
-		s.engs[name] = eng
 	}
 	return s, nil
 }
 
-// Engine exposes the sharded engine of the default view — the one a
-// request without view= addresses (nil in single-system mode).
-func (s *Server) Engine() *shard.Engine {
-	vh, _ := s.sys.View("")
-	return s.engs[vh.Name()]
+// engine returns the shard engine serving vh, over the view's
+// ShardConfig — its own snapshots, generation anchor and delta log —
+// building it when this is the first request for the view.
+func (s *Server) engine(vh *her.ViewHandle) (*shard.Engine, error) {
+	if eng, ok := s.engs.Load(vh); ok {
+		return eng.(*shard.Engine), nil
+	}
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
+	if eng, ok := s.engs.Load(vh); ok {
+		return eng.(*shard.Engine), nil
+	}
+	if s.closed {
+		return nil, shard.ErrClosed
+	}
+	eng, err := shard.NewEngine(vh.ShardConfig(s.shards))
+	if err != nil {
+		return nil, err
+	}
+	s.engs.Store(vh, eng)
+	return eng, nil
 }
 
-// Close stops every view's shard workers; a no-op in single-system
-// mode.
+// Engine exposes the shard engine of the default view — the one a
+// request without view= addresses (nil once the server is closed, when
+// no request built it before).
+func (s *Server) Engine() *shard.Engine {
+	vh, _ := s.sys.View("")
+	eng, _ := s.engine(vh)
+	return eng
+}
+
+// Close stops every view's shard workers; later matching requests fail.
 func (s *Server) Close() {
-	for _, eng := range s.engs {
-		eng.Close()
-	}
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
+	s.closed = true
+	s.engs.Range(func(_, eng any) bool {
+		eng.(*shard.Engine).Close()
+		return true
+	})
 }
 
 // Metrics returns the registry the server records HTTP metrics into.
@@ -211,47 +220,6 @@ func (s *Server) reqContext(r *http.Request) (context.Context, context.CancelFun
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
-}
-
-// seqSlots returns the sequential-match semaphore, sizing it from
-// MaxInflight on first use.
-func (s *Server) seqSlots() chan struct{} {
-	s.seqOnce.Do(func() {
-		n := s.MaxInflight
-		if n <= 0 {
-			n = 64
-		}
-		s.seqSem = make(chan struct{}, n)
-	})
-	return s.seqSem
-}
-
-// runSeq executes fn — a System call without context support — on its
-// own goroutine and waits for the result or the context: the sequential
-// matcher cannot be interrupted, so an expired request abandons the
-// goroutine (it finishes in the background and its result is dropped).
-// sem bounds how many such goroutines, live or abandoned, exist at once;
-// when no slot is free the request is shed immediately with
-// shard.ErrOverloaded (HTTP 429) instead of queueing behind the System
-// mutex.
-func runSeq[T any](ctx context.Context, sem chan struct{}, fn func() T) (T, error) {
-	var zero T
-	select {
-	case sem <- struct{}{}:
-	default:
-		return zero, shard.ErrOverloaded
-	}
-	done := make(chan T, 1)
-	go func() {
-		defer func() { <-sem }()
-		done <- fn()
-	}()
-	select {
-	case v := <-done:
-		return v, nil
-	case <-ctx.Done():
-		return zero, ctx.Err()
-	}
 }
 
 // writeMatchErr maps matching-path failures onto transport semantics:
@@ -416,77 +384,35 @@ func (s *Server) handleSPair(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	if !s.sys.GraphValid(vertex) {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown vertex %d", vertex))
-		return
-	}
 	ctx, cancel, err := s.reqContext(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
-	spair := s.spairFn
-	if spair == nil {
-		spair = vh.SPair
+	u, err := vh.TupleVertex(rel, tuple)
+	if err != nil {
+		writeErr(w, http.StatusNotFound, err)
+		return
 	}
-	type res struct {
-		match bool
-		err   error
+	eng, err := s.engine(vh)
+	if err != nil {
+		writeMatchErr(w, err, http.StatusInternalServerError)
+		return
 	}
-	out, err := runSeq(ctx, s.seqSlots(), func() res {
-		m, e := spair(rel, tuple, vertex)
-		return res{match: m, err: e}
-	})
-	if err == nil {
-		err = out.err
-	}
+	match, err := eng.SPair(ctx, u, vertex)
 	if err != nil {
 		writeMatchErr(w, err, http.StatusNotFound)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"rel": rel, "tuple": tuple, "vertex": vertex, "match": out.match,
+		"rel": rel, "tuple": tuple, "vertex": vertex, "match": match,
 	})
 }
 
 type matchJSON struct {
 	Vertex int32  `json:"vertex"`
 	Label  string `json:"label"`
-}
-
-// vpairMatches routes a VPair request to the configured backend: the
-// test seam, the view's sharded engine, or the sequential view call —
-// the first and last wrapped in the deadline runner.
-func (s *Server) vpairMatches(ctx context.Context, vh *her.ViewHandle, rel string, tuple int) ([]her.Pair, error) {
-	vpair := s.vpairFn
-	if vpair == nil {
-		sp := obs.SpanFrom(ctx)
-		if eng := s.engs[vh.Name()]; eng != nil {
-			rsp := sp.Child("resolve")
-			u, err := vh.TupleVertex(rel, tuple)
-			rsp.End()
-			if err != nil {
-				return nil, err
-			}
-			return eng.VPair(ctx, u)
-		}
-		vpair = func(rel string, tuple int) ([]her.Pair, error) {
-			return vh.VPairTraced(rel, tuple, sp)
-		}
-	}
-	type res struct {
-		pairs []her.Pair
-		err   error
-	}
-	out, err := runSeq(ctx, s.seqSlots(), func() res {
-		p, e := vpair(rel, tuple)
-		return res{pairs: p, err: e}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.pairs, out.err
 }
 
 //herlint:hot
@@ -507,12 +433,25 @@ func (s *Server) handleVPair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	matches, err := s.vpairMatches(ctx, vh, rel, tuple)
+	sp := obs.SpanFrom(ctx)
+	rsp := sp.Child("resolve")
+	u, err := vh.TupleVertex(rel, tuple)
+	rsp.End()
+	if err != nil {
+		writeErr(w, http.StatusNotFound, err)
+		return
+	}
+	eng, err := s.engine(vh)
+	if err != nil {
+		writeMatchErr(w, err, http.StatusInternalServerError)
+		return
+	}
+	matches, err := eng.VPair(ctx, u)
 	if err != nil {
 		writeMatchErr(w, err, http.StatusNotFound)
 		return
 	}
-	rsp := obs.SpanFrom(ctx).Child("render")
+	rsp = sp.Child("render")
 	out := make([]matchJSON, 0, len(matches))
 	for _, m := range matches {
 		out = append(out, matchJSON{Vertex: int32(m.V), Label: s.sys.GraphLabel(m.V)})
@@ -525,20 +464,6 @@ func (s *Server) handleVPair(w http.ResponseWriter, r *http.Request) {
 
 //herlint:hot
 func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
-	workers := 1
-	if q := r.URL.Query().Get("workers"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad workers parameter %q", q))
-			return
-		}
-		if n > s.MaxWorkers {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("workers %d exceeds the limit of %d", n, s.MaxWorkers))
-			return
-		}
-		workers = n
-	}
 	vh, err := s.viewParam(r, "/apair")
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
@@ -550,52 +475,17 @@ func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	var matches []her.Pair
-	var statsOut interface{}
-	if eng := s.engs[vh.Name()]; eng != nil && s.apairFn == nil {
-		// Sharded mode: the engine scatter-gathers over its fixed shard
-		// workers; the workers parameter does not apply.
-		matches, err = eng.APair(ctx, vh.SourceVertices())
-		if err != nil {
-			writeMatchErr(w, err, http.StatusInternalServerError)
-			return
-		}
-		info := eng.Snapshot()
-		statsOut = map[string]interface{}{
-			"shards":     info.Shards,
-			"haloRadius": info.HaloRadius,
-			"generation": info.Generation,
-		}
-	} else {
-		apair := s.apairFn
-		if apair == nil {
-			// A literal, not the method value: herlint's call graph follows
-			// only direct calls, and hotalloc must see the BSP engine here.
-			apair = func(n int) ([]her.Pair, her.ParallelStats, error) { return vh.APairParallel(n) }
-		}
-		type res struct {
-			pairs []her.Pair
-			stats her.ParallelStats
-			err   error
-		}
-		out, rErr := runSeq(ctx, s.seqSlots(), func() res {
-			p, st, e := apair(workers)
-			return res{pairs: p, stats: st, err: e}
-		})
-		if rErr == nil {
-			rErr = out.err
-		}
-		if rErr != nil {
-			writeMatchErr(w, rErr, http.StatusInternalServerError)
-			return
-		}
-		matches = out.pairs
-		statsOut = map[string]int{
-			"workers":        out.stats.Workers,
-			"supersteps":     out.stats.Supersteps,
-			"candidatePairs": out.stats.CandidatePairs,
-		}
+	eng, err := s.engine(vh)
+	if err != nil {
+		writeMatchErr(w, err, http.StatusInternalServerError)
+		return
 	}
+	matches, err := eng.APair(ctx, vh.SourceVertices())
+	if err != nil {
+		writeMatchErr(w, err, http.StatusInternalServerError)
+		return
+	}
+	info := eng.Snapshot()
 	shown := matches
 	if len(shown) > s.MaxAPairMatches {
 		shown = shown[:s.MaxAPairMatches]
@@ -619,7 +509,11 @@ func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"count":   len(matches),
 		"matches": out,
-		"stats":   statsOut,
+		"stats": map[string]interface{}{
+			"shards":     info.Shards,
+			"haloRadius": info.HaloRadius,
+			"generation": info.Generation,
+		},
 	})
 }
 
@@ -719,23 +613,5 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		out["shard"] = eng.Snapshot()
 	}
 	out["views"] = s.viewStats()
-	if ps, ok := s.sys.LastParallelStats(); ok {
-		stepMillis := make([]float64, len(ps.SuperstepDurations))
-		for i, d := range ps.SuperstepDurations {
-			stepMillis[i] = float64(d) / float64(time.Millisecond)
-		}
-		out["parallel"] = map[string]interface{}{
-			"workers":         ps.Workers,
-			"supersteps":      ps.Supersteps,
-			"requests":        ps.Requests,
-			"invalidations":   ps.Invalidations,
-			"candidatePairs":  ps.CandidatePairs,
-			"perWorkerPairs":  ps.PerWorkerPairs,
-			"perWorkerCalls":  ps.PerWorkerCalls,
-			"calls":           ps.Calls,
-			"superstepMillis": stepMillis,
-			"wallMillis":      float64(ps.WallTime) / float64(time.Millisecond),
-		}
-	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -127,6 +127,15 @@ func trainedSystemWithOpts(t *testing.T, opts her.Options) (*her.System, her.Ver
 	return sys, p1, p2
 }
 
+// newServer builds the default server over sys and stops its shard
+// workers when the test ends.
+func newServer(t testing.TB, sys *her.System) *Server {
+	t.Helper()
+	srv := New(sys)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 func get(t *testing.T, h http.Handler, url string) (int, map[string]interface{}) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, url, nil)
@@ -141,7 +150,7 @@ func get(t *testing.T, h http.Handler, url string) (int, map[string]interface{})
 
 func TestHealthz(t *testing.T) {
 	sys, _, _ := trainedSystem(t)
-	code, body := get(t, New(sys), "/healthz")
+	code, body := get(t, newServer(t, sys), "/healthz")
 	if code != http.StatusOK || body["status"] != "ok" {
 		t.Errorf("healthz = %d %v", code, body)
 	}
@@ -149,7 +158,7 @@ func TestHealthz(t *testing.T) {
 
 func TestSPairEndpoint(t *testing.T) {
 	sys, p1, p2 := trainedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 	code, body := get(t, srv, "/spair?rel=product&tuple=0&vertex="+itoa(p1))
 	if code != http.StatusOK || body["match"] != true {
 		t.Errorf("spair true case = %d %v", code, body)
@@ -179,7 +188,7 @@ func TestSPairEndpoint(t *testing.T) {
 
 func TestVPairEndpoint(t *testing.T) {
 	sys, p1, _ := trainedSystem(t)
-	code, body := get(t, New(sys), "/vpair?rel=product&tuple=0")
+	code, body := get(t, newServer(t, sys), "/vpair?rel=product&tuple=0")
 	if code != http.StatusOK {
 		t.Fatalf("vpair = %d %v", code, body)
 	}
@@ -195,7 +204,7 @@ func TestVPairEndpoint(t *testing.T) {
 
 func TestAPairEndpoint(t *testing.T) {
 	sys, _, _ := trainedSystem(t)
-	code, body := get(t, New(sys), "/apair?workers=2")
+	code, body := get(t, newServer(t, sys), "/apair")
 	if code != http.StatusOK {
 		t.Fatalf("apair = %d %v", code, body)
 	}
@@ -210,14 +219,11 @@ func TestAPairEndpoint(t *testing.T) {
 			t.Errorf("tuple label %q not in relation/id form", label)
 		}
 	}
-	if code, _ := get(t, New(sys), "/apair?workers=nope"); code != http.StatusBadRequest {
-		t.Errorf("bad workers = %d", code)
-	}
 }
 
 func TestExplainEndpoint(t *testing.T) {
 	sys, p1, p2 := trainedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 	code, body := get(t, srv, "/explain?rel=product&tuple=0&vertex="+itoa(p1))
 	if code != http.StatusOK {
 		t.Fatalf("explain = %d %v", code, body)
@@ -236,7 +242,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestFeedbackEndpoint(t *testing.T) {
 	sys, p1, p2 := trainedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 	// Refute the true match, confirm the false one.
 	payload := `[{"rel":"product","tuple":0,"vertex":` + itoa(p1) + `,"match":false},
 	             {"rel":"product","tuple":0,"vertex":` + itoa(p2) + `,"match":true}]`
@@ -271,7 +277,7 @@ func TestFeedbackEndpoint(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	sys, p1, _ := trainedSystem(t)
-	srv := New(sys)
+	srv := newServer(t, sys)
 	get(t, srv, "/spair?rel=product&tuple=0&vertex="+itoa(p1))
 	code, body := get(t, srv, "/stats")
 	if code != http.StatusOK {

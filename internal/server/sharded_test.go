@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,35 +16,36 @@ import (
 	"her/internal/shard"
 )
 
-// slowServer builds a server whose matching backends hang far past any
-// test deadline, for the 503 regression tests.
-func slowServer(t *testing.T, d time.Duration) *Server {
-	t.Helper()
-	sys, _, _ := trainedSystem(t)
-	srv := New(sys)
-	srv.Deadline = d
-	block := func() { time.Sleep(2 * time.Second) }
-	srv.spairFn = func(string, int, her.VertexID) (bool, error) { block(); return false, nil }
-	srv.vpairFn = func(string, int) ([]her.Pair, error) { block(); return nil, nil }
-	srv.apairFn = func(int) ([]her.Pair, her.ParallelStats, error) {
-		block()
-		return nil, her.ParallelStats{}, nil
-	}
-	return srv
-}
-
-// TestDeadline503 is the slow-matcher regression: /spair, /vpair and
-// /apair must answer 503 when the server deadline expires before the
-// matcher returns, instead of hanging the connection.
-func TestDeadline503(t *testing.T) {
-	srv := slowServer(t, 15*time.Millisecond)
-	for _, url := range []string{
-		"/spair?rel=product&tuple=0&vertex=0",
-		"/vpair?rel=product&tuple=0",
-		"/apair",
-	} {
-		if code, body := get(t, srv, url); code != http.StatusServiceUnavailable {
-			t.Errorf("%s under expired deadline = %d %v, want 503", url, code, body)
+// TestExpiredBudget503: /spair, /vpair and /apair answer 503 when the
+// request's budget is already spent — cancelled by the client or past
+// its deadline — instead of matching, on a cold engine where no cached
+// result could answer first.
+func TestExpiredBudget503(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"cancelled": cancelled, "expired": expired} {
+		sys, p1, _ := trainedSystem(t)
+		one := newServer(t, sys)
+		two, err := NewSharded(sys, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(two.Close)
+		for _, srv := range []*Server{one, two} {
+			for _, url := range []string{
+				"/spair?rel=product&tuple=0&vertex=" + itoa(p1),
+				"/vpair?rel=product&tuple=0",
+				"/apair",
+			} {
+				req := httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusServiceUnavailable {
+					t.Errorf("%s context, %d shards, %s = %d %s, want 503", name, srv.shards, url, rec.Code, rec.Body)
+				}
+			}
 		}
 	}
 }
@@ -50,29 +53,47 @@ func TestDeadline503(t *testing.T) {
 // TestTimeoutParam: timeout_ms can only tighten the server deadline,
 // and malformed values are rejected up front.
 func TestTimeoutParam(t *testing.T) {
-	srv := slowServer(t, 0) // no server deadline: the parameter is the only bound
-	url := "/vpair?rel=product&tuple=0&timeout_ms=15"
-	if code, body := get(t, srv, url); code != http.StatusServiceUnavailable {
-		t.Errorf("%s = %d %v, want 503", url, code, body)
+	sys, _, _ := trainedSystem(t)
+	srv := newServer(t, sys)
+	for _, c := range []struct {
+		deadline time.Duration
+		param    string
+		want     time.Duration // 0 = no deadline
+	}{
+		{0, "", 0},
+		{0, "40", 40 * time.Millisecond},
+		{5 * time.Second, "40", 40 * time.Millisecond},
+		{40 * time.Millisecond, "5000", 40 * time.Millisecond},
+		{40 * time.Millisecond, "", 40 * time.Millisecond},
+	} {
+		srv.Deadline = c.deadline
+		url := "/vpair?rel=product&tuple=0"
+		if c.param != "" {
+			url += "&timeout_ms=" + c.param
+		}
+		before := time.Now()
+		ctx, cancel, err := srv.reqContext(httptest.NewRequest(http.MethodGet, url, nil))
+		if err != nil {
+			t.Fatalf("Deadline %v, %s: %v", c.deadline, url, err)
+		}
+		at, ok := ctx.Deadline()
+		cancel()
+		if ok != (c.want > 0) || ok && (at.Before(before.Add(c.want)) || at.After(time.Now().Add(c.want))) {
+			t.Errorf("Deadline %v, %s: budget ends %v (set %t), want %v from now", c.deadline, url, at.Sub(before), ok, c.want)
+		}
 	}
+	srv.Deadline = 0
 	for _, bad := range []string{"nope", "0", "-5"} {
 		url := "/vpair?rel=product&tuple=0&timeout_ms=" + bad
 		if code, _ := get(t, srv, url); code != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", url, code)
 		}
 	}
-	// A generous budget passes through to the backend unharmed.
-	fast := New(slowSys(t))
-	fast.Deadline = 5 * time.Second
-	if code, _ := get(t, fast, "/vpair?rel=product&tuple=0&timeout_ms=5000"); code != http.StatusOK {
+	// A generous budget passes through to the engine unharmed.
+	srv.Deadline = 5 * time.Second
+	if code, _ := get(t, srv, "/vpair?rel=product&tuple=0&timeout_ms=5000"); code != http.StatusOK {
 		t.Errorf("generous timeout = %d, want 200", code)
 	}
-}
-
-func slowSys(t *testing.T) *her.System {
-	t.Helper()
-	sys, _, _ := trainedSystem(t)
-	return sys
 }
 
 // TestWriteMatchErr pins the transport mapping of the matching-path
@@ -98,47 +119,182 @@ func TestWriteMatchErr(t *testing.T) {
 	}
 }
 
-// shardedPair builds a single-system server and a sharded server over
-// identically trained systems.
-func shardedPair(t *testing.T, shards int) (single, sharded *Server) {
-	t.Helper()
-	sys1, _, _ := trainedSystem(t)
-	sys2, _, _ := trainedSystem(t)
-	single = New(sys1)
-	sharded, err := NewSharded(sys2, shards)
+// TestServingEquivalence: New is the one-shard case of NewSharded, and
+// both serve what the library's sequential matcher computes. Over one
+// system hosting a rule view beside direct, the servers built by New
+// and by NewSharded at 1, 2, 4 and more shards than G has vertices
+// answer every /spair, /vpair and /apair with byte-identical bodies (up
+// to /apair's shard-layout stats, which name the shard count), and
+// those answers are the ViewHandle oracle's.
+func TestServingEquivalence(t *testing.T) {
+	def, sys, _ := viewServer(t, 0)
+	servers := []*Server{def}
+	for _, n := range []int{1, 2, 4, 50} {
+		srv, err := NewSharded(sys, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		servers = append(servers, srv)
+	}
+	// every asks each server for url and returns the one body they agree
+	// on; cut trims what may differ from a body before comparing.
+	every := func(url string, cut func(string) string) string {
+		t.Helper()
+		var first string
+		for i, srv := range servers {
+			code, body := getRaw(t, srv, url)
+			if code != http.StatusOK {
+				t.Fatalf("%s at %d shards = %d %s", url, srv.shards, code, body)
+			}
+			if body = cut(body); i == 0 {
+				first = body
+			} else if body != first {
+				t.Errorf("%s at %d shards diverges from New:\n%s\n%s", url, srv.shards, body, first)
+			}
+		}
+		return first
+	}
+	whole := func(body string) string { return body }
+	// /stats reports the one-shard layout for New like for NewSharded(1).
+	if _, stats := get(t, def, "/stats"); stats["shard"].(map[string]interface{})["shards"] != float64(1) {
+		t.Errorf("New's /stats shard section = %v", stats["shard"])
+	}
+
+	for _, name := range sys.ViewNames() {
+		vh, err := sys.View(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := "&view=" + name
+		for tuple := range sys.DB.Relation("product").Tuples {
+			want, err := vh.VPair("product", tuple)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matches := []matchJSON{}
+			for _, p := range want {
+				matches = append(matches, matchJSON{Vertex: int32(p.V), Label: sys.GraphLabel(p.V)})
+			}
+			oracle, _ := json.Marshal(map[string]interface{}{"rel": "product", "tuple": tuple, "matches": matches})
+			if got := every(fmt.Sprintf("/vpair?rel=product&tuple=%d%s", tuple, q), whole); got != string(oracle)+"\n" {
+				t.Errorf("view %s: /vpair tuple %d = %s, library oracle %s", name, tuple, got, oracle)
+			}
+			for v := 0; v < sys.G.NumVertices(); v++ {
+				want, err := vh.SPair("product", tuple, her.VertexID(v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle, _ := json.Marshal(map[string]interface{}{"rel": "product", "tuple": tuple, "vertex": v, "match": want})
+				if got := every(fmt.Sprintf("/spair?rel=product&tuple=%d&vertex=%d%s", tuple, v, q), whole); got != string(oracle)+"\n" {
+					t.Errorf("view %s: /spair (%d, %d) = %s, library oracle %s", name, tuple, v, got, oracle)
+				}
+			}
+		}
+		var rows []string
+		for _, p := range vh.APair() {
+			ref, _ := vh.TupleOf(p.U)
+			rows = append(rows, fmt.Sprintf(`{"tuple":"%s/%d","vertex":%d}`, ref.Relation, ref.TupleID, p.V))
+		}
+		oracle := fmt.Sprintf(`{"count":%d,"matches":[%s],`, len(rows), strings.Join(rows, ","))
+		got := every("/apair?view="+name, func(body string) string { return body[:strings.Index(body, `"stats"`)] })
+		if got != oracle {
+			t.Errorf("view %s: /apair = %s, library oracle %s", name, got, oracle)
+		}
+	}
+	// With the shard count equal, nothing is trimmed: New ≡ NewSharded(sys, 1).
+	servers = servers[:2]
+	every("/apair", whole)
+}
+
+// TestLateViewServed: a view installed after the server was built is
+// served like any other — through its own engine, at the server's shard
+// count, answering what the view's sequential matcher does.
+func TestLateViewServed(t *testing.T) {
+	sys, _, _ := trainedSystem(t)
+	srv, err := NewSharded(sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sharded.Close)
-	return single, sharded
+	defer srv.Close()
+	def := her.NewViewDef("late")
+	for _, rel := range sys.DB.RelationNames() {
+		def.Vertex(rel).ProjectAll()
+	}
+	if err := sys.AddViewDef(def); err != nil {
+		t.Fatal(err)
+	}
+	vh, err := sys.View("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := vh.VPair("product", 0)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("fixture: late view VPair = %v, %v", want, err)
+	}
+	code, body := get(t, srv, "/vpair?rel=product&tuple=0&view=late")
+	if code != http.StatusOK {
+		t.Fatalf("/vpair on the late view = %d %v", code, body)
+	}
+	var got []her.VertexID
+	for _, m := range body["matches"].([]interface{}) {
+		got = append(got, her.VertexID(m.(map[string]interface{})["vertex"].(float64)))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("late view serves %v, sequential %v", got, want)
+	}
+	for i, p := range want {
+		if got[i] != p.V {
+			t.Fatalf("late view serves %v, sequential %v", got, want)
+		}
+	}
+	eng, err := srv.engine(vh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := eng.Snapshot(); info.Shards != 2 || info.CacheLen != 1 {
+		t.Errorf("late view's engine = %+v, want 2 shards holding the served result", info)
+	}
 }
 
-// TestShardedEquivalence: the sharded serving path answers /vpair and
-// /apair byte-identically to the single-system path, across shard
-// counts including ones exceeding |V| of the catalog graph.
-func TestShardedEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 50} {
-		single, sharded := shardedPair(t, shards)
-		for _, url := range []string{
-			"/vpair?rel=product&tuple=0",
-			"/vpair?rel=product&tuple=1",
-			"/apair",
-		} {
-			codeS, bodyS := get(t, single, url)
-			codeE, bodyE := get(t, sharded, url)
-			if codeS != http.StatusOK || codeE != http.StatusOK {
-				t.Fatalf("shards=%d %s: single %d, sharded %d", shards, url, codeS, codeE)
-			}
-			if fmt.Sprint(bodyS["matches"]) != fmt.Sprint(bodyE["matches"]) {
-				t.Errorf("shards=%d %s diverges:\nsingle:  %v\nsharded: %v",
-					shards, url, bodyS["matches"], bodyE["matches"])
-			}
+// TestCloseStopsWorkers: every server owns shard workers, and Close
+// returns the process to the goroutine count it had before New — for
+// the engines NewSharded built up front and the ones requests built.
+func TestCloseStopsWorkers(t *testing.T) {
+	_, sys, _ := viewServer(t, 0)
+	// Servers closed by earlier tests may still have workers on their way
+	// out: take the baseline once the count has stopped moving.
+	base := runtime.NumGoroutine()
+	for quiet := 0; quiet < 1000; quiet++ {
+		runtime.Gosched()
+		if n := runtime.NumGoroutine(); n != base {
+			base, quiet = n, 0
 		}
-		// /stats exposes the shard layout in sharded mode.
-		_, stats := get(t, sharded, "/stats")
-		if _, ok := stats["shard"]; !ok {
-			t.Errorf("shards=%d: /stats missing shard section", shards)
+	}
+	lazy := New(sys)
+	get(t, lazy, "/vpair?rel=product&tuple=0")
+	get(t, lazy, "/apair?view=mirror")
+	eager, err := NewSharded(sys, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get(t, eager, "/vpair?rel=product&tuple=0&view=mirror")
+	if n := runtime.NumGoroutine(); n != base+2+6 {
+		t.Errorf("%d goroutines serving, want %d + one worker per shard per view (2 + 6)", n, base)
+	}
+	lazy.Close()
+	eager.Close()
+	// Workers exit on their own schedule once their queues close.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
 		}
+	}
+	// A closed server builds no engine to answer with.
+	idle := New(sys)
+	idle.Close()
+	if code, _ := get(t, idle, "/vpair?rel=product&tuple=0"); code == http.StatusOK || runtime.NumGoroutine() > base {
+		t.Errorf("request after Close = %d, %d goroutines (%d before New)", code, runtime.NumGoroutine(), base)
 	}
 }
 
@@ -289,30 +445,5 @@ func TestShardedCacheSurvivesWrite(t *testing.T) {
 	if post.DeltasApplied != pre.DeltasApplied+1 {
 		t.Fatalf("deltasApplied %d → %d, want one in-place application",
 			pre.DeltasApplied, post.DeltasApplied)
-	}
-}
-
-// TestSeqAdmissionControl: expired sequential requests abandon their
-// matcher goroutines, and MaxInflight bounds how many such goroutines
-// (live or abandoned) can exist — once the slots are full of abandoned
-// 2s matchers, the next request is shed with 429 + Retry-After instead
-// of queueing another goroutine behind the System mutex.
-func TestSeqAdmissionControl(t *testing.T) {
-	srv := slowServer(t, 15*time.Millisecond)
-	srv.MaxInflight = 2
-	for i := 0; i < 2; i++ {
-		if code, body := get(t, srv, "/vpair?rel=product&tuple=0"); code != http.StatusServiceUnavailable {
-			t.Fatalf("request %d = %d %v, want 503", i, code, body)
-		}
-	}
-	// Both slots are now held by abandoned matchers sleeping 2s.
-	req := httptest.NewRequest(http.MethodGet, "/vpair?rel=product&tuple=0", nil)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("saturated sequential path = %d %s, want 429", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("429 response missing Retry-After hint")
 	}
 }

@@ -18,11 +18,10 @@ import (
 //	GET /views                 — list hosted views (name, rules, |V|, |E|, generation)
 //	GET /extract?view=<name>   — the view's materialized graph as TSV
 //
-// In sharded mode every view hosted at construction — direct like any
-// other — gets its own shard.Engine over the view's ShardConfig,
-// anchored to the view's generation counter and delta log, in
-// Server.engs. Views installed after NewSharded have no engine and are
-// served by their sequential matcher.
+// Every view — direct like any other, installed before or after the
+// server was built — is served by its own shard.Engine over the view's
+// ShardConfig, anchored to the view's generation counter and delta log
+// (Server.engine).
 
 // viewParam resolves the request's view= parameter to a handle; the
 // empty value names the direct view. The her_view_requests_total
@@ -132,7 +131,6 @@ func (s *Server) viewStats() []map[string]interface{} {
 			"edges":      info.Edges,
 			"tuples":     info.Tuples,
 			"generation": info.Generation,
-			"sharded":    s.engs[name] != nil,
 		}
 		out = append(out, entry)
 	}

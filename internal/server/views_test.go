@@ -11,8 +11,8 @@ import (
 )
 
 // viewServer builds the catalog system hosting a direct-shaped "mirror"
-// rule view beside the direct view, served sequentially (shards = 0) or
-// through per-view shard engines.
+// rule view beside the direct view, served by New (shards = 0) or by
+// NewSharded.
 func viewServer(t *testing.T, shards int) (*Server, *her.System, her.VertexID) {
 	t.Helper()
 	sys, p1, _ := trainedSystem(t)
@@ -24,7 +24,7 @@ func viewServer(t *testing.T, shards int) (*Server, *her.System, her.VertexID) {
 		t.Fatal(err)
 	}
 	if shards == 0 {
-		return New(sys), sys, p1
+		return newServer(t, sys), sys, p1
 	}
 	srv, err := NewSharded(sys, shards)
 	if err != nil {
@@ -35,7 +35,7 @@ func viewServer(t *testing.T, shards int) (*Server, *her.System, her.VertexID) {
 }
 
 // TestViewParamRouting sends view= through every view-addressed
-// endpoint in both serving modes: "" and "direct" are the same view
+// endpoint, on engines built lazily and up front: "" and "direct" are the same view
 // (byte-identical bodies), the direct-shaped mirror answers the same
 // matches from its own state, and an unknown view is 404.
 func TestViewParamRouting(t *testing.T) {
@@ -89,48 +89,19 @@ func TestViewParamRouting(t *testing.T) {
 		}
 
 		// /views lists the whole table whatever view= says, and /stats
-		// reports an engine per hosted view exactly in sharded mode.
+		// has a row per hosted view.
 		_, views := getRaw(t, srv, "/views")
 		if _, again := getRaw(t, srv, "/views?view=nope"); again != views ||
 			!strings.Contains(views, `"count":2`) || strings.Index(views, `"direct"`) > strings.Index(views, `"mirror"`) {
 			t.Errorf("shards=%d: /views = %s / %s", shards, views, again)
 		}
 		_, stats := get(t, srv, "/stats")
+		var rows []interface{}
 		for _, v := range stats["views"].([]interface{}) {
-			if got := v.(map[string]interface{})["sharded"]; got != (shards > 0) {
-				t.Errorf("shards=%d: /stats view entry %v", shards, v)
-			}
+			rows = append(rows, v.(map[string]interface{})["name"])
 		}
-	}
-}
-
-// TestAPairWorkersOnNamedView: the BSP engine serves any hosted view,
-// so /apair?view=mirror&workers=2 runs in parallel and answers exactly
-// what the view's sequential matcher does.
-func TestAPairWorkersOnNamedView(t *testing.T) {
-	srv, sys, _ := viewServer(t, 0)
-	vh, err := sys.View("mirror")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := vh.APair()
-	if len(seq) == 0 {
-		t.Fatal("fixture: the mirror view has no matches")
-	}
-	var want []interface{}
-	for _, p := range seq {
-		ref, _ := vh.TupleOf(p.U)
-		want = append(want, map[string]interface{}{
-			"tuple": fmt.Sprintf("%s/%d", ref.Relation, ref.TupleID), "vertex": float64(p.V)})
-	}
-	code, body := get(t, srv, "/apair?view=mirror&workers=2")
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %v", code, body)
-	}
-	if fmt.Sprint(body["matches"]) != fmt.Sprint(want) || body["count"] != float64(len(seq)) {
-		t.Errorf("parallel /apair on mirror = %v (count %v), sequential %v", body["matches"], body["count"], want)
-	}
-	if w := body["stats"].(map[string]interface{})["workers"]; w != float64(2) {
-		t.Errorf("stats = %v, want a 2-worker BSP run", body["stats"])
+		if fmt.Sprint(rows) != "[direct mirror]" {
+			t.Errorf("shards=%d: /stats views = %v", shards, stats["views"])
+		}
 	}
 }

@@ -99,7 +99,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			apairGather:   cfg.Metrics.Histogram(`her_shard_gather_seconds{op="apair"}`, obs.TimeBuckets),
 		},
 	}
-	st, err := buildState(cfg, e.generation())
+	st, err := newState(cfg, e.generation())
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +129,11 @@ type task struct {
 	// nonkey: the op selects the builder, and the builders' key spaces
 	// are disjoint by construction ("vpair:" vs "apair:" prefixes)
 	op      taskOp
-	u       graph.VID   // VPair source
+	u       graph.VID   // VPair and SPair source
 	sources []graph.VID // APair sources
+	// nonkey: SPair is not cached — its result is one matcher-cache
+	// lookup away on the owning worker
+	v graph.VID // SPair target, a local id of the owning shard
 	// nonkey: response channel, carries the result out
 	reply chan taskResult
 	// enqueuedAt is stamped at enqueue when the worker measures queue
@@ -147,6 +150,7 @@ type taskOp int
 const (
 	opVPair taskOp = iota
 	opAPair
+	opSPair
 	// opBarrier is the quiesce sentinel (delta.go): workers acknowledge
 	// it immediately, and FIFO order guarantees every earlier task —
 	// including abandoned ones — has fully drained first.
@@ -197,6 +201,10 @@ func (w *shardWorker) run() {
 			local = w.matcher.VPair(t.u, w.gen)
 		case opAPair:
 			local = w.matcher.APair(t.sources, w.gen)
+		case opSPair:
+			if w.matcher.Match(t.u, t.v) {
+				local = []core.Pair{{U: t.u, V: t.v}}
+			}
 		}
 		if timed {
 			done = time.Now()
@@ -228,6 +236,79 @@ func (e *Engine) APair(ctx context.Context, sources []graph.VID) ([]core.Pair, e
 	e.met.apairRequests.Inc()
 	t := &task{op: opAPair, sources: sources}
 	return e.serve(ctx, apairKey(t.sources), graph.NoVertex, t)
+}
+
+// SPair checks one pair: does G_D vertex u match G vertex v? Both are
+// validated against the current state's snapshots. The one shard that
+// owns v decides — halo closure makes its verdict the whole-graph
+// verdict — through its bounded queue, so a full queue sheds with
+// ErrOverloaded and an expired ctx returns without leaving anything
+// behind but a task the worker skips. Uncached: the worker's matcher
+// cache already makes a repeat one lookup. The verdict passes through
+// the Overrides hook like every other result.
+func (e *Engine) SPair(ctx context.Context, u, v graph.VID) (bool, error) {
+	st, release, err := e.state(e.generation())
+	if err != nil {
+		return false, err
+	}
+	defer release()
+	if !st.gd.Valid(u) {
+		return false, fmt.Errorf("shard: unknown G_D vertex %d", u)
+	}
+	if !st.g.Valid(v) {
+		return false, fmt.Errorf("shard: unknown G vertex %d", v)
+	}
+	w, lv := st.ownerOf(v)
+	t := &task{ctx: ctx, op: opSPair, u: u, v: lv, reply: make(chan taskResult, 1)}
+	if !e.enqueue(w, t) {
+		return false, ErrOverloaded
+	}
+	select {
+	case r := <-t.reply:
+		if r.err != nil {
+			return false, r.err
+		}
+		pairs := r.pairs
+		if e.cfg.Overrides != nil {
+			pairs = e.cfg.Overrides(pairs, u)
+		}
+		for _, p := range pairs {
+			if p.V == v {
+				return true, nil
+			}
+		}
+		return false, nil
+	case <-ctx.Done():
+		return false, ctx.Err()
+	}
+}
+
+// ownerOf returns the worker whose fragment owns G vertex v — the
+// fragments partition the state's G, so a valid v has exactly one — and
+// v's local id there.
+func (st *shardState) ownerOf(v graph.VID) (*shardWorker, graph.VID) {
+	for _, w := range st.shards {
+		if lv, ok := w.localOf(v); ok && w.isOwned[lv] {
+			return w, lv
+		}
+	}
+	panic(fmt.Sprintf("shard: G vertex %d has no owning shard", v))
+}
+
+// enqueue admits t to w's queue, or counts it shed when the queue is
+// full.
+func (e *Engine) enqueue(w *shardWorker, t *task) bool {
+	if w.waitSeconds != nil || t.traced {
+		t.enqueuedAt = time.Now()
+	}
+	select {
+	case w.queue <- t:
+		w.depth.Add(1)
+		return true
+	default:
+		e.met.shed.Inc()
+		return false
+	}
 }
 
 // scopeOf parses a request prototype into the cache entry's vertex
@@ -366,20 +447,13 @@ func (e *Engine) compute(ctx context.Context, gen uint64, scope graph.VID, proto
 	for _, w := range st.shards {
 		t := &task{ctx: reqCtx, op: proto.op, u: proto.u, sources: proto.sources,
 			reply: make(chan taskResult, 1), traced: sp != nil}
-		if w.waitSeconds != nil || t.traced {
-			t.enqueuedAt = time.Now()
-		}
-		select {
-		case w.queue <- t:
-			w.depth.Add(1)
-			tasks = append(tasks, t)
-		default:
+		if !e.enqueue(w, t) {
 			// Abandon the siblings already queued: cancel flips their
 			// context so workers skip them cheaply.
-			e.met.shed.Inc()
 			ssp.End()
 			return nil, ErrOverloaded
 		}
+		tasks = append(tasks, t)
 	}
 	ssp.End()
 	gsp := sp.Child("gather")

@@ -21,6 +21,8 @@
 // deduplicates concurrent identical requests singleflight-style,
 // merges shard results through core.SortPairs, and sheds load with
 // ErrOverloaded when queues are full instead of piling up goroutines.
+// A single-pair check (SPair) skips the scatter and the cache: it is
+// one task for the shard that owns the G-side vertex.
 package shard
 
 import (
@@ -100,8 +102,11 @@ type Config struct {
 	SnapGen uint64
 	// Snapshot, when set, refreshes the component fields (graphs,
 	// RankerD, LM, Params, MaxPathLen, MinSharedTokens) from their owner
-	// before each build: a System retrains rankers and language models
+	// before each rebuild: a System retrains rankers and language models
 	// across generations, so a rebuild must not reuse stale captures.
+	// NewEngine does not call it: the Config it is handed must already be
+	// the hook's output (components and SnapGen), and whatever the owner
+	// did since is replayed from Deltas at the first request.
 	// The returned graphs must be private to the engine (clones taken
 	// under the owner's lock) whenever the owner mutates its live graphs
 	// while serving; see the Config comment.
@@ -183,14 +188,24 @@ type shardWorker struct {
 	computeSeconds *obs.Histogram // her_shard_compute_seconds{shard}
 }
 
-// buildState partitions G, materializes every fragment's halo-closed
-// subgraph and starts one worker per shard.
+// buildState is the full-rebuild path: it refreshes the components from
+// their owner through the Snapshot hook, then builds a state from them.
 func buildState(cfg Config, gen uint64) (*shardState, error) {
 	if cfg.Snapshot != nil {
 		cfg = cfg.Snapshot(cfg).normalized()
 		if err := cfg.validate(); err != nil {
 			return nil, err
 		}
+	}
+	return newState(cfg, gen)
+}
+
+// newState partitions cfg.G, materializes every fragment's halo-closed
+// subgraph and starts one worker per shard — from the components as
+// given, so the engine's first state serves the snapshot its caller
+// already took instead of cloning the graphs a second time.
+func newState(cfg Config, gen uint64) (*shardState, error) {
+	if cfg.Snapshot != nil {
 		// The snapshot's graphs belong to its own generation, read under
 		// the owner's lock; stamping anything else would make later delta
 		// replay double-apply (or skip) the mutations that raced the clone.
@@ -314,6 +329,7 @@ func buildWorker(cfg Config, frag *graph.Fragment, radius int, docD func(graph.V
 	if err != nil {
 		return nil, err
 	}
+	m.SetMetrics(cfg.Metrics)
 	w := &shardWorker{
 		id:          frag.ID,
 		g:           sg,

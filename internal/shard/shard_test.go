@@ -372,8 +372,11 @@ func TestAdmissionShed(t *testing.T) {
 	if _, err := e.VPair(context.Background(), 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("VPair on full queues = %v, want ErrOverloaded", err)
 	}
-	if got := cfg.Metrics.Counter(`her_shard_shed_total`).Value(); got == 0 {
-		t.Fatal("shed counter not incremented")
+	if _, err := e.SPair(context.Background(), 0, 0); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("SPair on a full queue = %v, want ErrOverloaded", err)
+	}
+	if got := cfg.Metrics.Counter(`her_shard_shed_total`).Value(); got != 2 {
+		t.Fatalf("shed counter = %d after two shed requests", got)
 	}
 	// Unwedge so Close's workers can drain.
 	for i, b := range wedged {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"her/internal/core"
+	"her/internal/graph"
 	"her/internal/ranking"
 	"her/internal/shard"
 )
@@ -27,4 +28,44 @@ func (w *Workload) Sharded(n int) ([]core.Pair, error) {
 	}
 	defer eng.Close()
 	return eng.APair(context.Background(), w.Sources)
+}
+
+// ShardedSPair asks the sharded engine at n shards — per-shard blocking
+// indices on when minShared > 0 — for Engine.SPair of every pair, in
+// order, so each verdict comes from whatever the owning worker's matcher
+// has cached by then. verdicts, when non-nil, are user-verified pairs
+// the engine reconciles through its Overrides hook the way her.System's
+// does: a refuted pair is dropped, a confirmed one of the asked-about
+// G_D vertex added.
+func (w *Workload) ShardedSPair(n, minShared int, pairs []core.Pair, verdicts map[core.Pair]bool) ([]bool, error) {
+	cfg := NewMutSeq(w, minShared).EngineConfig(n)
+	if verdicts != nil {
+		cfg.Overrides = func(matches []core.Pair, scope graph.VID) []core.Pair {
+			out := matches[:0]
+			for _, p := range matches {
+				if keep, ok := verdicts[p]; !ok || keep {
+					out = append(out, p)
+				}
+			}
+			var added []core.Pair
+			for p, confirmed := range verdicts {
+				if confirmed && p.U == scope {
+					added = append(added, p)
+				}
+			}
+			return append(out, SortPairs(added)...)
+		}
+	}
+	eng, err := shard.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	out := make([]bool, len(pairs))
+	for i, p := range pairs {
+		if out[i], err = eng.SPair(context.Background(), p.U, p.V); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -2,10 +2,13 @@ package testkit
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"strconv"
 	"testing"
 
+	"her/internal/core"
+	"her/internal/graph"
 	"her/internal/rdb2rdf"
 	"her/internal/relational"
 )
@@ -259,6 +262,74 @@ func TestShardedManyShards(t *testing.T) {
 			t.Errorf("workload %s at %d shards (|V|=%d):\n%s",
 				w.Name, n, w.G.NumVertices(),
 				DiffPairs("apair", want, "sharded", got))
+		}
+	}
+}
+
+// TestShardedSPairDifferential: Engine.SPair(u, v) is the sequential
+// matcher's Match(u, v) — decided cold, one matcher per pair, so the
+// oracle owes nothing to evaluation order — for every candidate pair and
+// a seeded sample of non-candidate pairs, at 1, 2, 4 and 8 shards with
+// blocking off and on; and with user verdicts installed, SPair answers
+// the verdict over the matcher.
+func TestShardedSPairDifferential(t *testing.T) {
+	for _, w := range append(plantedWorkloads(t), graphWorkloads(t)...) {
+		pairs, err := w.CandidatePairs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidate := make(map[core.Pair]bool, len(pairs))
+		for _, p := range pairs {
+			candidate[p] = true
+		}
+		rng := rand.New(rand.NewSource(w.Seed))
+		sources := w.sources()
+		for i := 0; i < 24; i++ {
+			p := core.Pair{U: sources[rng.Intn(len(sources))], V: graph.VID(rng.Intn(w.G.NumVertices()))}
+			if !candidate[p] {
+				pairs = append(pairs, p)
+			}
+		}
+		want := make([]bool, len(pairs))
+		verdicts, flipped := map[core.Pair]bool{}, map[bool]bool{}
+		for i, p := range pairs {
+			m, err := w.NewMatcher()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = m.Match(p.U, p.V)
+			// The user refutes the first match and confirms the first
+			// non-match.
+			if !flipped[want[i]] {
+				flipped[want[i]], verdicts[p] = true, !want[i]
+			}
+		}
+		for _, minShared := range []int{0, 1} {
+			for _, n := range workerCounts {
+				got, err := w.ShardedSPair(n, minShared, pairs, nil)
+				if err != nil {
+					t.Fatalf("workload %s: SPair at %d shards, minShared %d: %v", w.Name, n, minShared, err)
+				}
+				for i, p := range pairs {
+					if got[i] != want[i] {
+						t.Errorf("workload %s: SPair(%d, %d) at %d shards, minShared %d = %t, sequential Match %t (candidate %t)",
+							w.Name, p.U, p.V, n, minShared, got[i], want[i], candidate[p])
+					}
+				}
+			}
+		}
+		got, err := w.ShardedSPair(2, 1, pairs, verdicts)
+		if err != nil {
+			t.Fatalf("workload %s: SPair under overrides: %v", w.Name, err)
+		}
+		for i, p := range pairs {
+			expect := want[i]
+			if v, ok := verdicts[p]; ok {
+				expect = v
+			}
+			if got[i] != expect {
+				t.Errorf("workload %s: SPair(%d, %d) under overrides %v = %t, want %t", w.Name, p.U, p.V, verdicts, got[i], expect)
+			}
 		}
 	}
 }

@@ -66,22 +66,12 @@ func TestSystemMetricsIntegration(t *testing.T) {
 		t.Error("no candidate-generation observations")
 	}
 
-	if _, ok := inst.LastParallelStats(); ok {
-		t.Error("LastParallelStats set before any parallel run")
-	}
 	_, st, err := inst.APairParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, ok := inst.LastParallelStats()
-	if !ok {
-		t.Fatal("LastParallelStats missing after parallel run")
-	}
-	if last.Workers != st.Workers || last.Supersteps != st.Supersteps {
-		t.Errorf("LastParallelStats %+v != run stats %+v", last, st)
-	}
-	if last.WallTime <= 0 || len(last.SuperstepDurations) != last.Supersteps {
-		t.Errorf("wall accounting: %v / %v", last.WallTime, last.SuperstepDurations)
+	if st.WallTime <= 0 || len(st.SuperstepDurations) != st.Supersteps {
+		t.Errorf("wall accounting: %v / %v", st.WallTime, st.SuperstepDurations)
 	}
 	if reg.Histogram("her_bsp_superstep_seconds", nil).Count() == 0 {
 		t.Error("parallel run recorded no superstep durations")

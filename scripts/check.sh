@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh is the tier-1 gate (see ROADMAP.md): formatting, vet, build,
 # herlint (the project-specific static-analysis suite in internal/lint),
-# the full test suite, and the race detector in -short mode over the
-# whole module. Run it before every commit; CI runs exactly this.
+# the full test suite, the benchmark's own correctness checks, and the
+# race detector in -short mode over the whole module. Run it before
+# every commit; CI runs exactly this.
 #
 # The race run uses -short rather than the full suite because race
 # instrumentation slows the training-heavy tests 10-20x — enough to trip
@@ -58,6 +59,22 @@ benchmark_module() {
     (cd benchmark && go vet ./... && go test -short ./...)
 }
 stage "benchmark module" benchmark_module
+# The smoke above runs 20 entities, too few to trip the invariants the
+# benchmark checks at its real sizes (vpair_rw: no full rebuild of the
+# direct engine; vpair_cold: the open phase keeps up), so a change that
+# makes a workload incorrect would first be seen when the benchmark
+# rejects it. Run each workload briefly at its real size; the last line
+# a run prints is its JSON result. Set CHECK_BENCH=0 to skip.
+benchmark_correct() {
+    local w
+    for w in vpair_cold vpair_hot apair_batch vpair_rw; do
+        bash benchmark/run.sh --workload "$w" --seed 1 --seconds 4 --trace 0 | tail -n 1 |
+            grep -q '"correct":true' || { echo "benchmark workload $w is not correct" >&2; return 1; }
+    done
+}
+if [ "${CHECK_BENCH:-1}" != "0" ]; then
+    stage "benchmark correct" benchmark_correct
+fi
 stage "go test -race -short" go test -race -short ./...
 # The sharded serving engine is the most concurrency-dense code in the
 # repo (per-shard workers, singleflight, LRU cache, generation rebuilds),

@@ -14,14 +14,16 @@ const NoVertex = graph.NoVertex
 // (internal/shard) over this view:
 //
 //   - the Snapshot hook clones the graphs and re-reads the language
-//     model and thresholds under the system lock at every (re)build:
-//     the engine reads its graphs at request time without taking the
-//     system lock, so it must never share them with the live G_D/G that
-//     AddTuple/AddGraphVertex/AddGraphEdge mutate under that lock.
-//     Each build therefore serves from private copies, with the ranker
-//     rebound to the cloned G_D; a mutation publishes itself through
-//     the generation bump, which retires the snapshot on the next
-//     request;
+//     model and thresholds under the system lock: the engine reads its
+//     graphs at request time without taking the system lock, so it must
+//     never share them with the live G_D/G that
+//     AddTuple/AddGraphVertex/AddGraphEdge mutate under that lock. The
+//     returned Config is the hook's first output — the snapshot
+//     shard.NewEngine builds its initial state from — and the engine
+//     calls the hook again at every full rebuild, so each state serves
+//     from private copies, with the ranker rebound to the cloned G_D; a
+//     mutation publishes itself through the generation bump, which
+//     advances or retires the snapshot on the next request;
 //   - Generation ties the engine's result cache and maintenance trigger
 //     to the view's mutation counter — AddTuple, AddGraphVertex,
 //     AddGraphEdge, Refine, retraining and threshold changes all bump it;

@@ -32,6 +32,77 @@ func TestShardConfigSnapshotClones(t *testing.T) {
 	}
 }
 
+// TestEngineBuildsFromPassedSnapshot: NewEngine serves the snapshot
+// ShardConfig already took — cloning the graphs a second time under the
+// system lock, only to drop the first pair, is the bug this pins — and
+// the Snapshot hook runs once per full rebuild after that.
+func TestEngineBuildsFromPassedSnapshot(t *testing.T) {
+	sys, _ := incrementalFixture(t)
+	cfg := sys.ShardConfig(2)
+	calls, hook := 0, cfg.Snapshot
+	cfg.Snapshot = func(c shard.Config) shard.Config {
+		calls++
+		return hook(c)
+	}
+	eng, err := shard.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if calls != 0 {
+		t.Fatalf("NewEngine called the Snapshot hook %d times; the Config it was handed is the snapshot", calls)
+	}
+	u0, err := sys.TupleVertex("product", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A threshold change records a reset delta: the next request must
+	// rebuild from a fresh snapshot.
+	if err := sys.SetThresholds(sys.Thresholds()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.VPair(context.Background(), u0); err != nil {
+		t.Fatal(err)
+	}
+	if info := eng.Snapshot(); calls != 1 || info.FullRebuilds != 1 {
+		t.Fatalf("after one reset: %d Snapshot calls, %d full rebuilds, want 1 and 1", calls, info.FullRebuilds)
+	}
+}
+
+// TestEngineReplaysWritesSinceSnapshot: a Config captured at generation
+// g stays a valid way to start an engine after the system moved on —
+// the first state is stamped SnapGen, so the first request replays
+// (SnapGen, now] from the delta log instead of serving a stale graph or
+// rebuilding.
+func TestEngineReplaysWritesSinceSnapshot(t *testing.T) {
+	sys, _ := incrementalFixture(t)
+	cfg := sys.ShardConfig(2)
+	id, err := sys.AddTuple("product", "Aurora Trail Runner 7 GTX", "red")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := shard.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	uNew, err := sys.TupleVertex("product", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.VPair(context.Background(), uNew)
+	if err != nil {
+		t.Fatalf("engine does not know the tuple added after its snapshot: %v", err)
+	}
+	want := sys.VPairVertex(uNew)
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("VPair of the new tuple = %v, sequential %v", got, want)
+	}
+	if info := eng.Snapshot(); info.DeltasApplied != 1 || info.FullRebuilds != 0 {
+		t.Fatalf("deltasApplied %d, fullRebuilds %d, want the one write replayed in place", info.DeltasApplied, info.FullRebuilds)
+	}
+}
+
 // TestConcurrentMutateWhileServing is the mutate-while-serving race
 // regression (meaningful under -race): shard requests hammer the engine
 // while incremental updates extend G_D and G through the system lock.

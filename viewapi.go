@@ -383,32 +383,17 @@ func (h *ViewHandle) spairVertices(u, v VertexID) bool {
 
 // VPair finds all vertices of G matching the tuple through this view.
 func (h *ViewHandle) VPair(rel string, tupleID int) ([]Pair, error) {
-	return h.VPairTraced(rel, tupleID, nil)
-}
-
-// VPairTraced is VPair with request tracing: sp, when non-nil, receives
-// a "resolve" child for the tuple lookup and — through the matcher —
-// the per-phase children of the sequential ParaMatch run (candgen,
-// simulate). A nil sp makes this identical to VPair.
-func (h *ViewHandle) VPairTraced(rel string, tupleID int, sp *Span) ([]Pair, error) {
-	rsp := sp.Child("resolve")
 	u, err := h.TupleVertex(rel, tupleID)
-	rsp.End()
 	if err != nil {
 		return nil, err
 	}
-	return h.vpairVertex(u, sp), nil
+	return h.vpairVertex(u), nil
 }
 
-// vpairVertex is VPair addressed by the tuple's vertex. The span is
-// installed on the matcher under the system lock, the same lock that
-// serializes matching, and detached before the lock is released, so
-// concurrent requests never share it.
-func (h *ViewHandle) vpairVertex(u VertexID, sp *Span) []Pair {
+// vpairVertex is VPair addressed by the tuple's vertex.
+func (h *ViewHandle) vpairVertex(u VertexID) []Pair {
 	h.sys.mu.Lock()
 	defer h.sys.mu.Unlock()
-	h.matcher.SetSpan(sp)
-	defer h.matcher.SetSpan(nil)
 	return h.applyOverridesLocked(h.matcher.VPair(u, h.gen), u)
 }
 
@@ -486,16 +471,13 @@ func (h *ViewHandle) parallelEngine() (*bsp.Engine, []graph.VID, core.CandidateG
 	return eng, h.sourcesLocked(), h.gen, nil
 }
 
-// parallelResult finishes a parallel run: its stats become the system's
-// most recent, its matches pass through the view's overrides.
+// parallelResult finishes a parallel run: its matches pass through the
+// view's overrides.
 func (h *ViewHandle) parallelResult(matches []Pair, stats ParallelStats, err error) ([]Pair, ParallelStats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
-	h.sys.mu.Lock()
-	defer h.sys.mu.Unlock()
-	h.sys.lastPar = &stats
-	return h.applyOverridesLocked(matches, graph.NoVertex), stats, nil
+	return h.applyOverrides(matches, graph.NoVertex), stats, nil
 }
 
 // applyOverridesLocked reconciles algorithmic matches with user-verified

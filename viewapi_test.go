@@ -125,7 +125,7 @@ func TestSystemQueriesAreDirectViewQueries(t *testing.T) {
 		{"SPair confirmed", results(sys.SPair("main", 1, ent[0])), results(direct.SPair("main", 1, ent[0]))},
 		{"SPair unknown tuple", results(sys.SPair("main", 9, ent[0])), results(direct.SPair("main", 9, ent[0]))},
 		{"VPair", results(sys.VPair("main", 1)), results(direct.VPair("main", 1))},
-		{"VPairTraced", results(sys.VPairTraced("main", 0, nil)), results(direct.VPairTraced("main", 0, nil))},
+		{"VPair refuted", results(sys.VPair("main", 0)), results(direct.VPair("main", 0))},
 		{"VPairVertex", results(sys.VPairVertex(u1), nil), results(direct.VPair("main", 1))},
 		{"APair", results(sys.APair()), results(direct.APair())},
 		{"APairOf", results(sys.APairOf(sys.SourceVertices())), results(direct.APair())},
