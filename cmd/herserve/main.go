@@ -25,18 +25,26 @@
 // log line per request). With -debug-addr a second listener serves
 // net/http/pprof profiles and expvar (including the live matcher
 // counters) for debugging without exposing them on the public address.
+//
+// SIGINT or SIGTERM stops the listeners, gives the requests in flight
+// shutdownGrace to be answered, and then stops the shard workers.
 package main
 
 import (
+	"context"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"her"
@@ -148,10 +156,6 @@ func main() {
 		expvar.Publish("her_matcher_counters", expvar.Func(func() interface{} {
 			return sys.Stats()
 		}))
-		go func() {
-			log.Printf("debug listener (pprof, expvar) on %s", *debugAddr)
-			log.Println(http.ListenAndServe(*debugAddr, nil))
-		}()
 	}
 
 	srv, err := server.NewSharded(sys, *shards)
@@ -172,7 +176,75 @@ func main() {
 		srv.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var debugLn net.Listener
+	if *debugAddr != "" {
+		if debugLn, err = net.Listen("tcp", *debugAddr); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("debug listener (pprof, expvar) on %s", *debugAddr)
+	}
 	fmt.Printf("serving %s (%d tuples, |V|=%d) on %s\n",
 		cfg.Name, d.DB.NumTuples(), d.G.NumVertices(), *addr)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	if err := run(ln, debugLn, srv, srv.Close); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// What a connection may cost the server before it has sent a request,
+// and between requests; and how long a shutdown waits for the requests
+// in flight. There is no write timeout: how long an answer may take is
+// -deadline-ms's to say, per request.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
+)
+
+// run serves h on ln — and, when debugLn is not nil, http.DefaultServeMux
+// (pprof, expvar) on it — until SIGINT or SIGTERM arrives or a listener
+// fails. It then stops accepting, waits up to shutdownGrace for the
+// requests in flight to be answered, cuts off what is still open, and
+// calls drain (the server's Close: the shard workers stop once nothing
+// can ask them anything). A shutdown on a signal that cut nothing off
+// returns nil.
+func run(ln, debugLn net.Listener, h http.Handler, drain func()) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	serving := map[*http.Server]net.Listener{newHTTPServer(h): ln}
+	if debugLn != nil {
+		serving[newHTTPServer(http.DefaultServeMux)] = debugLn
+	}
+	failed := make(chan error, len(serving))
+	for hs, l := range serving {
+		go func() { failed <- hs.Serve(l) }()
+	}
+	var err error
+	select {
+	case err = <-failed:
+	case <-ctx.Done():
+		log.Printf("shutting down")
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	for hs := range serving {
+		if serr := hs.Shutdown(grace); serr != nil {
+			err = errors.Join(err, serr, hs.Close())
+		}
+	}
+	drain()
+	return err
+}
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

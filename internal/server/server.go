@@ -35,21 +35,29 @@
 // cache invalidation), so a write retires only the cached results it
 // can actually affect and the rest keep serving warm.
 //
-// Every request passes through an instrumentation middleware that
+// Every request passes through ServeHTTP, which routes it by exact path,
 // records per-endpoint request counts, status codes and latency
 // histograms into the system's metrics registry (or a private one when
 // the system was built without instrumentation), so /metrics always
-// covers the serving path.
+// covers the serving path, and answers a handler panic with 500. A
+// request does each thing once — one pass over its query string
+// (parseQuery), one table lookup per metric handle (handles), one Write
+// of the body — because a cached /vpair is a 0.2 µs lookup and what
+// surrounds it is the whole cost of serving one (DESIGN.md §14).
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +82,11 @@ type Server struct {
 	closed bool // guarded by engMu
 
 	extract extractCache // memoized GET /extract rendering (views.go)
-	mux     *http.ServeMux
-	reg     *obs.Registry
+	// routes is the exact-path table; a path outside it is other's.
+	// Filled by New, read-only afterwards.
+	routes map[string]*endpoint
+	other  *endpoint
+	reg    *obs.Registry
 	// MaxAPairMatches caps the matches returned inline by /apair
 	// (default 1000); the full count is always reported.
 	MaxAPairMatches int
@@ -109,19 +120,25 @@ func New(sys *her.System) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Server{sys: sys, shards: 1, mux: http.NewServeMux(), reg: reg, MaxAPairMatches: 1000,
+	s := &Server{sys: sys, shards: 1, reg: reg, MaxAPairMatches: 1000,
 		Recorder: obs.NewFlightRecorder(0, 0)}
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/spair", s.handleSPair)
-	s.mux.HandleFunc("/vpair", s.handleVPair)
-	s.mux.HandleFunc("/apair", s.handleAPair)
-	s.mux.HandleFunc("/explain", s.handleExplain)
-	s.mux.HandleFunc("/feedback", s.handleFeedback)
-	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	s.mux.HandleFunc("/views", s.handleViews)
-	s.mux.HandleFunc("/extract", s.handleExtract)
+	s.routes = map[string]*endpoint{
+		"/healthz":        {handle: s.handleHealth},
+		"/spair":          {handle: s.handleSPair},
+		"/vpair":          {handle: s.handleVPair},
+		"/apair":          {handle: s.handleAPair},
+		"/explain":        {handle: s.handleExplain},
+		"/feedback":       {handle: s.handleFeedback},
+		"/stats":          {handle: s.handleStats},
+		"/metrics":        {handle: s.handleMetrics},
+		"/debug/requests": {handle: s.handleDebugRequests},
+		"/views":          {handle: s.handleViews},
+		"/extract":        {handle: s.handleExtract},
+	}
+	for path, ep := range s.routes {
+		ep.op = path
+	}
+	s.other = &endpoint{op: "other", handle: func(x *exchange, r *http.Request) { unrouted.ServeHTTP(x, r) }}
 	return s
 }
 
@@ -202,130 +219,352 @@ func (s *Server) Close() {
 // Metrics returns the registry the server records HTTP metrics into.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// reqContext derives the request's matching budget from the server
-// Deadline and the optional timeout_ms parameter; the smaller wins.
-func (s *Server) reqContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+// query is a request's parameters: the first value of each of the five
+// keys the endpoints read, taken in one pass over the raw query string.
+// parseQuery reads the string as net/url's ParseQuery does — pairs split
+// on '&', a pair holding ';' or a malformed escape dropped, keys and
+// values unescaped, the first surviving value of a key kept — so each
+// field equals r.URL.Query().Get of its key (FuzzServeHTTP holds the two
+// to that), without the map, the slices and the keys nobody asked for.
+type query struct {
+	rel, tuple, vertex, view, timeoutMS string
+}
+
+func parseQuery(raw string) (q query) {
+	var seen [5]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil {
+			continue
+		}
+		var dst *string
+		var i int
+		switch key {
+		case "rel":
+			dst, i = &q.rel, 0
+		case "tuple":
+			dst, i = &q.tuple, 1
+		case "vertex":
+			dst, i = &q.vertex, 2
+		case "view":
+			dst, i = &q.view, 3
+		case "timeout_ms":
+			dst, i = &q.timeoutMS, 4
+		default:
+			continue
+		}
+		if seen[i] {
+			continue
+		}
+		if value, err = url.QueryUnescape(value); err != nil {
+			continue
+		}
+		*dst, seen[i] = value, true
+	}
+	return q
+}
+
+// pair reads rel and tuple — and vertex, for the endpoints that take
+// one — as the tuple (and vertex) a matching request addresses.
+func (q *query) pair(needVertex bool) (rel string, tuple int, vertex her.VertexID, err error) {
+	if q.rel == "" {
+		return "", 0, 0, fmt.Errorf("missing rel parameter")
+	}
+	tuple, err = strconv.Atoi(q.tuple)
+	if err != nil {
+		return "", 0, 0, fmt.Errorf("bad tuple parameter: %v", err)
+	}
+	if needVertex {
+		v, err := strconv.Atoi(q.vertex)
+		if err != nil {
+			return "", 0, 0, fmt.Errorf("bad vertex parameter: %v", err)
+		}
+		vertex = her.VertexID(v)
+	}
+	return q.rel, tuple, vertex, nil
+}
+
+// budget derives the request's matching budget from the server Deadline
+// and the optional timeout_ms parameter; the smaller wins.
+func (s *Server) budget(ctx context.Context, q *query) (context.Context, context.CancelFunc, error) {
 	d := s.Deadline
-	if q := r.URL.Query().Get("timeout_ms"); q != "" {
-		ms, err := strconv.Atoi(q)
+	if q.timeoutMS != "" {
+		ms, err := strconv.Atoi(q.timeoutMS)
 		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("bad timeout_ms parameter %q", q)
+			return nil, nil, fmt.Errorf("bad timeout_ms parameter %q", q.timeoutMS)
 		}
 		if qd := time.Duration(ms) * time.Millisecond; d == 0 || qd < d {
 			d = qd
 		}
 	}
 	if d <= 0 {
-		return r.Context(), func() {}, nil
+		return ctx, func() {}, nil
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(ctx, d)
 	return ctx, cancel, nil
+}
+
+// handles is a grow-only table of metric handles. The request path reads
+// it without a lock and without formatting a series name: a hit is one
+// atomic load and one map lookup. A miss — the first request with that
+// status, or to that view — registers the series by name and publishes
+// a copy of the map with it in.
+type handles[K comparable, V any] struct {
+	mu sync.Mutex // serializes misses
+	m  atomic.Pointer[map[K]V]
+}
+
+func (t *handles[K, V]) lookup(k K, register func() V) V {
+	if m := t.m.Load(); m != nil {
+		if v, ok := (*m)[k]; ok {
+			return v
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	next := map[K]V{}
+	if m := t.m.Load(); m != nil {
+		if v, ok := (*m)[k]; ok {
+			return v
+		}
+		for k, v := range *m {
+			next[k] = v
+		}
+	}
+	next[k] = register()
+	t.m.Store(&next)
+	return next[k]
+}
+
+// endpoint is a row of the exact-path table: what serves the path, the
+// op label its series carry (the path itself, so the label's cardinality
+// is the table's; "other" for every path outside it), and the handles of
+// the series seen so far.
+type endpoint struct {
+	op     string
+	handle func(*exchange, *http.Request)
+	codes  handles[int, codeMetrics]     // by status code
+	views  handles[string, *obs.Counter] // her_view_requests_total, by view name
+}
+
+// codeMetrics are the two per-request series of one (op, code).
+type codeMetrics struct {
+	requests *obs.Counter
+	seconds  *obs.Histogram
+}
+
+// record counts a request that began at t0 and was answered with code.
+func (s *Server) record(ep *endpoint, code int, t0 time.Time) {
+	m := ep.codes.lookup(code, func() codeMetrics {
+		return codeMetrics{
+			requests: s.reg.Counter(fmt.Sprintf(`her_http_requests_total{op=%q,code="%d"}`, ep.op, code)),
+			seconds: s.reg.Histogram(fmt.Sprintf(`her_http_request_seconds{op=%q,code="%d"}`, ep.op, code),
+				obs.TimeBuckets),
+		}
+	})
+	m.requests.Inc()
+	m.seconds.ObserveSince(t0)
+}
+
+// unrouted answers a path that is no endpoint's the way net/http's mux
+// answers one that no pattern matches: 301 to the cleaned path where
+// that differs ("//vpair", "/a/../vpair"), 404 otherwise ("/vpair/").
+var unrouted = http.NewServeMux()
+
+// exchange is what a handler writes its response to, and the state of
+// one request inside ServeHTTP: the endpoint it was routed to, the
+// status it answered (for the metrics, the span and the log line), and
+// what rendering the body needs. Exchanges are pooled; nothing of one
+// is used after ServeHTTP returns.
+type exchange struct {
+	http.ResponseWriter
+	ep     *endpoint
+	status int
+	wrote  bool // a header or body byte has gone to the ResponseWriter
+	// A body is encoded into buf and sent with one Write. enc must not
+	// write to the connection itself: a json.Encoder keeps the first
+	// write error it sees, and one client hanging up would fail every
+	// later response rendered by this pooled exchange.
+	buf   bytes.Buffer
+	enc   *json.Encoder // into buf
+	vpair vpairResponse // Matches' array is reused
+}
+
+var exchanges = sync.Pool{New: func() any {
+	x := &exchange{vpair: vpairResponse{Matches: []matchJSON{}}}
+	x.enc = json.NewEncoder(&x.buf)
+	return x
+}}
+
+// maxPooledBody is the largest body buffer an exchange takes back to
+// the pool; an /apair or /debug/requests rendering beyond it is garbage
+// after its request, not memory every later /vpair pins.
+const maxPooledBody = 64 << 10
+
+func (x *exchange) WriteHeader(code int) {
+	x.status, x.wrote = code, true
+	x.ResponseWriter.WriteHeader(code)
+}
+
+func (x *exchange) Write(p []byte) (int, error) {
+	x.wrote = true
+	return x.ResponseWriter.Write(p)
+}
+
+// jsonContentType is the header value every JSON response shares.
+var jsonContentType = []string{"application/json"}
+
+func (x *exchange) writeJSON(status int, v interface{}) {
+	x.buf.Reset()
+	_ = x.enc.Encode(v) // a value that cannot be encoded leaves the body empty
+	x.Header()["Content-Type"] = jsonContentType
+	x.WriteHeader(status)
+	_, _ = x.Write(x.buf.Bytes())
+}
+
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
+func (x *exchange) writeErr(status int, err error) {
+	x.writeJSON(status, errorResponse{Error: err.Error()})
 }
 
 // writeMatchErr maps matching-path failures onto transport semantics:
 // shed load is 429 with a Retry-After hint, an expired budget is 503,
 // anything else uses the endpoint's fallback status.
-func writeMatchErr(w http.ResponseWriter, err error, fallback int) {
+func (x *exchange) writeMatchErr(err error, fallback int) {
 	switch {
 	case errors.Is(err, shard.ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, err)
+		x.Header().Set("Retry-After", "1")
+		x.writeErr(http.StatusTooManyRequests, err)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		writeErr(w, http.StatusServiceUnavailable, err)
+		x.writeErr(http.StatusServiceUnavailable, err)
 	default:
-		writeErr(w, fallback, err)
+		x.writeErr(fallback, err)
 	}
 }
 
-// knownEndpoints bounds the cardinality of the op label: paths outside
-// this set are recorded as "other".
-var knownEndpoints = map[string]bool{
-	"/healthz": true, "/spair": true, "/vpair": true, "/apair": true,
-	"/explain": true, "/feedback": true, "/stats": true, "/metrics": true,
-	"/debug/requests": true, "/views": true, "/extract": true,
-}
-
-// statusRecorder captures the status code written by a handler.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-// ServeHTTP implements http.Handler: the instrumentation middleware
-// wrapping the mux. When tracing is on (Recorder or Logger set) it
-// assigns the request an ID, installs a root span on the request
-// context — every layer below picks it up via obs.SpanFrom — and, once
-// the handler returns, records the finished trace and emits the
-// structured request log line. With both off, a request pays two map
-// lookups and two nil checks beyond the metrics it always paid.
+// ServeHTTP implements http.Handler: it routes the request by exact
+// path and wraps the handler in the instrumentation. When tracing is on
+// (Recorder or Logger set) it assigns the request an ID, installs a root
+// span on the request context — every layer below picks it up via
+// obs.SpanFrom — and, once the handler returns, records the finished
+// trace and emits the structured request log line. With both off, a
+// request pays two nil checks beyond the metrics it always paid.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	op := r.URL.Path
-	if !knownEndpoints[op] {
-		op = "other"
+	ep := s.routes[r.URL.Path]
+	if ep == nil {
+		ep = s.other
 	}
-	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	x := exchanges.Get().(*exchange)
+	x.ResponseWriter, x.ep, x.status, x.wrote = w, ep, http.StatusOK, false
 
 	var sp *obs.Span
 	var id string
-	gen := s.sys.Generation()
+	var gen uint64
 	if s.Recorder != nil || s.Logger != nil {
+		gen = s.sys.Generation()
 		id = fmt.Sprintf("req-%06d", s.reqSeq.Add(1))
-		sp = obs.StartSpan(op)
+		sp = obs.StartSpan(ep.op)
 		sp.SetAttr("gen", strconv.FormatUint(gen, 10))
-		sr.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-ID", id)
 		r = r.WithContext(obs.WithSpan(r.Context(), sp))
 	}
-	s.mux.ServeHTTP(sr, r)
+	errMsg, abort := s.handle(x, r)
+	status := x.status
+	if x.buf.Cap() <= maxPooledBody {
+		x.ResponseWriter, x.vpair.Rel = nil, ""
+		exchanges.Put(x)
+	}
 
-	s.reg.Counter(fmt.Sprintf(`her_http_requests_total{op=%q,code="%d"}`,
-		op, sr.status)).Inc()
-	s.reg.Histogram(fmt.Sprintf(`her_http_request_seconds{op=%q,code="%d"}`,
-		op, sr.status), obs.TimeBuckets).ObserveSince(t0)
+	s.record(ep, status, t0)
 
 	if sp != nil {
-		var errMsg string
-		if sr.status >= 400 {
-			errMsg = fmt.Sprintf("HTTP %d", sr.status)
+		if errMsg == "" && status >= 400 {
+			errMsg = fmt.Sprintf("HTTP %d", status)
+		}
+		if errMsg != "" {
 			sp.SetError(errors.New(errMsg))
 		}
 		sp.End()
-		s.Recorder.Record(id, op, sp, errMsg)
+		s.Recorder.Record(id, ep.op, sp, errMsg)
 		if s.Logger != nil {
 			s.Logger.Info("request",
 				"request_id", id,
-				"op", op,
+				"op", ep.op,
 				"gen", gen,
-				"status", sr.status,
+				"status", status,
 				"duration", time.Since(t0))
 		}
 	}
+	if abort {
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// handle runs the endpoint's handler and makes a panic in it an answer:
+// 500 with the JSON error body, her_http_panics_total{op} counted and
+// the stack logged, where net/http would drop the connection and leave
+// no metric, span or log line behind. It returns the panic as the
+// request's error message; ServeHTTP goes on to record the request like
+// any other. abort reports what cannot be answered — the handler asked
+// for the connection to be dropped (http.ErrAbortHandler), or part of a
+// response had already been sent — and ServeHTTP re-panics for net/http
+// once the request is recorded.
+func (s *Server) handle(x *exchange, r *http.Request) (errMsg string, abort bool) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			abort = true
+			return
+		}
+		errMsg = fmt.Sprintf("panic: %v", p)
+		s.reg.Counter(fmt.Sprintf(`her_http_panics_total{op=%q}`, x.ep.op)).Inc()
+		logger := s.Logger
+		if logger == nil {
+			logger = slog.Default()
+		}
+		logger.Error("handler panic", "op", x.ep.op, "panic", p, "stack", string(debug.Stack()))
+		if x.wrote {
+			abort = true
+			return
+		}
+		x.writeErr(http.StatusInternalServerError, errors.New("internal server error"))
+	}()
+	x.ep.handle(x, r)
+	return "", false
 }
 
 // handleDebugRequests serves the flight recorder: every retained trace,
 // or one trace by its request ID (?id=req-000042). 404 when tracing is
 // disabled or the ID fell out of retention.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDebugRequests(x *exchange, r *http.Request) {
 	if s.Recorder == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
+		x.writeErr(http.StatusNotFound, fmt.Errorf("tracing disabled"))
 		return
 	}
 	if id := r.URL.Query().Get("id"); id != "" {
 		tr, ok := s.Recorder.ByID(id)
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no retained trace %q", id))
+			x.writeErr(http.StatusNotFound, fmt.Errorf("no retained trace %q", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, tr)
+		x.writeJSON(http.StatusOK, tr)
 		return
 	}
 	traces := s.Recorder.Traces()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	x.writeJSON(http.StatusOK, map[string]interface{}{
 		"count":  len(traces),
 		"traces": traces,
 	})
@@ -333,81 +572,26 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the Prometheus text exposition of every metric
 // recorded so far (HTTP, core matcher phases, BSP engine).
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
+func (s *Server) handleMetrics(x *exchange, _ *http.Request) {
+	x.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.reg.WritePrometheus(x)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+func (s *Server) handleHealth(x *exchange, _ *http.Request) {
+	x.writeJSON(http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
+// The responses of the matching endpoints. encoding/json writes a
+// struct's fields in declaration order, and the declaration order here
+// is the alphabetical one the map[string]interface{} bodies these
+// replace were written in — the wire format is pinned byte for byte by
+// TestWireFormat.
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// pairParams parses rel/tuple(/vertex) query parameters.
-func pairParams(r *http.Request, needVertex bool) (rel string, tuple int, vertex her.VertexID, err error) {
-	rel = r.URL.Query().Get("rel")
-	if rel == "" {
-		return "", 0, 0, fmt.Errorf("missing rel parameter")
-	}
-	tuple, err = strconv.Atoi(r.URL.Query().Get("tuple"))
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("bad tuple parameter: %v", err)
-	}
-	if needVertex {
-		v, err := strconv.Atoi(r.URL.Query().Get("vertex"))
-		if err != nil {
-			return "", 0, 0, fmt.Errorf("bad vertex parameter: %v", err)
-		}
-		vertex = her.VertexID(v)
-	}
-	return rel, tuple, vertex, nil
-}
-
-//herlint:hot
-func (s *Server) handleSPair(w http.ResponseWriter, r *http.Request) {
-	rel, tuple, vertex, err := pairParams(r, true)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	vh, err := s.viewParam(r, "/spair")
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	ctx, cancel, err := s.reqContext(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	u, err := vh.TupleVertex(rel, tuple)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	eng, err := s.engine(vh)
-	if err != nil {
-		writeMatchErr(w, err, http.StatusInternalServerError)
-		return
-	}
-	match, err := eng.SPair(ctx, u, vertex)
-	if err != nil {
-		writeMatchErr(w, err, http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"rel": rel, "tuple": tuple, "vertex": vertex, "match": match,
-	})
+type spairResponse struct {
+	Match  bool         `json:"match"`
+	Rel    string       `json:"rel"`
+	Tuple  int          `json:"tuple"`
+	Vertex her.VertexID `json:"vertex"`
 }
 
 type matchJSON struct {
@@ -415,21 +599,93 @@ type matchJSON struct {
 	Label  string `json:"label"`
 }
 
+type vpairResponse struct {
+	Matches []matchJSON `json:"matches"` // never nil: no match is [], not null
+	Rel     string      `json:"rel"`
+	Tuple   int         `json:"tuple"`
+}
+
+type apairResponse struct {
+	Count   int         `json:"count"`
+	Matches []pairJSON  `json:"matches"`
+	Stats   apairShards `json:"stats"`
+}
+
+type pairJSON struct {
+	Tuple  string `json:"tuple"`
+	Vertex int32  `json:"vertex"`
+}
+
+type apairShards struct {
+	Generation uint64 `json:"generation"`
+	HaloRadius int    `json:"haloRadius"`
+	Shards     int    `json:"shards"`
+}
+
+type explainResponse struct {
+	Lineage       []lineageJSON     `json:"lineage"`
+	SchemaMatches map[string]string `json:"schemaMatches"`
+	WitnessSize   int               `json:"witnessSize"`
+}
+
+type lineageJSON struct {
+	U string `json:"u"`
+	V string `json:"v"`
+}
+
 //herlint:hot
-func (s *Server) handleVPair(w http.ResponseWriter, r *http.Request) {
-	rel, tuple, _, err := pairParams(r, false)
+func (s *Server) handleSPair(x *exchange, r *http.Request) {
+	q := parseQuery(r.URL.RawQuery)
+	rel, tuple, vertex, err := q.pair(true)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		x.writeErr(http.StatusBadRequest, err)
 		return
 	}
-	vh, err := s.viewParam(r, "/vpair")
+	vh, err := s.view(x, &q)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		x.writeErr(http.StatusNotFound, err)
 		return
 	}
-	ctx, cancel, err := s.reqContext(r)
+	ctx, cancel, err := s.budget(r.Context(), &q)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		x.writeErr(http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	u, err := vh.TupleVertex(rel, tuple)
+	if err != nil {
+		x.writeErr(http.StatusNotFound, err)
+		return
+	}
+	eng, err := s.engine(vh)
+	if err != nil {
+		x.writeMatchErr(err, http.StatusInternalServerError)
+		return
+	}
+	match, err := eng.SPair(ctx, u, vertex)
+	if err != nil {
+		x.writeMatchErr(err, http.StatusNotFound)
+		return
+	}
+	x.writeJSON(http.StatusOK, spairResponse{Match: match, Rel: rel, Tuple: tuple, Vertex: vertex})
+}
+
+//herlint:hot
+func (s *Server) handleVPair(x *exchange, r *http.Request) {
+	q := parseQuery(r.URL.RawQuery)
+	rel, tuple, _, err := q.pair(false)
+	if err != nil {
+		x.writeErr(http.StatusBadRequest, err)
+		return
+	}
+	vh, err := s.view(x, &q)
+	if err != nil {
+		x.writeErr(http.StatusNotFound, err)
+		return
+	}
+	ctx, cancel, err := s.budget(r.Context(), &q)
+	if err != nil {
+		x.writeErr(http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
@@ -438,61 +694,63 @@ func (s *Server) handleVPair(w http.ResponseWriter, r *http.Request) {
 	u, err := vh.TupleVertex(rel, tuple)
 	rsp.End()
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		x.writeErr(http.StatusNotFound, err)
 		return
 	}
 	eng, err := s.engine(vh)
 	if err != nil {
-		writeMatchErr(w, err, http.StatusInternalServerError)
+		x.writeMatchErr(err, http.StatusInternalServerError)
 		return
 	}
 	matches, err := eng.VPair(ctx, u)
 	if err != nil {
-		writeMatchErr(w, err, http.StatusNotFound)
+		x.writeMatchErr(err, http.StatusNotFound)
 		return
 	}
 	rsp = sp.Child("render")
-	out := make([]matchJSON, 0, len(matches))
-	for _, m := range matches {
-		out = append(out, matchJSON{Vertex: int32(m.V), Label: s.sys.GraphLabel(m.V)})
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"rel": rel, "tuple": tuple, "matches": out,
-	})
+	s.writeVPair(x, rel, tuple, matches)
 	rsp.End()
 }
 
+// writeVPair renders a /vpair answer from the exchange's own response
+// value, whose match slice the next request reuses.
+func (s *Server) writeVPair(x *exchange, rel string, tuple int, matches []her.Pair) {
+	out := x.vpair.Matches[:0]
+	for _, m := range matches {
+		out = append(out, matchJSON{Vertex: int32(m.V), Label: s.sys.GraphLabel(m.V)})
+	}
+	x.vpair = vpairResponse{Matches: out, Rel: rel, Tuple: tuple}
+	x.writeJSON(http.StatusOK, &x.vpair)
+}
+
 //herlint:hot
-func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
-	vh, err := s.viewParam(r, "/apair")
+func (s *Server) handleAPair(x *exchange, r *http.Request) {
+	q := parseQuery(r.URL.RawQuery)
+	vh, err := s.view(x, &q)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		x.writeErr(http.StatusNotFound, err)
 		return
 	}
-	ctx, cancel, err := s.reqContext(r)
+	ctx, cancel, err := s.budget(r.Context(), &q)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		x.writeErr(http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
 	eng, err := s.engine(vh)
 	if err != nil {
-		writeMatchErr(w, err, http.StatusInternalServerError)
+		x.writeMatchErr(err, http.StatusInternalServerError)
 		return
 	}
 	matches, err := eng.APair(ctx, vh.SourceVertices())
 	if err != nil {
-		writeMatchErr(w, err, http.StatusInternalServerError)
+		x.writeMatchErr(err, http.StatusInternalServerError)
 		return
 	}
 	info := eng.Snapshot()
 	shown := matches
 	if len(shown) > s.MaxAPairMatches {
 		shown = shown[:s.MaxAPairMatches]
-	}
-	type pairJSON struct {
-		Tuple  string `json:"tuple"`
-		Vertex int32  `json:"vertex"`
 	}
 	out := make([]pairJSON, 0, len(shown))
 	buf := make([]byte, 0, 64) // reused per row instead of Sprintf allocating twice
@@ -506,45 +764,38 @@ func (s *Server) handleAPair(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, pairJSON{Tuple: label, Vertex: int32(m.V)})
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"count":   len(matches),
-		"matches": out,
-		"stats": map[string]interface{}{
-			"shards":     info.Shards,
-			"haloRadius": info.HaloRadius,
-			"generation": info.Generation,
-		},
+	x.writeJSON(http.StatusOK, apairResponse{
+		Count:   len(matches),
+		Matches: out,
+		Stats:   apairShards{Generation: info.Generation, HaloRadius: info.HaloRadius, Shards: info.Shards},
 	})
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	rel, tuple, vertex, err := pairParams(r, true)
+func (s *Server) handleExplain(x *exchange, r *http.Request) {
+	q := parseQuery(r.URL.RawQuery)
+	rel, tuple, vertex, err := q.pair(true)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		x.writeErr(http.StatusBadRequest, err)
 		return
 	}
-	vh, err := s.viewParam(r, "/explain")
+	vh, err := s.view(x, &q)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		x.writeErr(http.StatusNotFound, err)
 		return
 	}
 	if !s.sys.GraphValid(vertex) {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown vertex %d", vertex))
+		x.writeErr(http.StatusNotFound, fmt.Errorf("unknown vertex %d", vertex))
 		return
 	}
 	u, err := vh.TupleVertex(rel, tuple)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		x.writeErr(http.StatusNotFound, err)
 		return
 	}
 	ex, err := vh.Explain(u, vertex)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		x.writeErr(http.StatusNotFound, err)
 		return
-	}
-	type lineageJSON struct {
-		U string `json:"u"`
-		V string `json:"v"`
 	}
 	var lineage []lineageJSON
 	for _, p := range ex.Lineage {
@@ -554,10 +805,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	for _, sm := range ex.SchemaMatches {
 		schema[sm.Attr] = sm.Rho.LabelString()
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"witnessSize":   len(ex.Witness),
-		"lineage":       lineage,
-		"schemaMatches": schema,
+	x.writeJSON(http.StatusOK, explainResponse{
+		Lineage: lineage, SchemaMatches: schema, WitnessSize: len(ex.Witness),
 	})
 }
 
@@ -569,25 +818,38 @@ type feedbackItem struct {
 	Match  bool   `json:"match"`
 }
 
-func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
+// maxFeedbackBytes bounds a POST /feedback body; a larger one is 413.
+// A verdict is some 60 bytes, so this is a batch of well over ten
+// thousand.
+const maxFeedbackBytes = 1 << 20
+
+func (s *Server) handleFeedback(x *exchange, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		x.writeErr(http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
 	var items []feedbackItem
-	if err := json.NewDecoder(r.Body).Decode(&items); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %v", err))
+	// The reader is given net/http's own writer, not x: on overflow it
+	// asks that writer, by type, to close the connection after the reply.
+	body := http.MaxBytesReader(x.ResponseWriter, r.Body, maxFeedbackBytes)
+	if err := json.NewDecoder(body).Decode(&items); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		x.writeErr(status, fmt.Errorf("bad body: %v", err))
 		return
 	}
 	var fb []her.Feedback
 	for _, it := range items {
 		u, err := s.sys.TupleVertex(it.Rel, it.Tuple)
 		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			x.writeErr(http.StatusNotFound, err)
 			return
 		}
 		if !s.sys.GraphValid(her.VertexID(it.Vertex)) {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown vertex %d", it.Vertex))
+			x.writeErr(http.StatusNotFound, fmt.Errorf("unknown vertex %d", it.Vertex))
 			return
 		}
 		fb = append(fb, her.Feedback{
@@ -596,10 +858,10 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	s.sys.Refine(fb)
-	writeJSON(w, http.StatusOK, map[string]int{"applied": len(fb), "overrides": s.sys.Overrides()})
+	x.writeJSON(http.StatusOK, map[string]int{"applied": len(fb), "overrides": s.sys.Overrides()})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleStats(x *exchange, _ *http.Request) {
 	st := s.sys.Stats()
 	th := s.sys.Thresholds()
 	out := map[string]interface{}{
@@ -613,5 +875,5 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		out["shard"] = eng.Snapshot()
 	}
 	out["views"] = s.viewStats()
-	writeJSON(w, http.StatusOK, out)
+	x.writeJSON(http.StatusOK, out)
 }

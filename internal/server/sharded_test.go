@@ -72,7 +72,9 @@ func TestTimeoutParam(t *testing.T) {
 			url += "&timeout_ms=" + c.param
 		}
 		before := time.Now()
-		ctx, cancel, err := srv.reqContext(httptest.NewRequest(http.MethodGet, url, nil))
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		q := parseQuery(req.URL.RawQuery)
+		ctx, cancel, err := srv.budget(req.Context(), &q)
 		if err != nil {
 			t.Fatalf("Deadline %v, %s: %v", c.deadline, url, err)
 		}
@@ -99,21 +101,25 @@ func TestTimeoutParam(t *testing.T) {
 // TestWriteMatchErr pins the transport mapping of the matching-path
 // failure modes: shed load → 429 + Retry-After, expired budget → 503.
 func TestWriteMatchErr(t *testing.T) {
-	rec := httptest.NewRecorder()
-	writeMatchErr(rec, fmt.Errorf("gather: %w", shard.ErrOverloaded), http.StatusInternalServerError)
+	write := func(err error, fallback int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		x := exchanges.Get().(*exchange)
+		x.ResponseWriter = rec
+		x.writeMatchErr(err, fallback)
+		return rec
+	}
+	rec := write(fmt.Errorf("gather: %w", shard.ErrOverloaded), http.StatusInternalServerError)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Errorf("ErrOverloaded = %d, want 429", rec.Code)
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After hint")
 	}
-	rec = httptest.NewRecorder()
-	writeMatchErr(rec, context.DeadlineExceeded, http.StatusInternalServerError)
+	rec = write(context.DeadlineExceeded, http.StatusInternalServerError)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("DeadlineExceeded = %d, want 503", rec.Code)
 	}
-	rec = httptest.NewRecorder()
-	writeMatchErr(rec, errors.New("boom"), http.StatusNotFound)
+	rec = write(errors.New("boom"), http.StatusNotFound)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("fallback = %d, want 404", rec.Code)
 	}

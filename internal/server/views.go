@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"her"
+	"her/internal/obs"
 )
 
 // This file addresses requests at the hosted graph views
@@ -23,16 +24,18 @@ import (
 // ShardConfig, anchored to the view's generation counter and delta log
 // (Server.engine).
 
-// viewParam resolves the request's view= parameter to a handle; the
-// empty value names the direct view. The her_view_requests_total
-// counter attributes the request to the resolved view.
-func (s *Server) viewParam(r *http.Request, op string) (*her.ViewHandle, error) {
-	name := r.URL.Query().Get("view")
-	vh, err := s.sys.View(name)
+// view resolves the request's view= parameter to a handle; the empty
+// value names the direct view. The her_view_requests_total counter
+// attributes the request to the resolved view.
+func (s *Server) view(x *exchange, q *query) (*her.ViewHandle, error) {
+	vh, err := s.sys.View(q.view)
 	if err != nil {
 		return nil, err
 	}
-	s.reg.Counter(fmt.Sprintf(`her_view_requests_total{view=%q,op=%q}`, vh.Name(), op)).Inc()
+	ep, name := x.ep, vh.Name()
+	ep.views.lookup(name, func() *obs.Counter {
+		return s.reg.Counter(fmt.Sprintf(`her_view_requests_total{view=%q,op=%q}`, name, ep.op))
+	}).Inc()
 	return vh, nil
 }
 
@@ -64,7 +67,7 @@ type extractCache struct {
 }
 
 // handleViews lists the hosted views.
-func (s *Server) handleViews(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleViews(x *exchange, _ *http.Request) {
 	names := s.sys.ViewNames()
 	infos := make([]her.ViewInfo, 0, len(names))
 	for _, name := range names {
@@ -74,7 +77,7 @@ func (s *Server) handleViews(w http.ResponseWriter, _ *http.Request) {
 		}
 		infos = append(infos, vh.Info())
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	x.writeJSON(http.StatusOK, map[string]interface{}{
 		"count": len(infos),
 		"views": infos,
 	})
@@ -82,10 +85,11 @@ func (s *Server) handleViews(w http.ResponseWriter, _ *http.Request) {
 
 // handleExtract serves a view's materialized graph as TSV, memoized per
 // (view, generation) so repeated polls of an unchanged view render once.
-func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	vh, err := s.viewParam(r, "/extract")
+func (s *Server) handleExtract(x *exchange, r *http.Request) {
+	q := parseQuery(r.URL.RawQuery)
+	vh, err := s.view(x, &q)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		x.writeErr(http.StatusNotFound, err)
 		return
 	}
 	k := extractKey(vh.Name(), vh.Generation())
@@ -93,20 +97,20 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if s.extract.ok && s.extract.key == k {
 		data := s.extract.data
 		s.extract.mu.Unlock()
-		writeTSV(w, data)
+		writeTSV(x, data)
 		return
 	}
 	s.extract.mu.Unlock()
 	var buf bytes.Buffer
 	if err := vh.WriteTSV(&buf); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		x.writeErr(http.StatusInternalServerError, err)
 		return
 	}
 	data := buf.Bytes()
 	s.extract.mu.Lock()
 	s.extract.key, s.extract.data, s.extract.ok = k, data, true
 	s.extract.mu.Unlock()
-	writeTSV(w, data)
+	writeTSV(x, data)
 }
 
 func writeTSV(w http.ResponseWriter, data []byte) {

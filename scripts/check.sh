@@ -51,6 +51,10 @@ lint_start=$(date +%s)
 go run ./cmd/herlint -baseline .herlint-baseline.json ./... || fail "herlint"
 echo "check.sh: herlint self-lint clean in $(($(date +%s) - lint_start))s"
 stage "go test" go test ./...
+# The server layer's microbenchmarks (ns/op, B/op, allocs/op of a cached
+# /vpair through ServeHTTP) are run by hand when measuring; one iteration
+# here keeps them compiling and passing.
+stage "server benchmarks (1x)" go test -run '^$' -bench ServeVPairHit -benchtime 1x ./internal/server
 # The benchmark is its own module (benchmark/go.mod replaces `her` with
 # ..), so ./... above never compiles it: vet and short-test it against
 # the working tree here, or an API change that breaks it is first seen
