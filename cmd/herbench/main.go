@@ -6,14 +6,8 @@
 //	herbench -exp fig6d -entities 150 -workers 1,2,4,8
 //	herbench -exp all -entities 100
 //
-// With -json the command instead records a machine-readable benchmark
-// trajectory entry (dataset, worker counts, wall-times, matcher
-// counters) — the file the repository tracks as BENCH_results.json:
-//
-//	herbench -json BENCH_results.json -dataset Synthetic -entities 100 -workers 1,2,4,8
-//
-// The serving path is measured by the repository benchmark instead; see
-// benchmark/README.md.
+// Speed is measured by the repository benchmark instead (serving path
+// and sequential/BSP/async APair alike); see benchmark/README.md.
 package main
 
 import (
@@ -34,11 +28,9 @@ func main() {
 	trials := flag.Int("trials", 0, "random-search trials for threshold selection (0 = default)")
 	seed := flag.Int64("seed", 0, "model seed (0 = default)")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.String("json", "", "write a machine-readable benchmark record to this path instead of running -exp")
-	dsName := flag.String("dataset", "Synthetic", "dataset for the -json benchmark record")
 	flag.Parse()
 
-	if *exp == "" && *jsonOut == "" {
+	if *exp == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -57,14 +49,6 @@ func main() {
 			}
 			cfg.Workers = append(cfg.Workers, n)
 		}
-	}
-
-	if *jsonOut != "" {
-		if err := runBenchJSON(*jsonOut, *dsName, *entities, cfg.Workers, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "herbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	start := time.Now()

@@ -1,24 +1,17 @@
 // Command herlint runs the project's static-analysis suite
 // (internal/lint) over the given package patterns and reports every
 // violation of the determinism, nil-metrics, seed-reproducibility, and
-// concurrency contracts (lockguard, atomicmix, snapleak, ctxflow).
+// concurrency contracts (lockguard, snapleak, ctxflow, lockorder).
 //
 // Usage:
 //
 //	herlint [-json] [-sarif file] [-baseline file] [-write-baseline file]
-//	        [-only names] [-since ref] [-workers n] [-list] [packages]
+//	        [-only names] [-list] [packages]
 //
 // Packages default to ./... relative to the current directory; "dir/..."
 // patterns and plain directories are accepted. Loading and analysis run
-// on up to -workers concurrent workers (default runtime.GOMAXPROCS);
-// output order is deterministic (sorted by file, line, column,
-// analyzer) regardless of worker count.
-//
-// -since ref further restricts the expanded package set to directories
-// containing a .go file changed since the git ref (working-tree diff
-// plus untracked files). This trades precision for speed: the
-// interprocedural analyzers only see loaded packages, so -since is a
-// fast local pre-push check while the full run remains authoritative.
+// on runtime.GOMAXPROCS workers; output order is deterministic (sorted
+// by file, line, column, analyzer) regardless of worker count.
 //
 // Exit status:
 //
@@ -49,75 +42,18 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"runtime"
-	"strings"
 
 	"her/internal/lint"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// filterSince keeps only the directories that contain a .go file
-// changed since ref: working-tree modifications relative to the ref
-// (git diff --name-only) plus untracked files. Precision caveat: the
-// interprocedural analyzers (lockguard, ctxflow, lockorder, hotalloc,
-// keycomplete) only see the packages that are loaded, so a -since run
-// can miss findings whose cause lives in a filtered-out package — it
-// is a fast pre-push check, not a substitute for the full CI run.
-func filterSince(modRoot, ref string, dirs []string) ([]string, error) {
-	changed, err := gitLines(modRoot, "diff", "--name-only", ref, "--", "*.go")
-	if err != nil {
-		return nil, fmt.Errorf("herlint: -since %s: %s", ref, err)
-	}
-	untracked, err := gitLines(modRoot, "ls-files", "--others", "--exclude-standard", "--", "*.go")
-	if err != nil {
-		return nil, fmt.Errorf("herlint: -since %s: %s", ref, err)
-	}
-	touched := make(map[string]bool)
-	for _, rel := range append(changed, untracked...) {
-		touched[filepath.Join(modRoot, filepath.Dir(filepath.FromSlash(rel)))] = true
-	}
-	kept := dirs[:0]
-	for _, d := range dirs {
-		if touched[d] {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
-}
-
-// gitLines runs git in dir and returns stdout split into non-empty
-// lines; on failure the error carries git's stderr.
-func gitLines(dir string, args ...string) ([]string, error) {
-	cmd := exec.Command("git", args...)
-	cmd.Dir = dir
-	var errBuf bytes.Buffer
-	cmd.Stderr = &errBuf
-	out, err := cmd.Output()
-	if err != nil {
-		if msg := strings.TrimSpace(errBuf.String()); msg != "" {
-			return nil, errors.New(msg)
-		}
-		return nil, err
-	}
-	var lines []string
-	for _, ln := range strings.Split(string(out), "\n") {
-		if ln = strings.TrimSpace(ln); ln != "" {
-			lines = append(lines, ln)
-		}
-	}
-	return lines, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -128,11 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	baselinePath := fs.String("baseline", "", "subtract the accepted findings in this baseline file")
 	writeBaseline := fs.String("write-baseline", "", "snapshot current findings as a baseline skeleton and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	since := fs.String("since", "", "restrict analysis to packages with .go files changed since this git ref")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "max concurrent package loads/analyses")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: herlint [-json] [-sarif file] [-baseline file] [-write-baseline file] [-only names] [-since ref] [-workers n] [-list] [packages]\n")
+		fmt.Fprintf(stderr, "usage: herlint [-json] [-sarif file] [-baseline file] [-write-baseline file] [-only names] [-list] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -175,18 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *since != "" {
-		dirs, err = filterSince(loader.ModuleRoot(), *since, dirs)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		if len(dirs) == 0 {
-			fmt.Fprintf(stderr, "herlint: no packages touched since %s\n", *since)
-			return 0
-		}
-	}
-	pkgs, loadErrs := loader.LoadDirs(dirs, *workers)
+	workers := runtime.GOMAXPROCS(0)
+	pkgs, loadErrs := loader.LoadDirs(dirs, workers)
 	for _, lerr := range loadErrs {
 		if lerr != nil {
 			fmt.Fprintln(stderr, lerr)
@@ -194,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	diags := lint.RunParallel(pkgs, analyzers, loader.Fset, *workers)
+	diags := lint.RunParallel(pkgs, analyzers, loader.Fset, workers)
 
 	if *writeBaseline != "" {
 		if err := lint.WriteBaseline(*writeBaseline, diags, loader.ModuleRoot()); err != nil {
@@ -209,20 +133,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if baseline != nil {
 		var unused []lint.BaselineEntry
 		diags, suppressed, unused = baseline.Apply(diags, loader.ModuleRoot())
-		// Under -since only a subset of packages is analyzed, so a
-		// baseline entry matching no finding proves nothing — the
-		// staleness check only runs on full analyses.
-		if *since == "" {
-			for _, e := range unused {
-				// A stale entry is a finding: the accepted debt it documented
-				// is gone and the baseline must be updated to match.
-				fmt.Fprintf(stderr, "herlint: stale baseline entry: [%s] %s: %s\n", e.Analyzer, e.File, e.Message)
-			}
+		for _, e := range unused {
+			// A stale entry is a finding: the accepted debt it documented
+			// is gone and the baseline must be updated to match.
+			fmt.Fprintf(stderr, "herlint: stale baseline entry: [%s] %s: %s\n", e.Analyzer, e.File, e.Message)
 		}
 		if len(suppressed) > 0 {
 			fmt.Fprintf(stderr, "herlint: %d finding(s) suppressed by baseline %s\n", len(suppressed), *baselinePath)
 		}
-		if len(unused) > 0 && len(diags) == 0 && *since == "" {
+		if len(unused) > 0 && len(diags) == 0 {
 			return 1
 		}
 	}

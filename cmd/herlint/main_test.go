@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,6 +17,15 @@ func TestRunListAnalyzers(t *testing.T) {
 	for _, name := range []string{"mapiter", "floateq", "nilrecv", "globalrand", "errdrop"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
+		}
+	}
+	// keycomplete and atomicmix were replaced by types (DESIGN.md §11, §12).
+	if n := strings.Count(out.String(), "\n"); n != 12 {
+		t.Errorf("-list printed %d analyzers, want 12:\n%s", n, out.String())
+	}
+	for _, gone := range []string{"keycomplete", "atomicmix"} {
+		if strings.Contains(out.String(), gone) {
+			t.Errorf("-list still names %s", gone)
 		}
 	}
 }
@@ -253,150 +261,5 @@ func TestRunSARIFOutput(t *testing.T) {
 	}
 	if suppressed == 0 {
 		t.Error("baselined findings missing from SARIF suppressions")
-	}
-}
-
-// sinceRepo builds a temp git repo (its own module) with two packages:
-// clean/ is committed and untouched, dirty/ gains an uncommitted
-// floateq violation after the initial commit.
-func sinceRepo(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	git := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("git", args...)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(),
-			"GIT_AUTHOR_NAME=t", "GIT_AUTHOR_EMAIL=t@t",
-			"GIT_COMMITTER_NAME=t", "GIT_COMMITTER_EMAIL=t@t")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	write := func(rel, src string) {
-		t.Helper()
-		p := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module sincemod\n\ngo 1.22\n")
-	write("clean/clean.go", "package clean\n\nfunc Ok() int { return 1 }\n")
-	write("dirty/dirty.go", "package dirty\n\nfunc Ok() int { return 1 }\n")
-	git("init", "-q")
-	git("add", ".")
-	git("commit", "-q", "-m", "seed")
-	write("dirty/dirty.go", "package dirty\n\nfunc Eq(a, b float64) bool { return a == b }\n")
-	return dir
-}
-
-func TestRunSinceRestrictsPackages(t *testing.T) {
-	repo := sinceRepo(t)
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(repo); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(cwd)
-
-	// Only dirty/ changed since HEAD: the finding is reported and
-	// clean/ is never loaded.
-	var out, errb bytes.Buffer
-	if code := run([]string{"-since", "HEAD", "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("-since with a dirty package should exit 1, got %d\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "dirty.go") || strings.Contains(out.String(), "clean.go") {
-		t.Errorf("-since output should mention only dirty/: %s", out.String())
-	}
-
-	// A single-package argument that was NOT touched filters to nothing
-	// and exits 0 without analysis.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-since", "HEAD", "./clean"}, &out, &errb); code != 0 {
-		t.Fatalf("-since on an untouched package should exit 0, got %d\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "no packages touched since HEAD") {
-		t.Errorf("missing empty-set notice: %s", errb.String())
-	}
-
-	// A bad ref is a usage error (exit 2).
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-since", "no-such-ref", "./..."}, &out, &errb); code != 2 {
-		t.Fatalf("-since with a bad ref should exit 2, got %d\n%s", code, errb.String())
-	}
-}
-
-// TestRunSinceSeesUntrackedFiles: a brand-new (untracked) file counts
-// as changed — pre-commit runs must not skip new packages.
-func TestRunSinceSeesUntrackedFiles(t *testing.T) {
-	repo := sinceRepo(t)
-	if err := os.WriteFile(filepath.Join(repo, "fresh.go"),
-		[]byte("package fresh\n\nfunc Eq(a, b float64) bool { return a == b }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(repo, "fresh"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(repo, "fresh.go"), filepath.Join(repo, "fresh", "fresh.go")); err != nil {
-		t.Fatal(err)
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(repo); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(cwd)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-since", "HEAD", "./fresh"}, &out, &errb); code != 1 {
-		t.Fatalf("untracked package should be analyzed and exit 1, got %d\n%s%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "[floateq]") {
-		t.Errorf("expected floateq finding in fresh/: %s", out.String())
-	}
-}
-
-// TestRunSinceSkipsBaselineStaleness: with -since only a subset of
-// packages is analyzed, so baseline entries whose packages were
-// filtered out must not be reported as stale.
-func TestRunSinceSkipsBaselineStaleness(t *testing.T) {
-	repo := sinceRepo(t)
-	// Baseline the dirty finding plus an entry for clean/ — the latter
-	// matches nothing in a -since run because clean/ is never loaded.
-	baseline := `{"entries":[
-	  {"analyzer":"floateq","file":"dirty/dirty.go",
-	   "message":"== between computed float values is evaluation-order dependent; use feq.Eq or feq.EqTol (her/internal/feq)",
-	   "reason":"test fixture"},
-	  {"analyzer":"floateq","file":"clean/clean.go",
-	   "message":"would be stale on a full run",
-	   "reason":"test fixture"}]}`
-	if err := os.WriteFile(filepath.Join(repo, "b.json"), []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(repo); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(cwd)
-
-	var out, errb bytes.Buffer
-	code := run([]string{"-since", "HEAD", "-baseline", "b.json", "./..."}, &out, &errb)
-	if strings.Contains(errb.String(), "stale baseline entry") {
-		t.Errorf("-since run reported staleness for an unloaded package: %s", errb.String())
-	}
-	if code != 0 {
-		t.Fatalf("exit %d, want 0 (finding baselined, staleness skipped)\n%s%s", code, out.String(), errb.String())
 	}
 }

@@ -33,12 +33,12 @@ func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config
 	ws := make([]*asyncWorker, n)
 	// pending counts initial phases plus in-flight messages; when it
 	// reaches zero no work exists and none can be created.
-	var pending int64 = int64(n)
-	var requests, invalidations int64
+	var pending, requests, invalidations atomic.Int64
+	pending.Store(int64(n))
 	done := make(chan struct{})
 	var once sync.Once
 	decr := func() {
-		if atomic.AddInt64(&pending, -1) == 0 {
+		if pending.Add(-1) == 0 {
 			once.Do(func() { close(done) })
 		}
 	}
@@ -58,16 +58,16 @@ func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config
 		ws[i] = w
 	}
 	send := func(to int, msg asyncMsg) {
-		atomic.AddInt64(&pending, 1)
+		pending.Add(1)
 		switch msg.kind {
 		case msgRequest:
-			atomic.AddInt64(&requests, 1)
+			requests.Add(1)
 			met.requests.Inc()
 		case msgRevalid:
-			atomic.AddInt64(&invalidations, 1)
+			invalidations.Add(1)
 			met.revalid.Inc()
 		default:
-			atomic.AddInt64(&invalidations, 1)
+			invalidations.Add(1)
 			met.invalid.Inc()
 		}
 		ws[to].box.push(msg)
@@ -139,8 +139,8 @@ func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config
 	}
 	wg.Wait()
 
-	stats.Requests = int(atomic.LoadInt64(&requests))
-	stats.Invalidations = int(atomic.LoadInt64(&invalidations))
+	stats.Requests = int(requests.Load())
+	stats.Invalidations = int(invalidations.Load())
 	stats.Supersteps = 1 // asynchronous: a single logical round
 
 	matches := union(&stats, ms, cands)

@@ -20,9 +20,6 @@ import (
 //     worst of both.
 //   - `//herlint:hot` must be a line of a function declaration's doc
 //     comment and takes no arguments.
-//   - `//herlint:keyed` must be a line of a struct type declaration's
-//     doc comment and must name at least one builder function (the
-//     semantic checks live in keycomplete).
 //   - any other `herlint:<verb>` is unknown and reported.
 var Directive = &Analyzer{
 	Name: "directive",
@@ -47,27 +44,13 @@ func runDirective(p *Pass) {
 	known["*"] = true
 
 	for _, f := range p.Pkg.Files {
-		// Placement index: which comment groups are function docs and
-		// which are struct-type docs.
+		// Placement index: which comment groups are function docs.
 		funcDoc := make(map[*ast.CommentGroup]bool)
-		typeDoc := make(map[*ast.CommentGroup]bool)
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Doc != nil {
-					funcDoc[n.Doc] = true
-				}
-			case *ast.GenDecl:
-				if n.Tok == token.TYPE && n.Doc != nil {
-					typeDoc[n.Doc] = true
-				}
-			case *ast.TypeSpec:
-				if n.Doc != nil {
-					typeDoc[n.Doc] = true
-				}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
+				funcDoc[fd.Doc] = true
 			}
-			return true
-		})
+		}
 
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -87,16 +70,8 @@ func runDirective(p *Pass) {
 					if strings.TrimSpace(rest) != "" {
 						p.Reportf(c.Pos(), "herlint:hot takes no arguments")
 					}
-				case "keyed":
-					if !typeDoc[cg] {
-						p.Reportf(c.Pos(), "herlint:keyed must be part of a type declaration's doc comment")
-						continue
-					}
-					if keyedDirectiveRe.FindStringSubmatch(c.Text) == nil {
-						p.Reportf(c.Pos(), "malformed herlint:keyed; syntax: //herlint:keyed <builder>[,<builder>...]")
-					}
 				default:
-					p.Reportf(c.Pos(), "unknown herlint directive %q; known: ignore, hot, keyed", verb)
+					p.Reportf(c.Pos(), "unknown herlint directive %q; known: ignore, hot", verb)
 				}
 			}
 		}

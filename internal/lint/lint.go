@@ -25,8 +25,6 @@
 //	lockguard  — fields annotated `// guarded by <mu>` are only
 //	             accessed with the mutex held on every CFG path
 //	             (RLock accepted for reads under an RWMutex)
-//	atomicmix  — a field touched via sync/atomic must never be
-//	             accessed non-atomically, including via struct copies
 //	snapleak   — System's live G/G_D graphs must not escape into
 //	             shard engine state except through Clone() (the PR 5
 //	             snapshot-isolation contract)
@@ -45,10 +43,6 @@
 //	              not allocate per loop iteration (Sprintf, string
 //	              concat, un-preallocated append, map literals,
 //	              interface boxing, defer in loops)
-//	keycomplete — every field of a //herlint:keyed request struct
-//	              that is read on the cached compute path must flow
-//	              into the named cache-key builder(s), with nil-ness
-//	              preserved when the compute path distinguishes it
 //	directive   — herlint: control comments themselves must be
 //	              well-formed (known verb, explicit analyzer list,
 //	              written reason)
@@ -61,6 +55,13 @@
 // list and the reason are mandatory (enforced by directive). See
 // DESIGN.md ("Determinism and concurrency contracts") for the
 // invariant each analyzer protects.
+//
+// Two concurrency contracts need no analyzer because a type holds
+// them. Atomic hygiene: every atomic in the module is a typed
+// sync/atomic value, so a plain access does not compile and `go vet`'s
+// copylocks rejects a copy. Cache-key completeness: internal/shard's
+// cache and singleflight maps are keyed by the request value the worker
+// computes from, so a field that shapes the answer is in the key.
 package lint
 
 import (
@@ -83,8 +84,8 @@ type Analyzer struct {
 // All is the herlint analyzer suite.
 var All = []*Analyzer{
 	MapIter, FloatEq, NilRecv, GlobalRand, ErrDrop, MetricName,
-	LockGuard, AtomicMix, SnapLeak, CtxFlow,
-	LockOrder, HotAlloc, KeyComplete, Directive,
+	LockGuard, SnapLeak, CtxFlow,
+	LockOrder, HotAlloc, Directive,
 }
 
 // ByName returns the analyzers matching the comma-separated names list,

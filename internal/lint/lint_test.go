@@ -118,13 +118,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{ErrDrop, "errdrop"},
 		{MetricName, "metricname"},
 		{LockGuard, "lockguard"},
-		{AtomicMix, "atomicmix"},
 		{SnapLeak, "snapleak"},
 		{CtxFlow, filepath.Join("ctxflow", "server")},
 		{CtxFlow, filepath.Join("ctxflow", "lib")},
 		{LockOrder, "lockorder"},
 		{HotAlloc, "hotalloc"},
-		{KeyComplete, "keycomplete"},
 		{Directive, "directive"},
 	}
 	for _, c := range cases {

@@ -25,11 +25,8 @@ import (
 //     context.Context) creates context.Background()/TODO() directly or
 //     through ctx-less callees — calling it from a request path severs
 //     cancellation;
-//   - ParamRead / ParamNilCheck: per-parameter bits recording whether
-//     the parameter's value is read and whether it is compared against
-//     nil (directly or by a callee the parameter is forwarded to) —
-//     keycomplete uses these to decide which request fields influence a
-//     compute path and whether nil-ness is semantically distinguished.
+//   - Allocates: the function heap-allocates on some path, directly or
+//     through a callee — hotalloc's transitive half.
 //
 // Lock references are strings mappable at a call site:
 //
@@ -51,18 +48,14 @@ type FuncSummary struct {
 	Acquires        map[string]bool   // lock classes transitively acquired inside
 	CallsBackground bool
 	Allocates       bool // heap-allocates on some path (transitive, closures excluded)
-	ParamRead       []bool
-	ParamNilCheck   []bool
 }
 
-func newFuncSummary(nParams int) *FuncSummary {
+func newFuncSummary() *FuncSummary {
 	return &FuncSummary{
 		ExitLocks:     make(map[string]uint8),
 		ExitLockClass: make(map[string]string),
 		ExitUnlocks:   make(map[string]bool),
 		Acquires:      make(map[string]bool),
-		ParamRead:     make([]bool, nParams),
-		ParamNilCheck: make([]bool, nParams),
 	}
 }
 
@@ -95,11 +88,6 @@ func (s *FuncSummary) equal(o *FuncSummary) bool {
 			return false
 		}
 	}
-	for i := range s.ParamRead {
-		if s.ParamRead[i] != o.ParamRead[i] || s.ParamNilCheck[i] != o.ParamNilCheck[i] {
-			return false
-		}
-	}
 	return true
 }
 
@@ -108,8 +96,7 @@ func (prog *Program) buildSummaries() {
 	prog.aliases = make(map[*ast.File]*fileAliases)
 	prog.summaries = make(map[*types.Func]*FuncSummary)
 	for _, node := range prog.Nodes {
-		sig := node.Fn.Type().(*types.Signature)
-		prog.summaries[node.Fn] = newFuncSummary(sig.Params().Len())
+		prog.summaries[node.Fn] = newFuncSummary()
 	}
 	for _, scc := range prog.SCCs {
 		// Within an SCC, iterate to a fixpoint; a singleton without a
@@ -144,7 +131,7 @@ func (prog *Program) fileAliasesFor(node *FuncNode) *fileAliases {
 func (prog *Program) computeSummary(node *FuncNode) *FuncSummary {
 	info := node.Pkg.Info
 	sig := node.Fn.Type().(*types.Signature)
-	sum := newFuncSummary(sig.Params().Len())
+	sum := newFuncSummary()
 	aliases := prog.fileAliasesFor(node)
 
 	paramIdx := make(map[types.Object]int)
@@ -154,8 +141,8 @@ func (prog *Program) computeSummary(node *FuncNode) *FuncSummary {
 		}
 	}
 
-	// Pass 1: flat facts — Background calls, param reads/nil-checks with
-	// propagation through forwarded arguments, transitive acquires.
+	// Pass 1: flat facts — Background calls, allocations, transitive
+	// acquires.
 	hasCtx := funcHasCtxParam(sig)
 	var inspect func(n ast.Node, inLit bool)
 	inspect = func(n ast.Node, inLit bool) {
@@ -164,14 +151,7 @@ func (prog *Program) computeSummary(node *FuncNode) *FuncSummary {
 			case *ast.FuncLit:
 				inspect(x.Body, true)
 				return false
-			case *ast.Ident:
-				if i, ok := paramIdx[info.Uses[x]]; ok {
-					sum.ParamRead[i] = true
-				}
 			case *ast.BinaryExpr:
-				if i, ok := nilComparedParam(info, paramIdx, x); ok {
-					sum.ParamNilCheck[i] = true
-				}
 				if !inLit && isNonConstString(info, x) {
 					sum.Allocates = true
 				}
@@ -180,7 +160,7 @@ func (prog *Program) computeSummary(node *FuncNode) *FuncSummary {
 					sum.Allocates = true
 				}
 			case *ast.CallExpr:
-				prog.summarizeCall(node, sum, info, aliases, paramIdx, x, inLit, hasCtx)
+				prog.summarizeCall(node, sum, info, aliases, x, inLit, hasCtx)
 			}
 			return true
 		})
@@ -193,7 +173,7 @@ func (prog *Program) computeSummary(node *FuncNode) *FuncSummary {
 }
 
 // summarizeCall folds one call's contribution into the summary.
-func (prog *Program) summarizeCall(node *FuncNode, sum *FuncSummary, info *types.Info, aliases *fileAliases, paramIdx map[types.Object]int, call *ast.CallExpr, inLit, hasCtx bool) {
+func (prog *Program) summarizeCall(node *FuncNode, sum *FuncSummary, info *types.Info, aliases *fileAliases, call *ast.CallExpr, inLit, hasCtx bool) {
 	// Direct mutex acquisition: record the class. Closure bodies are
 	// excluded from Acquires — a func literal may run on another
 	// goroutine or not at all, so attributing its locks to the
@@ -240,66 +220,6 @@ func (prog *Program) summarizeCall(node *FuncNode, sum *FuncSummary, info *types
 		!isRequestPathPkg(node.Pkg.Types.Path()) {
 		sum.CallsBackground = true
 	}
-	// Forwarded parameters inherit the callee's read/nil-check bits.
-	for k, arg := range call.Args {
-		id, ok := ast.Unparen(arg).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		i, ok := paramIdx[info.Uses[id]]
-		if !ok {
-			continue
-		}
-		if j, ok := staticArgParam(calleeSig, k, len(call.Args), call.Ellipsis.IsValid()); ok {
-			if j < len(callee.ParamRead) && callee.ParamRead[j] {
-				sum.ParamRead[i] = true
-			}
-			if j < len(callee.ParamNilCheck) && callee.ParamNilCheck[j] {
-				sum.ParamNilCheck[i] = true
-			}
-		}
-	}
-}
-
-// staticArgParam maps argument position k to the callee's parameter
-// index, skipping the variadic tail (arguments folded into the variadic
-// slice are elements, not the slice — nil-ness does not carry over).
-func staticArgParam(sig *types.Signature, k, nArgs int, ellipsis bool) (int, bool) {
-	if sig == nil {
-		return 0, false
-	}
-	n := sig.Params().Len()
-	if sig.Variadic() && !ellipsis {
-		if k >= n-1 {
-			return 0, false
-		}
-		return k, true
-	}
-	if k >= n {
-		return 0, false
-	}
-	return k, true
-}
-
-// nilComparedParam matches `p == nil` / `p != nil` over a parameter.
-func nilComparedParam(info *types.Info, paramIdx map[types.Object]int, b *ast.BinaryExpr) (int, bool) {
-	if b.Op.String() != "==" && b.Op.String() != "!=" {
-		return 0, false
-	}
-	for _, pair := range [2][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
-		id, ok := ast.Unparen(pair[0]).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		other, ok := ast.Unparen(pair[1]).(*ast.Ident)
-		if !ok || other.Name != "nil" || info.Uses[other] != nil && info.Uses[other] != types.Universe.Lookup("nil") {
-			continue
-		}
-		if i, ok := paramIdx[info.Uses[id]]; ok {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // isAllocatingCall matches the allocation primitives and the stdlib

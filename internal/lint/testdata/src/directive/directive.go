@@ -3,8 +3,6 @@
 // list, and a dash-separated written reason.
 package directive
 
-import "sync"
-
 func ignores() int {
 	x := 1 //herlint:ignore // want `bare herlint:ignore suppresses nothing`
 	y := 2 //herlint:ignore nosuch — covered elsewhere // want `herlint:ignore names unknown analyzer(s) nosuch`
@@ -28,20 +26,3 @@ func hotWithArgs() {}
 func hotValid() {}
 
 var misplacedHot = 6 //herlint:hot // want `herlint:hot must be part of a function declaration's doc comment`
-
-var misplacedKeyed = 7 //herlint:keyed someKey // want `herlint:keyed must be part of a type declaration's doc comment`
-
-// bareKeyed names no builder.
-//
-//herlint:keyed // want `malformed herlint:keyed`
-type bareKeyed struct {
-	mu sync.Mutex
-}
-
-// keyedValid is the accepted form; whether someKey exists is
-// keycomplete's business, not directive's.
-//
-//herlint:keyed someKey
-type keyedValid struct {
-	u int
-}

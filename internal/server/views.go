@@ -39,21 +39,13 @@ func (s *Server) view(x *exchange, q *query) (*her.ViewHandle, error) {
 	return vh, nil
 }
 
-// extractReq keys the extract cache. The view name can never be elided:
-// two views at the same generation are different graphs, so a key
-// missing either field would serve one view's bytes for another.
-//
-//herlint:keyed extractKey
+// extractReq is the extract cache's key: everything that determines the
+// response bytes. The view name can never be elided — two views at the
+// same generation are different graphs — and the handler compares the
+// whole value, so a field added here is compared too.
 type extractReq struct {
 	view string
 	gen  uint64
-}
-
-// extractKey builds the extract-cache key from everything that
-// determines the response bytes: the view identity and its mutation
-// generation.
-func extractKey(view string, gen uint64) extractReq {
-	return extractReq{view: view, gen: gen}
 }
 
 // extractCache memoizes the most recent TSV rendering per server: one
@@ -92,7 +84,7 @@ func (s *Server) handleExtract(x *exchange, r *http.Request) {
 		x.writeErr(http.StatusNotFound, err)
 		return
 	}
-	k := extractKey(vh.Name(), vh.Generation())
+	k := extractReq{view: vh.Name(), gen: vh.Generation()}
 	s.extract.mu.Lock()
 	if s.extract.ok && s.extract.key == k {
 		data := s.extract.data

@@ -5,19 +5,18 @@ import (
 	"sync"
 
 	"her/internal/core"
-	"her/internal/graph"
 )
 
 // resultCache is the generation-stamped LRU fronting the router. Merged
-// match sets are stored under their request key together with the
-// mutation generation they were computed at and the key's vertex scope.
+// match sets are stored under the request that produced them, together
+// with the mutation generation they were computed at.
 // A lookup whose stored generation differs from the caller's misses
 // (dropping the entry only when it is older — a concurrent sweep may
 // already have advanced it past a request that captured its generation
 // earlier). Incremental updates no longer wipe the cache: the engine's
 // delta sweep (advance) re-stamps unaffected entries to the new
-// generation and evicts only the ones whose key vertices fall inside an
-// affected halo region. Non-incremental changes (feedback, retraining)
+// generation and evicts only the ones whose request's vertices fall
+// inside an affected halo region. Non-incremental changes (feedback, retraining)
 // skip the sweep, so every entry goes stale and is dropped lazily.
 //
 // A nil *resultCache is a valid "disabled" cache: get always misses and
@@ -25,24 +24,13 @@ import (
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List               // guarded by mu — front = most recently used
-	byKey map[string]*list.Element // guarded by mu
-}
-
-// keyScope is the parsed addressing of a cache entry — which G_D
-// vertices its result ranges over — so delta sweeps can decide
-// relevance without reparsing keys.
-type keyScope struct {
-	op         taskOp
-	u          graph.VID   // opVPair: the source vertex
-	sources    []graph.VID // opAPair: explicit sources (nil with allSources)
-	allSources bool        // opAPair over every vertex of G_D
+	order *list.List                // guarded by mu — front = most recently used
+	byReq map[request]*list.Element // guarded by mu
 }
 
 type cacheEntry struct {
-	key   string
+	req   request
 	gen   uint64
-	scope keyScope
 	pairs []core.Pair
 }
 
@@ -55,23 +43,23 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap:   capacity,
 		order: list.New(),
-		byKey: make(map[string]*list.Element),
+		byReq: make(map[request]*list.Element),
 	}
 }
 
-// get returns a copy of the match set stored under key at generation
+// get returns a copy of the match set stored for req at generation
 // gen. An entry from an older generation is stale: it misses and is
 // evicted eagerly. An entry from a NEWER generation also misses for
 // this caller (whose request pre-dates the mutation) but stays — a
 // delta sweep legitimately advanced it, and the next current-generation
 // request should still hit it.
-func (c *resultCache) get(key string, gen uint64) ([]core.Pair, bool) {
+func (c *resultCache) get(req request, gen uint64) ([]core.Pair, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	el, ok := c.byReq[req]
 	if !ok {
 		return nil, false
 	}
@@ -79,7 +67,7 @@ func (c *resultCache) get(key string, gen uint64) ([]core.Pair, bool) {
 	if e.gen != gen {
 		if e.gen < gen {
 			c.order.Remove(el)
-			delete(c.byKey, key)
+			delete(c.byReq, req)
 		}
 		return nil, false
 	}
@@ -89,11 +77,10 @@ func (c *resultCache) get(key string, gen uint64) ([]core.Pair, bool) {
 	return out, true
 }
 
-// put stores a copy of pairs under key at generation gen with its
-// vertex scope, evicting the least recently used entry when the cache
-// is full. A newer entry already present (a sweep advanced it while
+// put stores a copy of pairs for req at generation gen, evicting the
+// least recently used entry when the cache is full. A newer entry already present (a sweep advanced it while
 // this result was being computed) is left alone.
-func (c *resultCache) put(key string, gen uint64, scope keyScope, pairs []core.Pair) {
+func (c *resultCache) put(req request, gen uint64, pairs []core.Pair) {
 	if c == nil {
 		return
 	}
@@ -101,13 +88,12 @@ func (c *resultCache) put(key string, gen uint64, scope keyScope, pairs []core.P
 	copy(stored, pairs)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
+	if el, ok := c.byReq[req]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.gen > gen {
 			return
 		}
 		e.gen = gen
-		e.scope = scope
 		e.pairs = stored
 		c.order.MoveToFront(el)
 		return
@@ -115,9 +101,9 @@ func (c *resultCache) put(key string, gen uint64, scope keyScope, pairs []core.P
 	for c.order.Len() >= c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
+		delete(c.byReq, oldest.Value.(*cacheEntry).req)
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, gen: gen, scope: scope, pairs: stored})
+	c.byReq[req] = c.order.PushFront(&cacheEntry{req: req, gen: gen, pairs: stored})
 }
 
 // advance is the vertex-scoped invalidation sweep: it walks every live
@@ -125,7 +111,7 @@ func (c *resultCache) put(key string, gen uint64, scope keyScope, pairs []core.P
 // generations older than to-1, which could never be re-validated), and
 // re-stamps the survivors to generation to. It returns how many
 // entries survived and how many were evicted.
-func (c *resultCache) advance(to uint64, affects func(keyScope) bool) (survived, evicted int) {
+func (c *resultCache) advance(to uint64, affects func(request) bool) (survived, evicted int) {
 	if c == nil {
 		return 0, 0
 	}
@@ -134,9 +120,9 @@ func (c *resultCache) advance(to uint64, affects func(keyScope) bool) (survived,
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
 		e := el.Value.(*cacheEntry)
-		if e.gen != to-1 || affects(e.scope) {
+		if e.gen != to-1 || affects(e.req) {
 			c.order.Remove(el)
-			delete(c.byKey, e.key)
+			delete(c.byReq, e.req)
 			evicted++
 		} else {
 			e.gen = to
@@ -159,8 +145,8 @@ func (c *resultCache) len() int {
 }
 
 // inflight deduplicates concurrent identical requests singleflight
-// style: the first caller of a (key, generation) becomes the leader and
-// computes; followers block on the call's done channel and share the
+// style: the first caller of a (request, generation) becomes the leader
+// and computes; followers block on the call's done channel and share the
 // leader's result. Keys are generation-scoped so a request racing a
 // mutation never latches onto a stale computation.
 type inflight struct {
@@ -169,7 +155,7 @@ type inflight struct {
 }
 
 type sfKey struct {
-	key string
+	req request
 	gen uint64
 }
 
@@ -187,11 +173,11 @@ func newInflight() *inflight {
 	return &inflight{calls: make(map[sfKey]*call)}
 }
 
-// join registers interest in (key, gen). The first caller gets
+// join registers interest in (req, gen). The first caller gets
 // leader=true and must eventually call finish; followers receive the
 // leader's call handle and wait on its done channel.
-func (f *inflight) join(key string, gen uint64) (leader bool, c *call) {
-	k := sfKey{key: key, gen: gen}
+func (f *inflight) join(req request, gen uint64) (leader bool, c *call) {
+	k := sfKey{req: req, gen: gen}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.calls[k]; ok {
@@ -204,10 +190,10 @@ func (f *inflight) join(key string, gen uint64) (leader bool, c *call) {
 
 // finish publishes the leader's result to every follower and retires
 // the call.
-func (f *inflight) finish(key string, gen uint64, c *call, pairs []core.Pair, err error) {
+func (f *inflight) finish(req request, gen uint64, c *call, pairs []core.Pair, err error) {
 	c.pairs, c.err = pairs, err
 	f.mu.Lock()
-	delete(f.calls, sfKey{key: key, gen: gen})
+	delete(f.calls, sfKey{req: req, gen: gen})
 	f.mu.Unlock()
 	close(c.done)
 }
@@ -216,10 +202,10 @@ func (f *inflight) finish(key string, gen uint64, c *call, pairs []core.Pair, er
 // context died (cancel or deadline), which says nothing about the
 // followers' budgets. The key is removed so the next join — including a
 // follower waking from this call — elects a fresh leader.
-func (f *inflight) abandon(key string, gen uint64, c *call) {
+func (f *inflight) abandon(req request, gen uint64, c *call) {
 	c.retry = true
 	f.mu.Lock()
-	delete(f.calls, sfKey{key: key, gen: gen})
+	delete(f.calls, sfKey{req: req, gen: gen})
 	f.mu.Unlock()
 	close(c.done)
 }

@@ -234,8 +234,8 @@ func (e *Engine) applyTupleDelta(st *shardState, d *Delta) error {
 	if core.HaloRadius(st.gd, st.cfg.MaxPathLen) != st.radius {
 		return errDeltaRebuild
 	}
-	e.sweepCache(st, d.Gen, func(sc keyScope) bool {
-		return sc.op == opAPair && sc.allSources
+	e.sweepCache(st, d.Gen, func(r request) bool {
+		return r.op == opAPair && r.all
 	})
 	return nil
 }
@@ -267,7 +267,7 @@ func (e *Engine) applyVertexDelta(st *shardState, d *Delta) error {
 	w.owned = append(w.owned, lv)
 	w.ownedGlobal = append(w.ownedGlobal, d.V)
 	w.isOwned = append(w.isOwned, true)
-	e.sweepCache(st, d.Gen, func(sc keyScope) bool {
+	e.sweepCache(st, d.Gen, func(r request) bool {
 		return !st.blocking()
 	})
 	return nil
@@ -333,7 +333,7 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 		// The source is at most a halo-frontier vertex everywhere: its
 		// out-edges are never inspected, no verdict or candidate set can
 		// change, so every cache entry survives untouched.
-		e.sweepCache(st, d.Gen, func(keyScope) bool { return false })
+		e.sweepCache(st, d.Gen, func(request) bool { return false })
 		return nil
 	}
 	// Cache scoping: a cached result can change only if one of its
@@ -342,11 +342,11 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 	// grow under edge addition, and any gained candidate is the source
 	// itself, so probing the post-update blocking index is sound.
 	evict := reverseRegion(st.g, d.From, st.radius)
-	e.sweepCache(st, d.Gen, func(sc keyScope) bool {
+	e.sweepCache(st, d.Gen, func(r request) bool {
 		if !st.blocking() {
 			return true // candidates are all owned vertices: always in range
 		}
-		if sc.op == opAPair && sc.allSources {
+		if r.op == opAPair && r.all {
 			return true
 		}
 		probe := func(u graph.VID) bool {
@@ -363,10 +363,10 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 			}
 			return false
 		}
-		if sc.op == opVPair {
-			return probe(sc.u)
+		if r.op == opVPair {
+			return probe(r.u)
 		}
-		for _, u := range sc.sources {
+		for _, u := range r.sources() {
 			if probe(u) {
 				return true
 			}
@@ -437,8 +437,8 @@ func (st *shardState) rebuildWorker(old *shardWorker) (*shardWorker, error) {
 
 // sweepCache advances every live entry to generation gen, evicting the
 // ones the delta affects (and any strays from older generations). The
-// survival counters feed herbench's cache-survival-rate measurement.
-func (e *Engine) sweepCache(st *shardState, gen uint64, affects func(keyScope) bool) {
+// survival counters feed the benchmark's shard.cache_survival_ratio.
+func (e *Engine) sweepCache(st *shardState, gen uint64, affects func(request) bool) {
 	survived, evicted := e.cache.advance(gen, affects)
 	e.cacheSurvived.Add(uint64(survived))
 	e.cacheEvicted.Add(uint64(evicted))
@@ -454,7 +454,7 @@ func (e *Engine) sweepCache(st *shardState, gen uint64, affects func(keyScope) b
 func (st *shardState) quiesce() {
 	acks := make([]chan taskResult, 0, len(st.shards))
 	for _, w := range st.shards {
-		t := &task{op: opBarrier, reply: make(chan taskResult, 1)}
+		t := &task{req: request{op: opBarrier}, reply: make(chan taskResult, 1)}
 		w.queue <- t
 		acks = append(acks, t.reply)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -114,48 +113,22 @@ func (e *Engine) generation() uint64 {
 	return e.cfg.Generation()
 }
 
-// task is one unit of per-shard work. reply is buffered (capacity 1)
-// so a worker never blocks on an abandoned request.
-//
-// The struct is a cached compute request: herlint's keycomplete check
-// enforces that every field the compute path reads either flows into
-// one of the declared key builders or carries a written exemption.
-//
-//herlint:keyed vpairKey,apairKey
+// task is one unit of per-shard work: a request plus what it takes to
+// deliver the answer. reply is buffered (capacity 1) so a worker never
+// blocks on an abandoned request. Nothing here but req reaches the
+// worker's compute step, so nothing else can change a result.
 type task struct {
-	// nonkey: per-request cancellation; decides whether the result is
-	// delivered, never what it is
-	ctx context.Context
-	// nonkey: the op selects the builder, and the builders' key spaces
-	// are disjoint by construction ("vpair:" vs "apair:" prefixes)
-	op      taskOp
-	u       graph.VID   // VPair and SPair source
-	sources []graph.VID // APair sources
-	// nonkey: SPair is not cached — its result is one matcher-cache
-	// lookup away on the owning worker
-	v graph.VID // SPair target, a local id of the owning shard
-	// nonkey: response channel, carries the result out
+	// ctx is the per-request cancellation; it decides whether the result
+	// is delivered, never what it is.
+	ctx   context.Context
+	req   request
 	reply chan taskResult
 	// enqueuedAt is stamped at enqueue when the worker measures queue
 	// wait (metrics registered) or the request carries a span; zero
 	// otherwise, so the disabled path never reads the clock.
-	// nonkey: observability timestamp, cannot affect the match set
 	enqueuedAt time.Time
-	// nonkey: tracing flag, only controls whether timestamps are stamped
-	traced bool // request carries a span: worker must stamp times
+	traced     bool // request carries a span: worker must stamp times
 }
-
-type taskOp int
-
-const (
-	opVPair taskOp = iota
-	opAPair
-	opSPair
-	// opBarrier is the quiesce sentinel (delta.go): workers acknowledge
-	// it immediately, and FIFO order guarantees every earlier task —
-	// including abandoned ones — has fully drained first.
-	opBarrier
-)
 
 type taskResult struct {
 	pairs []core.Pair // global ids
@@ -174,7 +147,7 @@ type taskResult struct {
 //herlint:hot
 func (w *shardWorker) run() {
 	for t := range w.queue {
-		if t.op == opBarrier {
+		if t.req.op == opBarrier {
 			t.reply <- taskResult{}
 			continue
 		}
@@ -195,17 +168,7 @@ func (w *shardWorker) run() {
 				w.waitSeconds.Observe(dq.Sub(t.enqueuedAt).Seconds())
 			}
 		}
-		var local []core.Pair
-		switch t.op {
-		case opVPair:
-			local = w.matcher.VPair(t.u, w.gen)
-		case opAPair:
-			local = w.matcher.APair(t.sources, w.gen)
-		case opSPair:
-			if w.matcher.Match(t.u, t.v) {
-				local = []core.Pair{{U: t.u, V: t.v}}
-			}
-		}
+		local := w.compute(t.req)
 		if timed {
 			done = time.Now()
 			w.computeSeconds.Observe(done.Sub(dq).Seconds())
@@ -218,6 +181,22 @@ func (w *shardWorker) run() {
 	}
 }
 
+// compute answers r against the worker's fragment, in local G ids. The
+// request value is all it is told about the call.
+func (w *shardWorker) compute(r request) []core.Pair {
+	switch r.op {
+	case opVPair:
+		return w.matcher.VPair(r.u, w.gen)
+	case opAPair:
+		return w.matcher.APair(r.sources(), w.gen)
+	case opSPair:
+		if lv, ok := w.localOf(r.v); ok && w.matcher.Match(r.u, lv) {
+			return []core.Pair{{U: r.u, V: lv}}
+		}
+	}
+	return nil
+}
+
 // VPair computes all matches of G_D vertex u across the shards —
 // identical (post-merge) to a whole-graph VParaMatch. u is validated
 // against the current state's G_D snapshot (not a live graph, which a
@@ -226,16 +205,14 @@ func (w *shardWorker) run() {
 // triggered a rebuild.
 func (e *Engine) VPair(ctx context.Context, u graph.VID) ([]core.Pair, error) {
 	e.met.vpairRequests.Inc()
-	t := &task{op: opVPair, u: u}
-	return e.serve(ctx, vpairKey(t.u), t.u, t)
+	return e.serve(ctx, vpairRequest(u))
 }
 
 // APair computes all matches for the given G_D source vertices (nil
 // means every vertex of G_D) across the shards.
 func (e *Engine) APair(ctx context.Context, sources []graph.VID) ([]core.Pair, error) {
 	e.met.apairRequests.Inc()
-	t := &task{op: opAPair, sources: sources}
-	return e.serve(ctx, apairKey(t.sources), graph.NoVertex, t)
+	return e.serve(ctx, apairRequest(sources))
 }
 
 // SPair checks one pair: does G_D vertex u match G vertex v? Both are
@@ -258,9 +235,9 @@ func (e *Engine) SPair(ctx context.Context, u, v graph.VID) (bool, error) {
 	if !st.g.Valid(v) {
 		return false, fmt.Errorf("shard: unknown G vertex %d", v)
 	}
-	w, lv := st.ownerOf(v)
-	t := &task{ctx: ctx, op: opSPair, u: u, v: lv, reply: make(chan taskResult, 1)}
-	if !e.enqueue(w, t) {
+	req := spairRequest(u, v)
+	t := &task{ctx: ctx, req: req, reply: make(chan taskResult, 1)}
+	if !e.enqueue(st.ownerOf(v), t) {
 		return false, ErrOverloaded
 	}
 	select {
@@ -270,7 +247,7 @@ func (e *Engine) SPair(ctx context.Context, u, v graph.VID) (bool, error) {
 		}
 		pairs := r.pairs
 		if e.cfg.Overrides != nil {
-			pairs = e.cfg.Overrides(pairs, u)
+			pairs = e.cfg.Overrides(pairs, req.overrideScope())
 		}
 		for _, p := range pairs {
 			if p.V == v {
@@ -284,12 +261,11 @@ func (e *Engine) SPair(ctx context.Context, u, v graph.VID) (bool, error) {
 }
 
 // ownerOf returns the worker whose fragment owns G vertex v — the
-// fragments partition the state's G, so a valid v has exactly one — and
-// v's local id there.
-func (st *shardState) ownerOf(v graph.VID) (*shardWorker, graph.VID) {
+// fragments partition the state's G, so a valid v has exactly one.
+func (st *shardState) ownerOf(v graph.VID) *shardWorker {
 	for _, w := range st.shards {
 		if lv, ok := w.localOf(v); ok && w.isOwned[lv] {
-			return w, lv
+			return w
 		}
 	}
 	panic(fmt.Sprintf("shard: G vertex %d has no owning shard", v))
@@ -311,52 +287,13 @@ func (e *Engine) enqueue(w *shardWorker, t *task) bool {
 	}
 }
 
-// scopeOf parses a request prototype into the cache entry's vertex
-// scope, copying the source slice so a caller reusing its buffer cannot
-// corrupt sweep decisions.
-func scopeOf(proto *task) keyScope {
-	sc := keyScope{op: proto.op, u: proto.u}
-	if proto.op == opAPair {
-		if proto.sources == nil {
-			sc.allSources = true
-		} else {
-			sc.sources = append([]graph.VID(nil), proto.sources...)
-		}
-	}
-	return sc
-}
-
-// vpairKey builds the cache key of a single-source VPair request. The
-// "vpair:" prefix keeps its key space disjoint from apairKey's.
-func vpairKey(u graph.VID) string {
-	return "vpair:" + strconv.FormatInt(int64(u), 10)
-}
-
-// apairKey folds the source set into the cache key so distinct source
-// selections never collide. A nil slice means "every vertex of G_D"
-// (Matcher.APair's convention) and gets its own key, distinct from an
-// explicit empty selection.
-func apairKey(sources []graph.VID) string {
-	if sources == nil {
-		return "apair:all"
-	}
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, v := range sources {
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		_, _ = h.Write(buf[:])
-	}
-	return fmt.Sprintf("apair:%d:%x", len(sources), h.Sum64())
-}
-
 // serve runs the cache → singleflight → scatter/gather pipeline for one
-// request. proto carries the operation; serve fills in the per-request
-// context and reply channels. The loop re-enters at most once per
-// abandoned leader: when a leader fails on its own context (client
+// request; req is its key at every step. The loop re-enters at most once
+// per abandoned leader: when a leader fails on its own context (client
 // disconnect, private timeout), its call is abandoned rather than
 // finished, and each waiting follower loops back to re-check the cache
 // and elect a fresh leader under its own still-healthy budget.
-func (e *Engine) serve(ctx context.Context, key string, scope graph.VID, proto *task) ([]core.Pair, error) {
+func (e *Engine) serve(ctx context.Context, req request) ([]core.Pair, error) {
 	sp := obs.SpanFrom(ctx)
 	gen := e.generation()
 	// Advance maintenance before the cache read: a delta sweep re-stamps
@@ -371,7 +308,7 @@ func (e *Engine) serve(ctx context.Context, key string, scope graph.VID, proto *
 	counted := false
 	for {
 		csp := sp.Child("cache")
-		if pairs, ok := e.cache.get(key, gen); ok {
+		if pairs, ok := e.cache.get(req, gen); ok {
 			e.met.cacheHits.Inc()
 			if csp != nil {
 				csp.SetAttr("cache", "hit")
@@ -388,7 +325,7 @@ func (e *Engine) serve(ctx context.Context, key string, scope graph.VID, proto *
 			counted = true
 		}
 
-		leader, c := e.sf.join(key, gen)
+		leader, c := e.sf.join(req, gen)
 		if !leader {
 			e.met.sfWaits.Inc()
 			wsp := sp.Child("singleflight_wait")
@@ -404,38 +341,38 @@ func (e *Engine) serve(ctx context.Context, key string, scope graph.VID, proto *
 				return nil, ctx.Err()
 			}
 		}
-		pairs, err := e.compute(ctx, gen, scope, proto)
+		pairs, err := e.compute(ctx, gen, req)
 		if err != nil && ctx.Err() != nil {
 			// The failure is this leader's context expiring — it says
 			// nothing about the shared computation, so don't publish it
 			// to followers with healthy budgets.
-			e.sf.abandon(key, gen, c)
+			e.sf.abandon(req, gen, c)
 			return nil, err
 		}
 		if err == nil && e.generation() == gen {
 			// Only cache results whose generation is still current: a
 			// mutation that landed mid-request must not be masked by a
 			// stale entry stamped with the new generation.
-			e.cache.put(key, gen, scopeOf(proto), pairs)
+			e.cache.put(req, gen, pairs)
 		}
-		e.sf.finish(key, gen, c, pairs, err)
+		e.sf.finish(req, gen, c, pairs, err)
 		return pairs, err
 	}
 }
 
-// compute scatters proto to every shard worker and gathers the merged,
+// compute scatters req to every shard worker and gathers the merged,
 // sorted, override-reconciled match set. Admission control happens at
 // enqueue: any full queue sheds the whole request with ErrOverloaded.
 //
 //herlint:hot
-func (e *Engine) compute(ctx context.Context, gen uint64, scope graph.VID, proto *task) ([]core.Pair, error) {
+func (e *Engine) compute(ctx context.Context, gen uint64, req request) ([]core.Pair, error) {
 	st, release, err := e.state(gen)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if proto.op == opVPair && !st.gd.Valid(proto.u) {
-		return nil, fmt.Errorf("shard: unknown G_D vertex %d", proto.u)
+	if req.op == opVPair && !st.gd.Valid(req.u) {
+		return nil, fmt.Errorf("shard: unknown G_D vertex %d", req.u)
 	}
 
 	sp := obs.SpanFrom(ctx)
@@ -445,8 +382,7 @@ func (e *Engine) compute(ctx context.Context, gen uint64, scope graph.VID, proto
 	defer cancel()
 	tasks := make([]*task, 0, len(st.shards))
 	for _, w := range st.shards {
-		t := &task{ctx: reqCtx, op: proto.op, u: proto.u, sources: proto.sources,
-			reply: make(chan taskResult, 1), traced: sp != nil}
+		t := &task{ctx: reqCtx, req: req, reply: make(chan taskResult, 1), traced: sp != nil}
 		if !e.enqueue(w, t) {
 			// Abandon the siblings already queued: cancel flips their
 			// context so workers skip them cheaply.
@@ -492,10 +428,10 @@ func (e *Engine) compute(ctx context.Context, gen uint64, scope graph.VID, proto
 	msp := sp.Child("merge")
 	core.SortPairs(merged)
 	if e.cfg.Overrides != nil {
-		merged = e.cfg.Overrides(merged, scope)
+		merged = e.cfg.Overrides(merged, req.overrideScope())
 	}
 	msp.End()
-	e.met.gather(proto.op).ObserveSince(t0)
+	e.met.gather(req.op).ObserveSince(t0)
 	return merged, nil
 }
 

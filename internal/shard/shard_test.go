@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -270,18 +271,20 @@ func TestHaloClosureBlocking(t *testing.T) {
 func TestResultCacheGeneration(t *testing.T) {
 	c := newResultCache(2)
 	pairs := []core.Pair{{U: 1, V: 2}}
-	c.put("k", 7, keyScope{op: opVPair, u: 1}, pairs)
-	got, ok := c.get("k", 7)
+	k, k2 := vpairRequest(1), vpairRequest(2)
+	ra, rb, rc := vpairRequest(10), vpairRequest(11), vpairRequest(12)
+	c.put(k, 7, pairs)
+	got, ok := c.get(k, 7)
 	if !ok || len(got) != 1 || got[0] != pairs[0] {
 		t.Fatalf("get(k, 7) = %v, %v; want cached pair", got, ok)
 	}
 	// Mutating the returned slice must not corrupt the cache.
 	got[0] = core.Pair{U: 9, V: 9}
-	if again, _ := c.get("k", 7); again[0] != pairs[0] {
+	if again, _ := c.get(k, 7); again[0] != pairs[0] {
 		t.Fatal("cache entry aliased caller's slice")
 	}
 	// An older-generation entry misses a newer caller and is evicted.
-	if _, ok := c.get("k", 8); ok {
+	if _, ok := c.get(k, 8); ok {
 		t.Fatal("stale-generation entry served")
 	}
 	if c.len() != 0 {
@@ -289,44 +292,44 @@ func TestResultCacheGeneration(t *testing.T) {
 	}
 	// A newer-generation entry (advanced by a delta sweep) misses an
 	// older caller but survives for current-generation readers.
-	c.put("k2", 7, keyScope{op: opVPair, u: 1}, pairs)
-	if _, ok := c.get("k2", 6); ok {
+	c.put(k2, 7, pairs)
+	if _, ok := c.get(k2, 6); ok {
 		t.Fatal("newer-generation entry served to an older caller")
 	}
-	if _, ok := c.get("k2", 7); !ok {
+	if _, ok := c.get(k2, 7); !ok {
 		t.Fatal("newer-generation entry evicted by an older caller")
 	}
-	c.advance(8, func(keyScope) bool { return true })
+	c.advance(8, func(request) bool { return true })
 	// LRU eviction at capacity.
-	c.put("a", 1, keyScope{}, nil)
-	c.put("b", 1, keyScope{}, nil)
-	c.get("a", 1) // a is now most recent
-	c.put("c", 1, keyScope{}, nil)
-	if _, ok := c.get("b", 1); ok {
+	c.put(ra, 1, nil)
+	c.put(rb, 1, nil)
+	c.get(ra, 1) // a is now most recent
+	c.put(rc, 1, nil)
+	if _, ok := c.get(rb, 1); ok {
 		t.Fatal("LRU victim b still cached")
 	}
-	if _, ok := c.get("a", 1); !ok {
+	if _, ok := c.get(ra, 1); !ok {
 		t.Fatal("recently used a evicted")
 	}
 	// Disabled cache.
 	var nilCache *resultCache = newResultCache(0)
-	nilCache.put("x", 1, keyScope{}, pairs)
-	if _, ok := nilCache.get("x", 1); ok {
+	nilCache.put(k, 1, pairs)
+	if _, ok := nilCache.get(k, 1); ok {
 		t.Fatal("disabled cache served an entry")
 	}
 }
 
 func TestInflightDedup(t *testing.T) {
 	f := newInflight()
-	leader, c := f.join("k", 1)
+	leader, c := f.join(vpairRequest(1), 1)
 	if !leader {
 		t.Fatal("first join must lead")
 	}
-	follower, c2 := f.join("k", 1)
+	follower, c2 := f.join(vpairRequest(1), 1)
 	if follower || c2 != c {
 		t.Fatal("second join must follow the leader's call")
 	}
-	if lead2, _ := f.join("k", 2); !lead2 {
+	if lead2, _ := f.join(vpairRequest(1), 2); !lead2 {
 		t.Fatal("different generation must start its own call")
 	}
 	done := make(chan []core.Pair)
@@ -335,12 +338,12 @@ func TestInflightDedup(t *testing.T) {
 		done <- c2.pairs
 	}()
 	want := []core.Pair{{U: 3, V: 4}}
-	f.finish("k", 1, c, want, nil)
+	f.finish(vpairRequest(1), 1, c, want, nil)
 	if got := <-done; len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("follower saw %v, want %v", got, want)
 	}
 	// The key is retired: a new join leads again.
-	if lead3, _ := f.join("k", 1); !lead3 {
+	if lead3, _ := f.join(vpairRequest(1), 1); !lead3 {
 		t.Fatal("finished key must accept a new leader")
 	}
 }
@@ -359,12 +362,12 @@ func TestAdmissionShed(t *testing.T) {
 	defer e.Close()
 	var wedged, filler []*task
 	for _, w := range e.cur.shards {
-		blocker := &task{ctx: context.Background(), op: opVPair, u: 0,
+		blocker := &task{ctx: context.Background(), req: vpairRequest(0),
 			reply: make(chan taskResult, 1)}
 		blocker.reply <- taskResult{} // worker will block re-sending
 		w.queue <- blocker            // worker picks this up and wedges
 		wedged = append(wedged, blocker)
-		fill := &task{ctx: context.Background(), op: opVPair, u: 0,
+		fill := &task{ctx: context.Background(), req: vpairRequest(0),
 			reply: make(chan taskResult, 1)}
 		w.queue <- fill // sits in the queue: full from now on
 		filler = append(filler, fill)
@@ -490,17 +493,31 @@ func TestDeadline(t *testing.T) {
 
 // TestAPairKeyNilDistinctFromEmpty: nil sources mean "all of G_D"
 // (Matcher.APair's convention) while an explicit empty slice means "no
-// sources" — their cache/singleflight keys must never collide, or an
-// empty-source request could be served the full-graph result.
+// sources". Served back to back through one engine's cache, neither may
+// be answered with the other's entry.
 func TestAPairKeyNilDistinctFromEmpty(t *testing.T) {
-	if apairKey(nil) == apairKey([]graph.VID{}) {
-		t.Fatal("nil and empty APair source sets share a key")
+	e, err := NewEngine(fixtureConfig(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if apairKey([]graph.VID{1}) == apairKey([]graph.VID{2}) {
-		t.Fatal("distinct source sets share a key")
+	defer e.Close()
+	ctx := context.Background()
+	all, err := e.APair(ctx, nil)
+	if err != nil || len(all) == 0 {
+		t.Fatalf("APair(nil) = %v, %v; want the fixture's matches", all, err)
 	}
-	if apairKey([]graph.VID{1, 2}) != apairKey([]graph.VID{1, 2}) {
-		t.Fatal("identical source sets must share a key")
+	for i := 0; i < 2; i++ { // second round is served from the cache
+		none, err := e.APair(ctx, []graph.VID{})
+		if err != nil || len(none) != 0 {
+			t.Fatalf("APair(empty) = %v, %v; want no pairs", none, err)
+		}
+		again, err := e.APair(ctx, nil)
+		if err != nil || len(again) != len(all) {
+			t.Fatalf("APair(nil) after APair(empty) = %d pairs, %v; want %d", len(again), err, len(all))
+		}
+	}
+	if n := e.cache.len(); n != 2 {
+		t.Fatalf("cache holds %d entries, want one per selection", n)
 	}
 }
 
@@ -509,7 +526,7 @@ func TestAPairKeyNilDistinctFromEmpty(t *testing.T) {
 // leader.
 func TestInflightAbandon(t *testing.T) {
 	f := newInflight()
-	leader, c := f.join("k", 1)
+	leader, c := f.join(vpairRequest(1), 1)
 	if !leader {
 		t.Fatal("first join must lead")
 	}
@@ -518,14 +535,14 @@ func TestInflightAbandon(t *testing.T) {
 		<-c.done
 		woke <- c.retry
 	}()
-	f.abandon("k", 1, c)
+	f.abandon(vpairRequest(1), 1, c)
 	if !<-woke {
 		t.Fatal("abandoned call must tell followers to retry")
 	}
 	if c.err != nil || c.pairs != nil {
 		t.Fatalf("abandon published a result: %v, %v", c.pairs, c.err)
 	}
-	if lead2, _ := f.join("k", 1); !lead2 {
+	if lead2, _ := f.join(vpairRequest(1), 1); !lead2 {
 		t.Fatal("abandoned key must accept a new leader")
 	}
 }
@@ -567,7 +584,7 @@ func TestLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	// Wedge the single worker: it picks up blocker and blocks re-sending
 	// into the pre-filled reply buffer, so the leader's gather hangs.
 	w := e.cur.shards[0]
-	blocker := &task{ctx: context.Background(), op: opVPair, u: 1,
+	blocker := &task{ctx: context.Background(), req: vpairRequest(1),
 		reply: make(chan taskResult, 1)}
 	blocker.reply <- taskResult{}
 	w.queue <- blocker
@@ -662,24 +679,40 @@ func TestQueueWaitAttributionMetrics(t *testing.T) {
 	}
 }
 
-// TestVPairKeyFormatAndDisjointSpaces: vpairKey must be stable per
-// vertex, injective over vertices, and prefixed so it can never
-// collide with any apairKey — the two builders share one cache/
-// singleflight namespace in Engine.serve.
-func TestVPairKeyFormatAndDisjointSpaces(t *testing.T) {
-	if got := vpairKey(7); got != "vpair:7" {
-		t.Fatalf("vpairKey(7) = %q, want %q", got, "vpair:7")
-	}
-	if vpairKey(1) == vpairKey(2) {
-		t.Fatal("distinct vertices share a vpair key")
-	}
-	for _, ak := range []string{
-		apairKey(nil),
-		apairKey([]graph.VID{}),
-		apairKey([]graph.VID{7}),
-	} {
-		if ak == vpairKey(7) {
-			t.Fatalf("apair key %q collides with vpair key space", ak)
+// TestRequestKeysDistinct: the request value is the cache and
+// singleflight key, so requests that may answer differently must compare
+// unequal — in particular nil vs empty APair sources, source order, and
+// the three operations over the same vertex ids — and an APair selection
+// must come back out exactly as it went in.
+func TestRequestKeysDistinct(t *testing.T) {
+	sets := [][]graph.VID{nil, {}, {0}, {0, 1}, {1, 0}}
+	reqs := []request{vpairRequest(0), spairRequest(0, 0)}
+	for _, set := range sets {
+		r := apairRequest(set)
+		reqs = append(reqs, r)
+		if got := r.sources(); !reflect.DeepEqual(got, set) {
+			t.Errorf("apairRequest(%#v).sources() = %#v", set, got)
 		}
+		if set != nil {
+			same := make([]graph.VID, len(set))
+			copy(same, set)
+			if r != apairRequest(same) {
+				t.Errorf("equal source sets %v compare unequal", set)
+			}
+		}
+	}
+	seen := make(map[sfKey]int)
+	for i, r := range reqs {
+		if j, dup := seen[sfKey{req: r, gen: 1}]; dup {
+			t.Errorf("requests %d and %d share a key: %+v", j, i, r)
+		}
+		seen[sfKey{req: r, gen: 1}] = i
+	}
+	// The key owns its bytes: a caller reusing its slice cannot reach it.
+	buf := []graph.VID{3, 4}
+	r := apairRequest(buf)
+	buf[0] = 9
+	if got := r.sources(); got[0] != 3 {
+		t.Errorf("request aliases the caller's slice: sources() = %v", got)
 	}
 }
