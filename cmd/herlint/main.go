@@ -1,7 +1,7 @@
 // Command herlint runs the project's static-analysis suite
 // (internal/lint) over the given package patterns and reports every
-// violation of the determinism, nil-metrics, seed-reproducibility, and
-// concurrency contracts (lockguard, snapleak, ctxflow, lockorder).
+// violation of the determinism, seed-reproducibility, and concurrency
+// contracts (lockguard, ctxflow, lockorder).
 //
 // Usage:
 //

@@ -23,8 +23,8 @@
 // GET /debug/requests serves them (-trace-slow/-trace-errors size the
 // retention, -no-trace disables it, -log-requests adds one structured
 // log line per request). With -debug-addr a second listener serves
-// net/http/pprof profiles and expvar (including the live matcher
-// counters) for debugging without exposing them on the public address.
+// net/http/pprof profiles and expvar for debugging without exposing
+// them on the public address.
 //
 // SIGINT or SIGTERM stops the listeners, gives the requests in flight
 // shutdownGrace to be answered, and then stops the shard workers.
@@ -33,7 +33,7 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
+	_ "expvar" // /debug/vars (memstats, cmdline) on DefaultServeMux
 	"flag"
 	"fmt"
 	"log"
@@ -147,15 +147,6 @@ func main() {
 			}
 			log.Printf("saved models to %s", *saveModels)
 		}
-	}
-
-	if *debugAddr != "" {
-		// The pprof and expvar packages register on DefaultServeMux;
-		// publish the live matcher counters alongside the memstats and
-		// cmdline defaults.
-		expvar.Publish("her_matcher_counters", expvar.Func(func() interface{} {
-			return sys.Stats()
-		}))
 	}
 
 	srv, err := server.NewSharded(sys, *shards)

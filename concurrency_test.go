@@ -2,6 +2,7 @@ package her
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -115,12 +116,55 @@ func TestThresholdsRaceWithParallelAPair(t *testing.T) {
 	wg.Wait()
 }
 
+// TestWritesRaceWithParallelAPair pins that APairParallel(+Async) hold
+// s.mu for the whole run, not just while the engine is assembled: the
+// BSP workers read the live G_D, G and rankers, which the three
+// incremental writes extend under that lock. Before the fix the run
+// read a label slice AddGraphVertex was appending to; run with -race to
+// regress it.
+func TestWritesRaceWithParallelAPair(t *testing.T) {
+	sys, _, p1 := concurrencyFixture(t)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := sys.AddGraphVertex(fmt.Sprintf("accessory %d", i))
+			if err := sys.AddGraphEdge(p1, v, "relatedTo"); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sys.AddTuple("product", fmt.Sprintf("Nimbus Peak Boot %d", i), "green"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, _, err := sys.APairParallel(2); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sys.APairParallelAsync(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestRetrainRaceWithShardedServing pins the lock discipline of the
 // ranker rebind: TrainRanker swaps the language model and every hosted
-// view's rankers, which a sharded engine's Snapshot hook and every
+// view's rankers, which a sharded engine's Source and every
 // matcher rebuild read under s.mu. Before the fix the swap happened
 // outside the lock; each retrain bumps the generation, so the serving
-// goroutines below keep rebuilding the engine through the hook while
+// goroutines below keep rebuilding the engine through Source while
 // the next retrain lands. Run with -race to regress it.
 func TestRetrainRaceWithShardedServing(t *testing.T) {
 	sys, src, _ := concurrencyFixture(t)

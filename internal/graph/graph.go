@@ -70,12 +70,22 @@ func (g *Graph) MustAddEdge(from, to VID, label string) {
 	}
 }
 
-// Clone returns a deep copy of g: labels, adjacency and edge count share
+// Copy is a graph that shares no memory with the one it was taken from.
+// Only (*Graph).Copy produces a non-zero value, so a function or struct
+// that asks for a Copy — shard.Inputs does — cannot be handed a graph
+// its owner goes on mutating: a *Graph does not convert to one. The
+// zero Copy holds no graph.
+type Copy struct{ g *Graph }
+
+// Graph returns the copied graph, nil for the zero Copy. Whoever holds
+// the Copy owns that graph and may read it without a lock.
+func (c Copy) Graph() *Graph { return c.g }
+
+// Copy returns a deep copy of g: labels, adjacency and edge count share
 // no memory with the original, so mutating either graph (AddVertex,
-// AddEdge, SetLabel) never affects the other. Serving engines use it to
-// snapshot a live graph under its owner's lock and then read the copy
-// without any locking.
-func (g *Graph) Clone() *Graph {
+// AddEdge, SetLabel) never affects the other. A graph's owner takes it
+// under its own lock; the result is then read without one.
+func (g *Graph) Copy() Copy {
 	c := &Graph{
 		labels: append([]string(nil), g.labels...),
 		out:    make([][]Edge, len(g.out)),
@@ -92,8 +102,11 @@ func (g *Graph) Clone() *Graph {
 			c.in[i] = append([]VID(nil), vs...)
 		}
 	}
-	return c
+	return Copy{c}
 }
+
+// Clone is Copy for a caller that wants a second graph to mutate.
+func (g *Graph) Clone() *Graph { return g.Copy().g }
 
 // Valid reports whether v is a vertex of g.
 func (g *Graph) Valid(v VID) bool { return v >= 0 && int(v) < len(g.labels) }

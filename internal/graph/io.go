@@ -13,7 +13,8 @@ import (
 //	v<TAB>id<TAB>label
 //	e<TAB>from<TAB>to<TAB>label
 //
-// Labels are escaped so tabs and newlines survive round trips.
+// Labels are escaped so tabs, newlines and carriage returns survive
+// round trips.
 func (g *Graph) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i := 0; i < g.NumVertices(); i++ {
@@ -85,6 +86,8 @@ func escape(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, "\t", `\t`)
 	s = strings.ReplaceAll(s, "\n", `\n`)
+	// The reader's line scanner drops a "\r" before the newline.
+	s = strings.ReplaceAll(s, "\r", `\r`)
 	return s
 }
 
@@ -97,6 +100,8 @@ func unescape(s string) string {
 				b.WriteByte('\t')
 			case 'n':
 				b.WriteByte('\n')
+			case 'r':
+				b.WriteByte('\r')
 			case '\\':
 				b.WriteByte('\\')
 			default:

@@ -8,7 +8,7 @@ import (
 )
 
 // aliases.go is the lightweight alias pass shared by the dataflow
-// analyzers (lockguard, atomicmix, snapleak). It resolves, per file,
+// analyzers (lockguard, lockorder and the summary pass). It resolves, per file,
 // which single-assignment locals are stable pointer aliases of a longer
 // access path (`st := e.cur` makes every later `st.x` an access of
 // `e.cur.x`), and which locals hold freshly constructed, not-yet-shared

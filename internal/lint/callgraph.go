@@ -52,9 +52,9 @@ type CallSite struct {
 
 // Program is the whole-module view shared by every Pass of one Run: the
 // call graph, its bottom-up SCC order, and the per-function summaries.
-// It is immutable after BuildProgram returns; the lazily derived caches
-// (lock-order graph, hot-path reachability) are built once under their
-// sync.Once and only read afterwards, so concurrent passes are safe.
+// It is immutable after BuildProgram returns; the lazily derived
+// lock-order graph is built once under its sync.Once and only read
+// afterwards, so concurrent passes are safe.
 type Program struct {
 	Pkgs  []*Package
 	Funcs map[*types.Func]*FuncNode
@@ -66,9 +66,6 @@ type Program struct {
 
 	lockOnce  sync.Once
 	lockGraph *lockOrderGraph
-
-	hotOnce sync.Once
-	hotSet  map[*FuncNode]bool
 }
 
 // BuildProgram constructs the call graph and summaries over the loaded

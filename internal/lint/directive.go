@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"regexp"
 	"sort"
@@ -18,8 +17,6 @@ import (
 //     written reason. A bare `//herlint:ignore` suppresses nothing
 //     today; before this check it also reported nothing, which is the
 //     worst of both.
-//   - `//herlint:hot` must be a line of a function declaration's doc
-//     comment and takes no arguments.
 //   - any other `herlint:<verb>` is unknown and reported.
 var Directive = &Analyzer{
 	Name: "directive",
@@ -44,34 +41,16 @@ func runDirective(p *Pass) {
 	known["*"] = true
 
 	for _, f := range p.Pkg.Files {
-		// Placement index: which comment groups are function docs.
-		funcDoc := make(map[*ast.CommentGroup]bool)
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
-				funcDoc[fd.Doc] = true
-			}
-		}
-
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := directiveRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
-				verb, rest := m[1], m[2]
-				switch verb {
-				case "ignore":
+				if verb, rest := m[1], m[2]; verb == "ignore" {
 					checkIgnoreDirective(p, c.Pos(), rest, known)
-				case "hot":
-					if !funcDoc[cg] {
-						p.Reportf(c.Pos(), "herlint:hot must be part of a function declaration's doc comment")
-						continue
-					}
-					if strings.TrimSpace(rest) != "" {
-						p.Reportf(c.Pos(), "herlint:hot takes no arguments")
-					}
-				default:
-					p.Reportf(c.Pos(), "unknown herlint directive %q; known: ignore, hot", verb)
+				} else {
+					p.Reportf(c.Pos(), "unknown herlint directive %q; known: ignore", verb)
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package lint is herlint's engine: a stdlib-only static-analysis
 // framework (go/ast + go/parser + go/types, no go/packages) with
-// project-specific analyzers enforcing the repository's determinism,
-// nil-metrics, and seed-reproducibility contracts:
+// project-specific analyzers enforcing the repository's determinism
+// and seed-reproducibility contracts:
 //
 //	mapiter    — map iteration order must not leak into serialized
 //	             output or unsorted collected slices (differential
@@ -9,9 +9,6 @@
 //	floateq    — no ==/!= between computed floats; use internal/feq
 //	globalrand — no top-level math/rand (breaks int64-seed
 //	             reproducibility of testkit/embed/learn)
-//	nilrecv    — exported pointer-receiver methods in internal/obs
-//	             must open with the nil-receiver guard backing the
-//	             "zero cost when nil" metrics contract
 //	errdrop    — no discarded errors from Read*/Parse*/Decode*/...
 //	             on the fuzzed parse surfaces
 //	metricname — metric names handed to the obs registry must be
@@ -25,9 +22,6 @@
 //	lockguard  — fields annotated `// guarded by <mu>` are only
 //	             accessed with the mutex held on every CFG path
 //	             (RLock accepted for reads under an RWMutex)
-//	snapleak   — System's live G/G_D graphs must not escape into
-//	             shard engine state except through Clone() (the PR 5
-//	             snapshot-isolation contract)
 //	ctxflow    — request-path functions must thread the incoming
 //	             context.Context; Background()/TODO() forbidden in
 //	             serving and shard scatter-gather packages
@@ -39,10 +33,6 @@
 //	lockorder   — the global lock-acquisition-order graph, assembled
 //	              from interprocedural locksets, must be acyclic
 //	              (a cycle is a potential deadlock)
-//	hotalloc    — functions reachable from //herlint:hot roots must
-//	              not allocate per loop iteration (Sprintf, string
-//	              concat, un-preallocated append, map literals,
-//	              interface boxing, defer in loops)
 //	directive   — herlint: control comments themselves must be
 //	              well-formed (known verb, explicit analyzer list,
 //	              written reason)
@@ -83,9 +73,9 @@ type Analyzer struct {
 
 // All is the herlint analyzer suite.
 var All = []*Analyzer{
-	MapIter, FloatEq, NilRecv, GlobalRand, ErrDrop, MetricName,
-	LockGuard, SnapLeak, CtxFlow,
-	LockOrder, HotAlloc, Directive,
+	MapIter, FloatEq, GlobalRand, ErrDrop, MetricName,
+	LockGuard, CtxFlow,
+	LockOrder, Directive,
 }
 
 // ByName returns the analyzers matching the comma-separated names list,
@@ -210,8 +200,8 @@ func RunParallel(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet, wo
 	}
 	// The whole-module view is built once, before the per-package
 	// workers start: summaries are computed bottom-up here, and the
-	// lazily derived caches inside Program are sync.Once-guarded, so
-	// the workers only ever read it.
+	// lazily derived lock-order graph inside Program is sync.Once-guarded,
+	// so the workers only ever read it.
 	prog := BuildProgram(pkgs)
 
 	perPkg := make([][]Diagnostic, len(pkgs))

@@ -112,17 +112,13 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{MapIter, "mapiter"},
 		{FloatEq, "floateq"},
-		{NilRecv, filepath.Join("nilrecv", "obs")},
-		{NilRecv, filepath.Join("nilrecv", "notobs")},
 		{GlobalRand, "globalrand"},
 		{ErrDrop, "errdrop"},
 		{MetricName, "metricname"},
 		{LockGuard, "lockguard"},
-		{SnapLeak, "snapleak"},
 		{CtxFlow, filepath.Join("ctxflow", "server")},
 		{CtxFlow, filepath.Join("ctxflow", "lib")},
 		{LockOrder, "lockorder"},
-		{HotAlloc, "hotalloc"},
 		{Directive, "directive"},
 	}
 	for _, c := range cases {

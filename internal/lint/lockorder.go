@@ -28,7 +28,7 @@ import (
 // A call through a function-valued struct field is not followed and
 // produces no edge. That is how internal/shard reaches her.System —
 // Engine.advance and Engine.compute call Config.Generation, Deltas,
-// Snapshot and Overrides with Engine.mu held — so the graph has no edge
+// Source and Overrides with Engine.mu held — so the graph has no edge
 // between shard.Engine.mu and her.System.mu, and that part of the
 // hierarchy (Engine.mu → System.mu → DeltaLog.mu, DESIGN.md §12) is
 // kept by review, not by this analyzer.

@@ -24,9 +24,7 @@ import (
 //   - CallsBackground: the function (which itself receives no
 //     context.Context) creates context.Background()/TODO() directly or
 //     through ctx-less callees — calling it from a request path severs
-//     cancellation;
-//   - Allocates: the function heap-allocates on some path, directly or
-//     through a callee — hotalloc's transitive half.
+//     cancellation.
 //
 // Lock references are strings mappable at a call site:
 //
@@ -47,7 +45,6 @@ type FuncSummary struct {
 	ExitUnlocks     map[string]bool   // lock ref → released on all paths
 	Acquires        map[string]bool   // lock classes transitively acquired inside
 	CallsBackground bool
-	Allocates       bool // heap-allocates on some path (transitive, closures excluded)
 }
 
 func newFuncSummary() *FuncSummary {
@@ -61,8 +58,7 @@ func newFuncSummary() *FuncSummary {
 
 func (s *FuncSummary) equal(o *FuncSummary) bool {
 	if len(s.ExitLocks) != len(o.ExitLocks) || len(s.ExitUnlocks) != len(o.ExitUnlocks) ||
-		len(s.Acquires) != len(o.Acquires) || s.CallsBackground != o.CallsBackground ||
-		s.Allocates != o.Allocates {
+		len(s.Acquires) != len(o.Acquires) || s.CallsBackground != o.CallsBackground {
 		return false
 	}
 	for k, v := range s.ExitLocks {
@@ -141,8 +137,7 @@ func (prog *Program) computeSummary(node *FuncNode) *FuncSummary {
 		}
 	}
 
-	// Pass 1: flat facts — Background calls, allocations, transitive
-	// acquires.
+	// Pass 1: flat facts — Background calls, transitive acquires.
 	hasCtx := funcHasCtxParam(sig)
 	var inspect func(n ast.Node, inLit bool)
 	inspect = func(n ast.Node, inLit bool) {
@@ -151,14 +146,6 @@ func (prog *Program) computeSummary(node *FuncNode) *FuncSummary {
 			case *ast.FuncLit:
 				inspect(x.Body, true)
 				return false
-			case *ast.BinaryExpr:
-				if !inLit && isNonConstString(info, x) {
-					sum.Allocates = true
-				}
-			case *ast.CompositeLit:
-				if !inLit {
-					sum.Allocates = true
-				}
 			case *ast.CallExpr:
 				prog.summarizeCall(node, sum, info, aliases, x, inLit, hasCtx)
 			}
@@ -196,9 +183,6 @@ func (prog *Program) summarizeCall(node *FuncNode, sum *FuncSummary, info *types
 		}
 		return
 	}
-	if !inLit && isAllocatingCall(info, call) {
-		sum.Allocates = true
-	}
 	fn := calleeFunc(info, call)
 	if fn == nil {
 		return
@@ -211,53 +195,12 @@ func (prog *Program) summarizeCall(node *FuncNode, sum *FuncSummary, info *types
 		for class := range callee.Acquires {
 			sum.Acquires[class] = true
 		}
-		if callee.Allocates {
-			sum.Allocates = true
-		}
 	}
 	calleeSig, _ := fn.Type().(*types.Signature)
 	if callee.CallsBackground && calleeSig != nil && !funcHasCtxParam(calleeSig) && !hasCtx &&
 		!isRequestPathPkg(node.Pkg.Types.Path()) {
 		sum.CallsBackground = true
 	}
-}
-
-// isAllocatingCall matches the allocation primitives and the stdlib
-// string builders whose every call allocates: the builtins make, new,
-// append; the fmt Sprint family; strconv and strings formatters.
-func isAllocatingCall(info *types.Info, call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		switch info.Uses[id] {
-		case types.Universe.Lookup("make"), types.Universe.Lookup("new"), types.Universe.Lookup("append"):
-			return true
-		}
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "fmt":
-		switch fn.Name() {
-		case "Sprintf", "Sprint", "Sprintln", "Errorf":
-			return true
-		}
-	case "strconv":
-		switch fn.Name() {
-		case "Itoa", "FormatInt", "FormatUint", "FormatFloat", "FormatBool", "Quote", "AppendInt":
-			return true
-		}
-	case "strings":
-		switch fn.Name() {
-		case "Join", "Repeat", "ToUpper", "ToLower", "Replace", "ReplaceAll":
-			return true
-		}
-	}
-	return false
 }
 
 // isBackgroundCall matches context.Background() / context.TODO().

@@ -14,15 +14,3 @@ func ignores() int {
 
 //herlint:typo on the verb // want `unknown herlint directive "typo"`
 func unknownVerb() {}
-
-// hotWithArgs carries an argument the directive does not take.
-//
-//herlint:hot always // want `herlint:hot takes no arguments`
-func hotWithArgs() {}
-
-// hotValid is the accepted form.
-//
-//herlint:hot
-func hotValid() {}
-
-var misplacedHot = 6 //herlint:hot // want `herlint:hot must be part of a function declaration's doc comment`

@@ -48,20 +48,10 @@ func NewRegistry() *Registry {
 // is runtime state, not model state: structs that embed one (e.g.
 // her.Options inside a persisted model file) must still be encodable,
 // so it serializes to nothing and decodes to an empty registry.
-func (r *Registry) GobEncode() ([]byte, error) {
-	if r == nil {
-		return nil, nil
-	}
-	return nil, nil
-}
+func (r *Registry) GobEncode() ([]byte, error) { return nil, nil }
 
 // GobDecode restores nothing; see GobEncode.
-func (r *Registry) GobDecode([]byte) error {
-	if r == nil {
-		return nil
-	}
-	return nil
-}
+func (r *Registry) GobDecode([]byte) error { return nil }
 
 // Counter returns the counter registered under name, creating it on
 // first use. Returns nil on a nil registry.

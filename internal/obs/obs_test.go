@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +37,40 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil || b.Len() != 0 {
 		t.Errorf("nil registry wrote %q, %v", b.String(), err)
+	}
+}
+
+// TestNilHandlesNeverPanic executes the "zero cost when nil" contract:
+// instrumentation sites hold possibly-nil handles and call them
+// unconditionally, so every exported method of every handle type must
+// survive a nil receiver. Methods are found by reflection and called
+// with zero arguments, so one added later is covered without a new line
+// here.
+func TestNilHandlesNeverPanic(t *testing.T) {
+	for _, h := range []any{
+		(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil),
+		(*Registry)(nil), (*Span)(nil), (*FlightRecorder)(nil),
+	} {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			m, name := v.Method(i), v.Type().Elem().Name()+"."+v.Type().Method(i).Name
+			n := m.Type().NumIn()
+			if m.Type().IsVariadic() {
+				n--
+			}
+			args := make([]reflect.Value, n)
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(*%s)(nil) panics: %v", name, r)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
 	}
 }
 

@@ -633,7 +633,6 @@ type lineageJSON struct {
 	V string `json:"v"`
 }
 
-//herlint:hot
 func (s *Server) handleSPair(x *exchange, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
 	rel, tuple, vertex, err := q.pair(true)
@@ -670,7 +669,6 @@ func (s *Server) handleSPair(x *exchange, r *http.Request) {
 	x.writeJSON(http.StatusOK, spairResponse{Match: match, Rel: rel, Tuple: tuple, Vertex: vertex})
 }
 
-//herlint:hot
 func (s *Server) handleVPair(x *exchange, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
 	rel, tuple, _, err := q.pair(false)
@@ -723,7 +721,6 @@ func (s *Server) writeVPair(x *exchange, rel string, tuple int, matches []her.Pa
 	x.writeJSON(http.StatusOK, &x.vpair)
 }
 
-//herlint:hot
 func (s *Server) handleAPair(x *exchange, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
 	vh, err := s.view(x, &q)
@@ -862,14 +859,9 @@ func (s *Server) handleFeedback(x *exchange, r *http.Request) {
 }
 
 func (s *Server) handleStats(x *exchange, _ *http.Request) {
-	st := s.sys.Stats()
 	th := s.sys.Thresholds()
 	out := map[string]interface{}{
 		"thresholds": map[string]interface{}{"sigma": th.Sigma, "delta": th.Delta, "k": th.K},
-		"matcher": map[string]int{
-			"calls": st.Calls, "cacheHits": st.CacheHits,
-			"cleanups": st.Cleanups, "rechecks": st.Rechecks,
-		},
 	}
 	if eng := s.Engine(); eng != nil {
 		out["shard"] = eng.Snapshot()

@@ -287,6 +287,19 @@ func TestStatsEndpoint(t *testing.T) {
 	if th["k"].(float64) != 5 {
 		t.Errorf("thresholds = %v", th)
 	}
+	// The fragment sizes are read live: a vertex added in place (the next
+	// request replays its delta) shows up in some fragment's owned count.
+	sys.AddGraphVertex("accessory")
+	get(t, srv, "/spair?rel=product&tuple=0&vertex="+itoa(p1))
+	_, body = get(t, srv, "/stats")
+	shard := body["shard"].(map[string]interface{})
+	owned := 0
+	for _, f := range shard["fragments"].([]interface{}) {
+		owned += int(f.(map[string]interface{})["owned"].(float64))
+	}
+	if owned != sys.G.NumVertices() || shard["deltasApplied"].(float64) != 1 {
+		t.Errorf("fragments own %d vertices after %v deltas, |V_G| = %d", owned, shard["deltasApplied"], sys.G.NumVertices())
+	}
 }
 
 func itoa(v her.VertexID) string { return strconv.Itoa(int(v)) }

@@ -154,7 +154,7 @@ func (e *Engine) advance() error {
 			}
 		}
 	}
-	st, err := buildState(e.cfg, target)
+	st, err := newState(e.cfg)
 	if err != nil {
 		return err
 	}
@@ -231,7 +231,7 @@ func (e *Engine) applyTupleDelta(st *shardState, d *Delta) error {
 			return errDeltaRebuild
 		}
 	}
-	if core.HaloRadius(st.gd, st.cfg.MaxPathLen) != st.radius {
+	if core.HaloRadius(st.gd, st.in.MaxPathLen) != st.radius {
 		return errDeltaRebuild
 	}
 	e.sweepCache(st, d.Gen, func(r request) bool {
@@ -294,7 +294,7 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 	if err := st.g.AddEdge(d.From, d.To, d.Label); err != nil {
 		return errDeltaRebuild
 	}
-	maxLen := st.cfg.MaxPathLen
+	maxLen := st.in.MaxPathLen
 	if maxLen <= 0 {
 		maxLen = 4
 	}
@@ -425,13 +425,11 @@ func (w *shardWorker) applyEdgeInPlace(st *shardState, d *Delta, lfrom graph.VID
 // full partition). The old worker keeps serving nothing — advance holds
 // the write lock — and is retired by the caller.
 func (st *shardState) rebuildWorker(old *shardWorker) (*shardWorker, error) {
-	cfg := st.cfg
-	frag := &graph.Fragment{ID: old.id, Owned: old.ownedGlobal}
-	w, err := buildWorker(cfg, frag, st.radius, st.docD)
+	w, err := st.buildWorker(&graph.Fragment{ID: old.id, Owned: old.ownedGlobal})
 	if err != nil {
 		return nil, err
 	}
-	wireWorker(cfg, w)
+	wireWorker(st.cfg, w)
 	return w, nil
 }
 
@@ -464,8 +462,8 @@ func (st *shardState) quiesce() {
 }
 
 // blocking reports whether this state runs with per-shard blocking
-// indices (MinSharedTokens > 0 in the snapshotted config).
-func (st *shardState) blocking() bool { return st.cfg.MinSharedTokens > 0 }
+// indices (MinSharedTokens > 0 in its inputs).
+func (st *shardState) blocking() bool { return st.in.MinSharedTokens > 0 }
 
 // localOf resolves a global vertex id to the worker's local id.
 func (w *shardWorker) localOf(gv graph.VID) (graph.VID, bool) {

@@ -8,13 +8,12 @@ import (
 
 	"her/internal/core"
 	"her/internal/graph"
-	"her/internal/ranking"
 )
 
 // deltaHarness owns live graphs, a generation counter and a delta log,
 // mimicking her.System's emission protocol (stamp, record, publish —
-// all under the mutation lock; SnapGen stamped by the Snapshot hook
-// under the same lock).
+// all under the mutation lock; Source reads the generation of its
+// copies under the same lock).
 type deltaHarness struct {
 	mu        sync.Mutex
 	gd        *graph.Graph
@@ -33,23 +32,20 @@ func newDeltaHarness(gd, g *graph.Graph, maxLen, minShared int, params core.Para
 }
 
 func (h *deltaHarness) config(shards int) Config {
-	cfg := Config{
+	return Config{
+		Source: func() Inputs {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			return Inputs{
+				GD: h.gd.Copy(), G: h.g.Copy(),
+				Params: h.params, MaxPathLen: h.maxLen, MinSharedTokens: h.minShared,
+				Gen: h.gen.Load(),
+			}
+		},
 		Shards:     shards,
 		Generation: h.gen.Load,
 		Deltas:     h.log.Since,
 	}
-	cfg.Snapshot = func(c Config) Config {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		c.GD, c.G = h.gd.Clone(), h.g.Clone()
-		c.RankerD = ranking.NewRanker(c.GD, nil, h.maxLen)
-		c.Params = h.params
-		c.MaxPathLen = h.maxLen
-		c.MinSharedTokens = h.minShared
-		c.SnapGen = h.gen.Load()
-		return c
-	}
-	return cfg.Snapshot(cfg)
 }
 
 func (h *deltaHarness) record(d Delta) {

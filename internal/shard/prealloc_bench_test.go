@@ -25,8 +25,7 @@ var mergeSink []core.Pair
 
 // BenchmarkGatherMergeBare is the pre-PR-9 gather loop: append into a
 // nil slice, growing geometrically as shard replies arrive. Kept as
-// the baseline for BenchmarkGatherMergePrealloc (hotalloc's
-// un-preallocated-append finding in Engine.compute).
+// the baseline for BenchmarkGatherMergePrealloc.
 func BenchmarkGatherMergeBare(b *testing.B) {
 	replies := benchReplies()
 	b.ReportAllocs()

@@ -72,7 +72,9 @@ func (m *engineMetrics) gather(op taskOp) *obs.Histogram {
 }
 
 // NewEngine validates the configuration and builds the initial shard
-// state (partition, halo materialization, workers).
+// state (partition, halo materialization, workers) from one Source call;
+// whatever the owner does after that call is replayed from Deltas at the
+// first request.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.normalized()
 	if err := cfg.validate(); err != nil {
@@ -98,7 +100,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			apairGather:   cfg.Metrics.Histogram(`her_shard_gather_seconds{op="apair"}`, obs.TimeBuckets),
 		},
 	}
-	st, err := newState(cfg, e.generation())
+	st, err := newState(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -143,8 +145,6 @@ type taskResult struct {
 // run is the worker's drain loop: one goroutine per shard owns the
 // matcher, so the (deliberately non-thread-safe) core.Matcher needs no
 // locking and its cache warms across requests.
-//
-//herlint:hot
 func (w *shardWorker) run() {
 	for t := range w.queue {
 		if t.req.op == opBarrier {
@@ -363,8 +363,6 @@ func (e *Engine) serve(ctx context.Context, req request) ([]core.Pair, error) {
 // compute scatters req to every shard worker and gathers the merged,
 // sorted, override-reconciled match set. Admission control happens at
 // enqueue: any full queue sheds the whole request with ErrOverloaded.
-//
-//herlint:hot
 func (e *Engine) compute(ctx context.Context, gen uint64, req request) ([]core.Pair, error) {
 	st, release, err := e.state(gen)
 	if err != nil {

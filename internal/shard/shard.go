@@ -23,6 +23,14 @@
 // ErrOverloaded when queues are full instead of piling up goroutines.
 // A single-pair check (SPair) skips the scatter and the cache: it is
 // one task for the shard that owns the G-side vertex.
+//
+// The engine never shares a graph with its owner. Everything it matches
+// over arrives through Config.Source as an Inputs value, whose graphs are
+// graph.Copy values — only (*graph.Graph).Copy makes one — taken under
+// the owner's lock together with the generation they belong to. The
+// engine reads them, and grows them by delta replay, without any lock of
+// the owner's; the owner publishes a mutation by bumping Generation,
+// which advances or retires the state at the next request.
 package shard
 
 import (
@@ -38,45 +46,42 @@ import (
 	"her/internal/ranking"
 )
 
-// Config assembles a sharded engine from the components a trained
-// system exposes. GD, RankerD, LM and the score functions inside Params
-// are shared across all shard workers and must be safe for concurrent
-// reads (rankers are lock-protected, scorers are memoized behind
-// RWMutexes, a retrained language model is swapped in whole).
-//
-// The graphs deserve emphasis: the engine reads GD at request time
-// (matcher recursion, ranker paths, blocking docs) and G at build time,
-// all without any caller-visible lock. An owner that mutates its live
-// graphs while serving — her.System's AddTuple/AddGraphVertex/
-// AddGraphEdge do, under the system lock — must install a Snapshot hook
-// that hands the engine private clones taken under that lock
-// (graph.Clone); the mutation's generation bump then retires the
-// snapshot at the next request. Passing live graphs without a Snapshot
-// hook is only correct when they are never mutated while the engine
-// serves (the testkit differential harness).
-type Config struct {
-	// GD is the canonical graph G_D (left side); it is shared, not
-	// sharded — requests address its vertices.
-	GD *graph.Graph
-	// G is the target graph to partition.
-	G *graph.Graph
-	// RankerD is the G_D-side ranking function h_r, shared by all
-	// workers (its ecache is concurrency-safe).
-	RankerD *ranking.Ranker
-	// LM is the path language model guiding G-side path growth (may be
-	// nil: the deterministic PRA-greedy rule).
+// Inputs is what an engine state is built from: what the owner reads
+// under its mutation lock in one Source call. LM and the score functions
+// inside Params are shared by all shard workers and must be safe for
+// concurrent reads (scorers are memoized behind RWMutexes, a retrained
+// language model is swapped in whole).
+type Inputs struct {
+	// GD is the canonical graph G_D (left side); it is not sharded —
+	// requests address its vertices. G is the target graph to partition.
+	GD, G graph.Copy
+	// LM is the path language model guiding path growth on both sides
+	// (may be nil: the deterministic PRA-greedy rule).
 	LM *lstm.Model
 	// Params are the parametric-simulation parameters (M_v, M_ρ, σ, δ, k).
 	Params core.Params
-	// MaxPathLen caps ranker paths (0 means the ranker default of 4).
-	// It must match RankerD's cap, since the halo radius derives from it.
+	// MaxPathLen caps ranker paths on both sides (0 means the ranker
+	// default of 4); the halo radius derives from it.
 	MaxPathLen int
-	// Shards is the number of fragments (>= 1).
-	Shards int
 	// MinSharedTokens > 0 enables the blocking inverted index per shard
 	// (the System's candidate generation); 0 scans every owned vertex
 	// (the testkit differential mode, mirroring a nil CandidateGen).
 	MinSharedTokens int
+	// Gen is the generation the copies were taken at. It anchors delta
+	// replay: a state built from these copies plus the deltas (Gen, g] is
+	// exactly the owner's state at g.
+	Gen uint64
+}
+
+// Config is what stays fixed for an engine's life.
+type Config struct {
+	// Source reads one consistent Inputs from the owner. NewEngine calls
+	// it once and every full rebuild once more — a System retrains its
+	// language model and changes thresholds across generations — so each
+	// engine state costs one deep copy of (G_D, G).
+	Source func() Inputs
+	// Shards is the number of fragments (>= 1).
+	Shards int
 	// QueueDepth bounds each shard's request queue (default 64); a full
 	// queue sheds the request with ErrOverloaded.
 	QueueDepth int
@@ -94,23 +99,6 @@ type Config struct {
 	// was truncated or diverged — falls back to a full rebuild, as does
 	// any DeltaReset in the range. Nil always rebuilds.
 	Deltas func(after, upto uint64) ([]Delta, bool)
-	// SnapGen is stamped by the Snapshot hook: the generation the cloned
-	// graphs were taken at, read under the same owner lock that excludes
-	// mutations. It anchors delta replay — a state built from a SnapGen
-	// snapshot plus the deltas (SnapGen, g] is exactly the owner's state
-	// at g. Ignored when Snapshot is nil.
-	SnapGen uint64
-	// Snapshot, when set, refreshes the component fields (graphs,
-	// RankerD, LM, Params, MaxPathLen, MinSharedTokens) from their owner
-	// before each rebuild: a System retrains rankers and language models
-	// across generations, so a rebuild must not reuse stale captures.
-	// NewEngine does not call it: the Config it is handed must already be
-	// the hook's output (components and SnapGen), and whatever the owner
-	// did since is replayed from Deltas at the first request.
-	// The returned graphs must be private to the engine (clones taken
-	// under the owner's lock) whenever the owner mutates its live graphs
-	// while serving; see the Config comment.
-	Snapshot func(Config) Config
 	// Overrides reconciles a merged match set with user-verified
 	// verdicts (her.System.ApplyOverrides); nil means identity. scope
 	// is the G_D vertex for VPair requests, graph.NoVertex for APair.
@@ -130,16 +118,13 @@ func (c Config) normalized() Config {
 }
 
 func (c Config) validate() error {
-	if c.GD == nil || c.G == nil {
-		return fmt.Errorf("shard: GD and G must be non-nil")
-	}
-	if c.RankerD == nil {
-		return fmt.Errorf("shard: RankerD must be non-nil")
+	if c.Source == nil {
+		return fmt.Errorf("shard: Source must be non-nil")
 	}
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: shard count must be >= 1, got %d", c.Shards)
 	}
-	return c.Params.Validate()
+	return nil
 }
 
 // shardState is one generation of the engine: the partition, the
@@ -150,13 +135,15 @@ func (c Config) validate() error {
 // the engine write lock with quiesced workers; requests share it read-
 // only.
 type shardState struct {
-	cfg    Config // snapshotted components this state serves from
-	gen    uint64
-	gd     *graph.Graph // private G_D mirror (grown in place by deltas)
-	g      *graph.Graph // private G mirror (delta replay + fragment rebuilds)
-	radius int          // halo radius used (-1 = full forward closure)
-	docD   func(graph.VID) string
-	shards []*shardWorker
+	cfg     Config // the engine's fixed settings
+	in      Inputs // what the owner handed over for this state
+	gen     uint64
+	gd      *graph.Graph    // private G_D (grown in place by deltas)
+	g       *graph.Graph    // private G (delta replay + fragment rebuilds)
+	rankerD *ranking.Ranker // h_r over gd, shared by all workers (its ecache is concurrency-safe)
+	radius  int             // halo radius used (-1 = full forward closure)
+	docD    func(graph.VID) string
+	shards  []*shardWorker
 }
 
 // shardWorker owns one fragment: its halo-closed subgraph (local vertex
@@ -188,38 +175,26 @@ type shardWorker struct {
 	computeSeconds *obs.Histogram // her_shard_compute_seconds{shard}
 }
 
-// buildState is the full-rebuild path: it refreshes the components from
-// their owner through the Snapshot hook, then builds a state from them.
-func buildState(cfg Config, gen uint64) (*shardState, error) {
-	if cfg.Snapshot != nil {
-		cfg = cfg.Snapshot(cfg).normalized()
-		if err := cfg.validate(); err != nil {
-			return nil, err
-		}
+// newState asks the owner for its inputs, partitions G, materializes
+// every fragment's halo-closed subgraph and starts one worker per shard.
+func newState(cfg Config) (*shardState, error) {
+	in := cfg.Source()
+	gd, g := in.GD.Graph(), in.G.Graph()
+	if gd == nil || g == nil {
+		return nil, fmt.Errorf("shard: Source returned no copy of G_D or G")
 	}
-	return newState(cfg, gen)
-}
-
-// newState partitions cfg.G, materializes every fragment's halo-closed
-// subgraph and starts one worker per shard — from the components as
-// given, so the engine's first state serves the snapshot its caller
-// already took instead of cloning the graphs a second time.
-func newState(cfg Config, gen uint64) (*shardState, error) {
-	if cfg.Snapshot != nil {
-		// The snapshot's graphs belong to its own generation, read under
-		// the owner's lock; stamping anything else would make later delta
-		// replay double-apply (or skip) the mutations that raced the clone.
-		gen = cfg.SnapGen
-	}
-	part, err := graph.PartitionEdgeCut(cfg.G, cfg.Shards)
+	part, err := graph.PartitionEdgeCut(g, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	radius := core.HaloRadius(cfg.GD, cfg.MaxPathLen)
-	docD := index.NeighborhoodDoc(cfg.GD)
-	st := &shardState{cfg: cfg, gen: gen, gd: cfg.GD, g: cfg.G, radius: radius, docD: docD}
+	st := &shardState{
+		cfg: cfg, in: in, gen: in.Gen, gd: gd, g: g,
+		rankerD: ranking.NewRanker(gd, in.LM, in.MaxPathLen),
+		radius:  core.HaloRadius(gd, in.MaxPathLen),
+		docD:    index.NeighborhoodDoc(gd),
+	}
 	for i := range part.Fragments {
-		w, err := buildWorker(cfg, &part.Fragments[i], radius, docD)
+		w, err := st.buildWorker(&part.Fragments[i])
 		if err != nil {
 			stopWorkers(st.shards)
 			return nil, err
@@ -241,10 +216,6 @@ func wireWorker(cfg Config, w *shardWorker) {
 		`her_shard_queue_wait_seconds{shard="`+strconv.Itoa(w.id)+`"}`, obs.TimeBuckets)
 	w.computeSeconds = cfg.Metrics.Histogram(
 		`her_shard_compute_seconds{shard="`+strconv.Itoa(w.id)+`"}`, obs.TimeBuckets)
-	cfg.Metrics.Gauge(`her_shard_owned_vertices{shard="` + strconv.Itoa(w.id) + `"}`).
-		Set(float64(len(w.owned)))
-	cfg.Metrics.Gauge(`her_shard_halo_vertices{shard="` + strconv.Itoa(w.id) + `"}`).
-		Set(float64(w.haloLen))
 	go w.run()
 }
 
@@ -263,9 +234,10 @@ func expandEdges(d, radius int, blocking bool) bool {
 // (so ranker and matcher tie-breaks agree with the whole-graph run),
 // copy the eligible out-edges in their original order, and assemble the
 // worker's matcher and candidate generator.
-func buildWorker(cfg Config, frag *graph.Fragment, radius int, docD func(graph.VID) string) (*shardWorker, error) {
-	blocking := cfg.MinSharedTokens > 0
-	n := cfg.G.NumVertices()
+func (st *shardState) buildWorker(frag *graph.Fragment) (*shardWorker, error) {
+	g, radius, docD := st.g, st.radius, st.docD
+	blocking := st.blocking()
+	n := g.NumVertices()
 	depthOf := make([]int32, n)
 	for i := range depthOf {
 		depthOf[i] = -1
@@ -279,7 +251,7 @@ func buildWorker(cfg Config, frag *graph.Fragment, radius int, docD func(graph.V
 	for d := 0; len(frontier) > 0 && expandEdges(d, radius, blocking); d++ {
 		next := make([]graph.VID, 0, len(frontier))
 		for _, gv := range frontier {
-			for _, e := range cfg.G.Out(gv) {
+			for _, e := range g.Out(gv) {
 				if depthOf[e.To] < 0 {
 					depthOf[e.To] = int32(d + 1)
 					members = append(members, e.To)
@@ -299,7 +271,7 @@ func buildWorker(cfg Config, frag *graph.Fragment, radius int, docD func(graph.V
 	toGlobal := make([]graph.VID, 0, len(members))
 	ldepth := make([]int32, 0, len(members))
 	for _, gv := range members {
-		toLocal[gv] = sg.AddVertex(cfg.G.Label(gv))
+		toLocal[gv] = sg.AddVertex(g.Label(gv))
 		toGlobal = append(toGlobal, gv)
 		ldepth = append(ldepth, depthOf[gv])
 	}
@@ -307,7 +279,7 @@ func buildWorker(cfg Config, frag *graph.Fragment, radius int, docD func(graph.V
 		if !expandEdges(int(depthOf[gv]), radius, blocking) {
 			continue
 		}
-		for _, e := range cfg.G.Out(gv) {
+		for _, e := range g.Out(gv) {
 			sg.MustAddEdge(toLocal[gv], toLocal[e.To], e.Label)
 		}
 	}
@@ -324,12 +296,12 @@ func buildWorker(cfg Config, frag *graph.Fragment, radius int, docD func(graph.V
 		ownedGlobal = append(ownedGlobal, toGlobal[lv])
 	}
 
-	rankerG := ranking.NewRanker(sg, cfg.LM, cfg.MaxPathLen)
-	m, err := core.NewMatcher(cfg.GD, sg, cfg.RankerD, rankerG, cfg.Params)
+	rankerG := ranking.NewRanker(sg, st.in.LM, st.in.MaxPathLen)
+	m, err := core.NewMatcher(st.gd, sg, st.rankerD, rankerG, st.in.Params)
 	if err != nil {
 		return nil, err
 	}
-	m.SetMetrics(cfg.Metrics)
+	m.SetMetrics(st.cfg.Metrics)
 	w := &shardWorker{
 		id:          frag.ID,
 		g:           sg,
@@ -341,10 +313,10 @@ func buildWorker(cfg Config, frag *graph.Fragment, radius int, docD func(graph.V
 		isOwned:     isOwned,
 		haloLen:     len(members) - len(frag.Owned),
 		blocking:    blocking,
-		minShared:   cfg.MinSharedTokens,
+		minShared:   st.in.MinSharedTokens,
 		rankerG:     rankerG,
 		matcher:     m,
-		queue:       make(chan *task, cfg.QueueDepth),
+		queue:       make(chan *task, st.cfg.QueueDepth),
 	}
 	// The candidate generators read the worker's fields, not captured
 	// copies, so an in-place delta (grown owned set, rebuilt blocking

@@ -11,7 +11,6 @@ import (
 	"her/internal/core"
 	"her/internal/graph"
 	"her/internal/obs"
-	"her/internal/ranking"
 )
 
 func exactMv(a, b string) float64 {
@@ -75,14 +74,17 @@ func fixtureG(copies int) *graph.Graph {
 }
 
 func fixtureConfig(shards int) Config {
-	gd := fixtureGD()
+	return configOver(fixtureGD(), fixtureG(8), 0, shards)
+}
+
+// configOver is an engine config over copies of the given graphs, at
+// the constant generation 0.
+func configOver(gd, g *graph.Graph, minShared, shards int) Config {
 	return Config{
-		GD:         gd,
-		G:          fixtureG(8),
-		RankerD:    ranking.NewRanker(gd, nil, 0),
-		Params:     testParams(),
-		MaxPathLen: 0,
-		Shards:     shards,
+		Source: func() Inputs {
+			return Inputs{GD: gd.Copy(), G: g.Copy(), Params: testParams(), MinSharedTokens: minShared}
+		},
+		Shards: shards,
 	}
 }
 
@@ -139,9 +141,9 @@ func globalDepths(g *graph.Graph, seeds []graph.VID) []int {
 // with an identical label, vertices strictly inside the radius carry
 // their complete out-edge list in global order, and local ids ascend in
 // global id so id tie-breaks agree with the whole-graph matcher.
-func checkWorkerClosure(t *testing.T, cfg Config, w *shardWorker, radius int) {
+func checkWorkerClosure(t *testing.T, st *shardState, w *shardWorker, radius int) {
 	t.Helper()
-	g := cfg.G
+	g := st.g
 	ownedGlobal := make([]graph.VID, 0, len(w.owned))
 	for _, lv := range w.owned {
 		ownedGlobal = append(ownedGlobal, w.toGlobal[lv])
@@ -156,7 +158,7 @@ func checkWorkerClosure(t *testing.T, cfg Config, w *shardWorker, radius int) {
 		toLocal[gv] = graph.VID(lv)
 	}
 
-	blocking := cfg.MinSharedTokens > 0
+	blocking := st.blocking()
 	for gv := 0; gv < g.NumVertices(); gv++ {
 		d := depth[gv]
 		// Presence: everything within the radius, plus — when the
@@ -198,26 +200,25 @@ func checkWorkerClosure(t *testing.T, cfg Config, w *shardWorker, radius int) {
 // dv-hop neighborhoods the matcher inspects.
 func TestHaloClosure(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5} {
-		cfg := fixtureConfig(shards).normalized()
-		radius := core.HaloRadius(cfg.GD, cfg.MaxPathLen)
+		radius := core.HaloRadius(fixtureGD(), 0)
 		if radius < 0 {
 			t.Fatalf("fixture G_D must be acyclic, got radius %d", radius)
 		}
-		st, err := buildState(cfg, 0)
+		st, err := newState(fixtureConfig(shards).normalized())
 		if err != nil {
-			t.Fatalf("buildState(%d shards): %v", shards, err)
+			t.Fatalf("newState(%d shards): %v", shards, err)
 		}
 		if st.radius != radius {
 			t.Fatalf("state radius %d, want derived %d", st.radius, radius)
 		}
 		totalOwned := 0
 		for _, w := range st.shards {
-			checkWorkerClosure(t, cfg, w, radius)
+			checkWorkerClosure(t, st, w, radius)
 			totalOwned += len(w.owned)
 		}
-		if totalOwned != cfg.G.NumVertices() {
+		if totalOwned != st.g.NumVertices() {
 			t.Fatalf("%d shards own %d vertices, want %d (disjoint cover)",
-				shards, totalOwned, cfg.G.NumVertices())
+				shards, totalOwned, st.g.NumVertices())
 		}
 		stopWorkers(st.shards)
 	}
@@ -226,19 +227,18 @@ func TestHaloClosure(t *testing.T) {
 // TestHaloClosureCyclicGD: a cyclic G_D has no hop bound, so every
 // fragment must be closed under full forward reachability.
 func TestHaloClosureCyclicGD(t *testing.T) {
-	cfg := fixtureConfig(3)
-	cfg.GD.MustAddEdge(3, 0, "back") // springfield → person: directed cycle
-	cfg = cfg.normalized()
-	radius := core.HaloRadius(cfg.GD, cfg.MaxPathLen)
+	gd := fixtureGD()
+	gd.MustAddEdge(3, 0, "back") // springfield → person: directed cycle
+	radius := core.HaloRadius(gd, 0)
 	if radius != -1 {
 		t.Fatalf("cyclic G_D radius = %d, want -1", radius)
 	}
-	st, err := buildState(cfg, 0)
+	st, err := newState(configOver(gd, fixtureG(8), 0, 3).normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range st.shards {
-		checkWorkerClosure(t, cfg, w, radius)
+		checkWorkerClosure(t, st, w, radius)
 	}
 	stopWorkers(st.shards)
 }
@@ -249,21 +249,16 @@ func TestHaloClosureCyclicGD(t *testing.T) {
 func TestHaloClosureBlocking(t *testing.T) {
 	gd := graph.New()
 	gd.AddVertex("alice") // single leaf: HaloRadius 0
-	cfg := fixtureConfig(2)
-	cfg.GD = gd
-	cfg.RankerD = ranking.NewRanker(gd, nil, 0)
-	cfg.MinSharedTokens = 1
-	cfg = cfg.normalized()
-	radius := core.HaloRadius(cfg.GD, cfg.MaxPathLen)
+	radius := core.HaloRadius(gd, 0)
 	if radius != 0 {
 		t.Fatalf("leaf-only G_D radius = %d, want 0", radius)
 	}
-	st, err := buildState(cfg, 0)
+	st, err := newState(configOver(gd, fixtureG(8), 1, 2).normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range st.shards {
-		checkWorkerClosure(t, cfg, w, radius)
+		checkWorkerClosure(t, st, w, radius)
 	}
 	stopWorkers(st.shards)
 }
@@ -396,6 +391,12 @@ func TestGenerationInvalidation(t *testing.T) {
 	var gen atomic.Uint64
 	var suppress atomic.Bool
 	cfg := fixtureConfig(2)
+	src := cfg.Source
+	cfg.Source = func() Inputs {
+		in := src()
+		in.Gen = gen.Load()
+		return in
+	}
 	cfg.Generation = gen.Load
 	cfg.Overrides = func(matches []core.Pair, scope graph.VID) []core.Pair {
 		if suppress.Load() {
@@ -442,12 +443,28 @@ func TestGenerationInvalidation(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsMissingInputs: a nil Source, or a Source whose
+// Inputs hold the zero graph.Copy for either graph, is an error from
+// NewEngine — not a nil dereference in the first partition.
+func TestNewEngineRejectsMissingInputs(t *testing.T) {
+	good := fixtureConfig(2).Source()
+	for name, src := range map[string]func() Inputs{
+		"nil Source": nil,
+		"zero GD":    func() Inputs { in := good; in.GD = graph.Copy{}; return in },
+		"zero G":     func() Inputs { in := good; in.G = graph.Copy{}; return in },
+	} {
+		if e, err := NewEngine(Config{Source: src, Shards: 2}); err == nil {
+			e.Close()
+			t.Errorf("%s: NewEngine built an engine", name)
+		}
+	}
+}
+
 // TestManyShards: shard counts beyond |V| produce empty fragments and
 // still-correct (merged) results.
 func TestManyShards(t *testing.T) {
-	cfg := fixtureConfig(1)
-	nv := cfg.G.NumVertices()
-	whole, err := NewEngine(cfg)
+	nv := fixtureG(8).NumVertices()
+	whole, err := NewEngine(fixtureConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}

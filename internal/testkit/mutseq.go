@@ -24,9 +24,9 @@ import (
 // The emission contract matches System.recordDelta exactly: under the
 // lock, the delta is stamped with generation+1, recorded, and only then
 // is the generation bump published, so an engine that observes a
-// generation always finds its delta in the log. The Snapshot hook
-// stamps SnapGen under the same lock, anchoring replay to the exact
-// generation of the clones.
+// generation always finds its delta in the log. EngineConfig's Source
+// reads the generation under the same lock, anchoring replay to the
+// exact generation of the copies.
 type MutSeq struct {
 	mu        sync.Mutex
 	GD        *graph.Graph
@@ -126,27 +126,27 @@ func (m *MutSeq) Reset() {
 }
 
 // EngineConfig assembles a sharded engine config over the live
-// sequence, shaped like System.ShardConfig: Snapshot clones the graphs
-// and stamps SnapGen under the mutation lock, Generation exposes the
-// counter, Deltas exposes the log.
+// sequence, shaped like System.ShardConfig: Source copies the graphs
+// and reads the generation under the mutation lock, Generation exposes
+// the counter, Deltas exposes the log.
 func (m *MutSeq) EngineConfig(shards int) shard.Config {
-	cfg := shard.Config{
+	return shard.Config{
+		Source: func() shard.Inputs {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return shard.Inputs{
+				GD:              m.GD.Copy(),
+				G:               m.G.Copy(),
+				Params:          m.Params,
+				MaxPathLen:      m.MaxLen,
+				MinSharedTokens: m.MinShared,
+				Gen:             m.gen.Load(),
+			}
+		},
 		Shards:     shards,
 		Generation: m.gen.Load,
 		Deltas:     m.deltas.Since,
 	}
-	cfg.Snapshot = func(c shard.Config) shard.Config {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		c.GD, c.G = m.GD.Clone(), m.G.Clone()
-		c.RankerD = ranking.NewRanker(c.GD, nil, m.MaxLen)
-		c.Params = m.Params
-		c.MaxPathLen = m.MaxLen
-		c.MinSharedTokens = m.MinShared
-		c.SnapGen = m.gen.Load()
-		return c
-	}
-	return cfg.Snapshot(cfg)
 }
 
 // NewEngine builds a delta-maintained sharded engine over the sequence.

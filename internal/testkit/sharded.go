@@ -5,7 +5,6 @@ import (
 
 	"her/internal/core"
 	"her/internal/graph"
-	"her/internal/ranking"
 	"her/internal/shard"
 )
 
@@ -16,12 +15,10 @@ import (
 // graph — that is the halo-replication correctness claim.
 func (w *Workload) Sharded(n int) ([]core.Pair, error) {
 	eng, err := shard.NewEngine(shard.Config{
-		GD:         w.GD,
-		G:          w.G,
-		RankerD:    ranking.NewRanker(w.GD, nil, w.MaxLen),
-		Params:     w.Params,
-		MaxPathLen: w.MaxLen,
-		Shards:     n,
+		Source: func() shard.Inputs {
+			return shard.Inputs{GD: w.GD.Copy(), G: w.G.Copy(), Params: w.Params, MaxPathLen: w.MaxLen}
+		},
+		Shards: n,
 	})
 	if err != nil {
 		return nil, err

@@ -268,8 +268,6 @@ func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) 
 
 // matchTuple evaluates a vertex rule's predicate conjunction over one
 // tuple. A predicate over a null attribute never holds.
-//
-//herlint:hot
 func matchTuple(rel *relational.Relation, t relational.Tuple, where []Predicate) bool {
 	for i := range where {
 		p := &where[i]
@@ -312,8 +310,6 @@ func vertexLabel(rel *relational.Relation, t relational.Tuple, vr *VertexRule) s
 // materialized tuple, degrades to the leaf when dangling-and-projected,
 // and is skipped otherwise. Dangling lookups are recorded so a later
 // tuple resolving one invalidates append-only maintenance.
-//
-//herlint:hot
 func (c *compiled) extractTuple(g *graph.Graph, m *Mapping, ruleIdx int, rel *relational.Relation, t relational.Tuple, ut graph.VID) {
 	proj := c.project[ruleIdx]
 	ref := rdb2rdf.TupleRef{Relation: rel.Schema.Name, TupleID: t.ID}
@@ -354,8 +350,6 @@ func (c *compiled) extractTuple(g *graph.Graph, m *Mapping, ruleIdx int, rel *re
 // extractPaths runs pass 3 for one materialized source tuple: follow
 // the rule's FK chain (or closure) and add an edge to every
 // materialized endpoint. Intermediate tuples need not be materialized.
-//
-//herlint:hot
 func (c *compiled) extractPaths(g *graph.Graph, m *Mapping, er *EdgeRule, t relational.Tuple, ut graph.VID) {
 	if er.Closure > 0 {
 		c.extractClosure(g, m, er, t, ut)
@@ -394,8 +388,6 @@ func (c *compiled) extractPaths(g *graph.Graph, m *Mapping, er *EdgeRule, t rela
 // adding an edge to every materialized tuple reached. The chain stops
 // at a null value, a dangling key, a missing FK in the reached
 // relation, or a revisit (cycle).
-//
-//herlint:hot
 func (c *compiled) extractClosure(g *graph.Graph, m *Mapping, er *EdgeRule, t relational.Tuple, ut graph.VID) {
 	attr := er.Path[0]
 	relName := er.Relation

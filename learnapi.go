@@ -92,7 +92,7 @@ func (s *System) TrainRanker(sampleVertices, epochs int) error {
 		Epochs: epochs, LearnRate: 0.05, Clip: 5, Seed: o.Seed,
 	})
 	// One lock acquisition for the swap and the matcher reset that
-	// publishes it: a sharded engine's Snapshot hook reads s.lm under
+	// publishes it: a sharded engine's Source reads s.lm under
 	// this lock while it serves.
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -55,6 +55,10 @@ stage "go test" go test ./...
 # /vpair through ServeHTTP) are run by hand when measuring; one iteration
 # here keeps them compiling and passing.
 stage "server benchmarks (1x)" go test -run '^$' -bench ServeVPairHit -benchtime 1x ./internal/server
+# Likewise the scoring kernel's and the matcher's (MvScore, Embed cold
+# and warm, Match and VPair cold): the numbers that say whether a hot
+# path allocates are measured, not linted.
+stage "embed/core benchmarks (1x)" go test -run '^$' -bench . -benchtime 1x ./internal/embed ./internal/core
 # The benchmark is its own module (benchmark/go.mod replaces `her` with
 # ..), so ./... above never compiles it: vet and short-test it against
 # the working tree here, or an API change that breaks it is first seen

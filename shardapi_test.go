@@ -3,83 +3,128 @@ package her
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"her/internal/shard"
 )
 
-// TestShardConfigSnapshotClones: the Snapshot hook must hand the engine
-// private graph copies, with the ranker rebound to the cloned G_D — the
-// engine reads its graphs at request time without the system lock,
-// while AddTuple/AddGraphVertex/AddGraphEdge mutate the live graphs
-// under it.
+// tsv serializes a graph, for whole-graph equality.
+func tsv(t *testing.T, g *Graph) string {
+	t.Helper()
+	var b strings.Builder
+	if err := g.WriteTSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestShardConfigSnapshotClones: Source hands the engine copies that
+// share no memory with the live graphs or with each other — the engine
+// reads and grows its graphs without the system lock, while
+// AddTuple/AddGraphVertex/AddGraphEdge mutate the live ones under it.
 func TestShardConfigSnapshotClones(t *testing.T) {
 	sys, _ := incrementalFixture(t)
 	cfg := sys.ShardConfig(2)
-	if cfg.GD == sys.GD || cfg.G == sys.G {
-		t.Fatal("ShardConfig handed the engine the live graphs")
+	a, b := cfg.Source(), cfg.Source()
+	gd0, g0 := tsv(t, sys.GD), tsv(t, sys.G)
+	for _, in := range []shard.Inputs{a, b} {
+		if in.GD.Graph() == sys.GD || in.G.Graph() == sys.G {
+			t.Fatal("Source handed the engine the live graphs")
+		}
+		if tsv(t, in.GD.Graph()) != gd0 || tsv(t, in.G.Graph()) != g0 {
+			t.Fatal("copy diverges from the live graphs at capture time")
+		}
 	}
-	if cfg.RankerD.G != cfg.GD {
-		t.Fatal("RankerD not bound to the engine's G_D clone")
+	if a.GD.Graph() == b.GD.Graph() || a.G.Graph() == b.G.Graph() {
+		t.Fatal("two Source calls returned the same copy")
 	}
-	if cfg.GD.NumVertices() != sys.GD.NumVertices() || cfg.G.NumEdges() != sys.G.NumEdges() {
-		t.Fatal("snapshot diverges from the live graphs at capture time")
+
+	// Write to the live graphs and, differently, to the first copy.
+	v := sys.AddGraphVertex("live only")
+	if err := sys.AddGraphEdge(0, v, "liveEdge"); err != nil {
+		t.Fatal(err)
 	}
-	again := cfg.Snapshot(cfg)
-	if again.GD == cfg.GD || again.G == cfg.G {
-		t.Fatal("rebuild snapshot reused a previous clone")
+	if _, err := sys.AddTuple("product", "Live Only Sandal", "teal"); err != nil {
+		t.Fatal(err)
+	}
+	gd1, g1 := tsv(t, sys.GD), tsv(t, sys.G)
+	a.G.Graph().SetLabel(0, "copy only")
+	a.G.Graph().MustAddEdge(1, 0, "copyEdge")
+	a.GD.Graph().MustAddEdge(0, a.GD.Graph().AddVertex("copy only"), "copyEdge")
+
+	if tsv(t, b.GD.Graph()) != gd0 || tsv(t, b.G.Graph()) != g0 {
+		t.Fatal("a write to the live graphs or to one copy reached the other copy")
+	}
+	if tsv(t, sys.GD) != gd1 || tsv(t, sys.G) != g1 {
+		t.Fatal("a write to a copy reached the live graphs")
+	}
+	copied := tsv(t, a.GD.Graph()) + tsv(t, a.G.Graph())
+	for _, written := range []string{"live only", "liveEdge", "Live Only Sandal"} {
+		if strings.Contains(copied, written) {
+			t.Fatalf("the live graphs' %q reached a copy", written)
+		}
 	}
 }
 
-// TestEngineBuildsFromPassedSnapshot: NewEngine serves the snapshot
-// ShardConfig already took — cloning the graphs a second time under the
-// system lock, only to drop the first pair, is the bug this pins — and
-// the Snapshot hook runs once per full rebuild after that.
+// TestEngineBuildsFromPassedSnapshot: one deep copy of (G_D, G) per
+// engine state, never two — NewEngine calls Source exactly once, and a
+// reset delta (a threshold change records one) makes the next request
+// call it exactly once more.
 func TestEngineBuildsFromPassedSnapshot(t *testing.T) {
 	sys, _ := incrementalFixture(t)
 	cfg := sys.ShardConfig(2)
-	calls, hook := 0, cfg.Snapshot
-	cfg.Snapshot = func(c shard.Config) shard.Config {
+	calls, source := 0, cfg.Source
+	cfg.Source = func() shard.Inputs {
 		calls++
-		return hook(c)
+		return source()
 	}
 	eng, err := shard.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if calls != 0 {
-		t.Fatalf("NewEngine called the Snapshot hook %d times; the Config it was handed is the snapshot", calls)
+	if calls != 1 {
+		t.Fatalf("NewEngine called Source %d times, want 1", calls)
 	}
 	u0, err := sys.TupleVertex("product", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A threshold change records a reset delta: the next request must
-	// rebuild from a fresh snapshot.
+	if _, err := eng.VPair(context.Background(), u0); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("a request at the engine's own generation called Source (%d calls)", calls)
+	}
 	if err := sys.SetThresholds(sys.Thresholds()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.VPair(context.Background(), u0); err != nil {
 		t.Fatal(err)
 	}
-	if info := eng.Snapshot(); calls != 1 || info.FullRebuilds != 1 {
-		t.Fatalf("after one reset: %d Snapshot calls, %d full rebuilds, want 1 and 1", calls, info.FullRebuilds)
+	if info := eng.Snapshot(); calls != 2 || info.FullRebuilds != 1 {
+		t.Fatalf("after one reset: %d Source calls, %d full rebuilds, want 2 and 1", calls, info.FullRebuilds)
 	}
 }
 
-// TestEngineReplaysWritesSinceSnapshot: a Config captured at generation
-// g stays a valid way to start an engine after the system moved on —
-// the first state is stamped SnapGen, so the first request replays
-// (SnapGen, now] from the delta log instead of serving a stale graph or
-// rebuilding.
+// TestEngineReplaysWritesSinceSnapshot: a write that lands between
+// Source returning and the first request is not lost and costs no
+// rebuild — the state is stamped with the generation Source read under
+// the system lock, so the first request replays (that, now] from the
+// delta log.
 func TestEngineReplaysWritesSinceSnapshot(t *testing.T) {
 	sys, _ := incrementalFixture(t)
 	cfg := sys.ShardConfig(2)
-	id, err := sys.AddTuple("product", "Aurora Trail Runner 7 GTX", "red")
-	if err != nil {
-		t.Fatal(err)
+	id, source := -1, cfg.Source
+	cfg.Source = func() shard.Inputs {
+		in := source()
+		var err error
+		if id, err = sys.AddTuple("product", "Aurora Trail Runner 7 GTX", "red"); err != nil {
+			t.Error(err)
+		}
+		return in
 	}
 	eng, err := shard.NewEngine(cfg)
 	if err != nil {
@@ -92,7 +137,7 @@ func TestEngineReplaysWritesSinceSnapshot(t *testing.T) {
 	}
 	got, err := eng.VPair(context.Background(), uNew)
 	if err != nil {
-		t.Fatalf("engine does not know the tuple added after its snapshot: %v", err)
+		t.Fatalf("engine does not know the tuple added after its copies were taken: %v", err)
 	}
 	want := sys.VPairVertex(uNew)
 	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {

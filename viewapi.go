@@ -435,49 +435,53 @@ func (h *ViewHandle) apairLocked(sources []graph.VID) []Pair {
 }
 
 // APairParallel computes all matches with the BSP engine on n workers.
+// Like APair it holds the system lock for the whole run: the workers
+// read the live graphs and rankers, which AddTuple, AddGraphVertex and
+// AddGraphEdge extend under that lock, and never take it themselves.
 func (h *ViewHandle) APairParallel(workers int) ([]Pair, ParallelStats, error) {
-	eng, sources, gen, err := h.parallelEngine()
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	eng, err := h.parallelEngineLocked()
 	if err != nil {
 		return nil, ParallelStats{}, err
 	}
-	return h.parallelResult(eng.Run(sources, gen, bsp.Config{Workers: workers}))
+	return h.parallelResultLocked(eng.Run(h.sourcesLocked(), h.gen, bsp.Config{Workers: workers}))
 }
 
 // APairParallelAsync computes all matches with the asynchronous engine
 // (Section VI-B remark 1): no superstep barriers; workers exchange
-// messages as they arrive until quiescence.
+// messages as they arrive until quiescence. It holds the system lock
+// like APairParallel.
 func (h *ViewHandle) APairParallelAsync(workers int) ([]Pair, ParallelStats, error) {
-	eng, sources, gen, err := h.parallelEngine()
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	eng, err := h.parallelEngineLocked()
 	if err != nil {
 		return nil, ParallelStats{}, err
 	}
-	return h.parallelResult(eng.RunAsync(sources, gen, bsp.Config{Workers: workers}))
+	return h.parallelResultLocked(eng.RunAsync(h.sourcesLocked(), h.gen, bsp.Config{Workers: workers}))
 }
 
-// parallelEngine snapshots a parallel run's parameters (graph, rankers,
-// thresholds, metrics registry, candidate generator, source set) under
-// the system lock, so a concurrent SetThresholds, retrain or index
-// rebuild cannot tear them mid-run; the engine itself runs without the
-// lock.
-func (h *ViewHandle) parallelEngine() (*bsp.Engine, []graph.VID, core.CandidateGen, error) {
+// parallelEngineLocked builds a BSP engine over the view's live graphs,
+// rankers, thresholds and metrics registry. Callers hold s.mu until the
+// run is over.
+func (h *ViewHandle) parallelEngineLocked() (*bsp.Engine, error) {
 	s := h.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	eng, err := bsp.NewEngine(h.gd, s.G, h.rankerD, s.rankerG, s.paramsLocked())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	eng.Metrics = s.opts.Metrics
-	return eng, h.sourcesLocked(), h.gen, nil
+	return eng, nil
 }
 
-// parallelResult finishes a parallel run: its matches pass through the
-// view's overrides.
-func (h *ViewHandle) parallelResult(matches []Pair, stats ParallelStats, err error) ([]Pair, ParallelStats, error) {
+// parallelResultLocked finishes a parallel run: its matches pass through
+// the view's overrides. Callers hold s.mu.
+func (h *ViewHandle) parallelResultLocked(matches []Pair, stats ParallelStats, err error) ([]Pair, ParallelStats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
-	return h.applyOverrides(matches, graph.NoVertex), stats, nil
+	return h.applyOverridesLocked(matches, graph.NoVertex), stats, nil
 }
 
 // applyOverridesLocked reconciles algorithmic matches with user-verified

@@ -105,7 +105,8 @@ func TestSystemQueriesAreDirectViewQueries(t *testing.T) {
 	}
 	sc, vc := sys.ShardConfig(2), direct.ShardConfig(2)
 	shardShape := func(c shard.Config) []interface{} {
-		return results(c.Shards, c.SnapGen, c.GD.NumVertices(), c.GD.NumEdges(), c.Generation(),
+		in := c.Source()
+		return results(c.Shards, in.Gen, in.GD.Graph().NumVertices(), in.GD.Graph().NumEdges(), c.Generation(),
 			c.Overrides([]Pair{{U: u0, V: ent[0]}}, u0))
 	}
 	explain := func(e *Explanation, err error) []interface{} {
