@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"her/internal/shard"
 )
@@ -201,4 +202,47 @@ func TestRetrainRaceWithShardedServing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestResolveAndLabelTakeNoLock: a tuple the published resolution maps
+// and a vertex in G's published label column are read without s.mu —
+// here held by the test for the whole call. Both go on answering for
+// what AddTuple and AddGraphVertex publish.
+func TestResolveAndLabelTakeNoLock(t *testing.T) {
+	sys, src, p1 := concurrencyFixture(t)
+	id, err := sys.AddTuple("product", "Nimbus Peak Boot", "green")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := sys.AddGraphVertex("accessory")
+	uNew, err := sys.TupleVertex("product", id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	type answer struct {
+		u0, u1        VertexID
+		err0, err1    error
+		label, labelV string
+	}
+	done := make(chan answer, 1)
+	go func() {
+		var a answer
+		a.u0, a.err0 = sys.TupleVertex("product", 0)
+		a.u1, a.err1 = sys.TupleVertex("product", id)
+		a.label, a.labelV = sys.GraphLabel(p1), sys.GraphLabel(v)
+		done <- a
+	}()
+	select {
+	case a := <-done:
+		if a.err0 != nil || a.err1 != nil || a.u0 != src || a.u1 != uNew {
+			t.Errorf("TupleVertex = (%d, %v), (%d, %v); want %d, %d", a.u0, a.err0, a.u1, a.err1, src, uNew)
+		}
+		if a.label != "product" || a.labelV != "accessory" {
+			t.Errorf("GraphLabel = %q, %q; want product, accessory", a.label, a.labelV)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("TupleVertex or GraphLabel waited for the system lock")
+	}
 }

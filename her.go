@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"her/internal/bsp"
 	"her/internal/core"
@@ -122,6 +123,11 @@ type System struct {
 	// construction, so the top-level query methods (and the lock-free
 	// Generation) reach it without the lock.
 	direct *ViewHandle
+	// labels is G's label column as of its last AddGraphVertex, which
+	// GraphLabel reads without the lock. Labels are append-only
+	// (graph.Graph.Labels), so a published column stays exact at its
+	// length; each write publishes a new header under mu.
+	labels atomic.Pointer[[]string]
 }
 
 // New builds a System from a relational database and a graph; the
@@ -140,6 +146,7 @@ func New(db *relational.Database, g *graph.Graph, opts Options) (*System, error)
 	}
 	s.DB, s.Mapping = db, mapping
 	s.direct.mapping, s.direct.rules = mapping, view.Direct(db).RuleCount()
+	s.direct.publishLocked()
 	return s, nil
 }
 
@@ -167,6 +174,8 @@ func NewFromGraphs(gd, g *graph.Graph, opts Options) (*System, error) {
 		deltas:    shard.NewDeltaLog(0),
 	}
 	s.hosted = []*ViewHandle{s.direct}
+	s.direct.publishLocked()
+	s.publishLabelsLocked()
 	s.buildCandidateGenLocked()
 	if err := s.resetMatcherLocked(); err != nil {
 		return nil, err
@@ -288,10 +297,21 @@ func (s *System) GraphValid(v VertexID) bool {
 	return s.G.Valid(v)
 }
 
+// publishLabelsLocked publishes G's label column for GraphLabel.
+// Callers hold s.mu (construction and AddGraphVertex do).
+func (s *System) publishLabelsLocked() {
+	labels := s.G.Labels()
+	s.labels.Store(&labels)
+}
+
 // GraphLabel returns the label of G vertex v ("" when v is not a vertex
-// of G), under the system lock — the serving path's render-time reads
-// run concurrently with incremental updates appending to G.
+// of G). The serving path renders labels while incremental updates
+// append to G: a vertex in the published label column is read from it
+// without the system lock, any other under the lock.
 func (s *System) GraphLabel(v VertexID) string {
+	if labels := *s.labels.Load(); v >= 0 && int(v) < len(labels) {
+		return labels[v]
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.G.Valid(v) {

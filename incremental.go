@@ -53,6 +53,7 @@ func (s *System) AddGraphVertex(label string) VertexID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.G.AddVertex(label)
+	s.publishLabelsLocked()
 	// G is shared by every view, so each view's engine mirror needs the
 	// delta in its own log.
 	for _, h := range s.hosted {

@@ -82,8 +82,8 @@ type Copy struct{ g *Graph }
 func (c Copy) Graph() *Graph { return c.g }
 
 // Copy returns a deep copy of g: labels, adjacency and edge count share
-// no memory with the original, so mutating either graph (AddVertex,
-// AddEdge, SetLabel) never affects the other. A graph's owner takes it
+// no memory with the original, so growing either graph (AddVertex,
+// AddEdge) never affects the other. A graph's owner takes it
 // under its own lock; the result is then read without one.
 func (g *Graph) Copy() Copy {
 	c := &Graph{
@@ -123,8 +123,12 @@ func (g *Graph) Size() int { return len(g.labels) + g.nEdges }
 // Label returns the label of v.
 func (g *Graph) Label(v VID) string { return g.labels[v] }
 
-// SetLabel replaces the label of v.
-func (g *Graph) SetLabel(v VID, label string) { g.labels[v] = label }
+// Labels returns the label column, indexed by vertex id. It is g's own
+// slice, not a copy: callers must not modify it. Labels are append-only
+// — AddVertex is the only write, and it writes past the end — so the
+// slice stays valid, at its length, while g goes on growing; an owner
+// that publishes it may let readers index it without its lock.
+func (g *Graph) Labels() []string { return g.labels }
 
 // Out returns the outgoing edges of v. The returned slice must not be
 // modified.

@@ -48,9 +48,13 @@ func TestBasicAccessors(t *testing.T) {
 	if err := g.AddEdge(a, VID(99), "x"); err == nil {
 		t.Error("edge to invalid vertex should fail")
 	}
-	g.SetLabel(e, "e2")
-	if g.Label(e) != "e2" {
-		t.Error("SetLabel did not stick")
+	labels := g.Labels()
+	if len(labels) != g.NumVertices() || labels[e] != g.Label(e) {
+		t.Errorf("Labels() = %q, want one label per vertex", labels)
+	}
+	f := g.AddVertex("f")
+	if len(labels) != 5 || labels[e] != g.Label(e) || g.Labels()[f] != "f" {
+		t.Error("AddVertex disturbed a label column taken before it")
 	}
 }
 
@@ -275,8 +279,9 @@ func TestPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestClone: the copy shares no memory with the original — mutations on
-// either side (vertices, edges, labels) never reach the other. Serving
+// TestClone: the copy shares no memory with the original — growth on
+// either side (vertices, edges, and the labels they carry) never reaches
+// the other. Serving
 // engines rely on this to snapshot a live graph and read the snapshot
 // without locks.
 func TestClone(t *testing.T) {
@@ -287,7 +292,6 @@ func TestClone(t *testing.T) {
 	c := g.Clone()
 
 	// Mutate the original heavily.
-	g.SetLabel(a, "mutated")
 	x := g.AddVertex("x")
 	g.MustAddEdge(a, x, "e2")
 	g.MustAddEdge(b, a, "back")
@@ -305,11 +309,13 @@ func TestClone(t *testing.T) {
 		t.Fatalf("clone in-edges of a = %v, want none", c.In(a))
 	}
 
-	// Mutate the clone; the original must not see it.
+	// Mutate the clone; the original must not see it. Both graphs now
+	// label their vertex 2: a shared label array would give one of them
+	// the other's label.
 	c.MustAddEdge(b, a, "clone-only")
-	c.SetLabel(b, "b2")
-	if g.Label(b) != "b" {
-		t.Fatalf("original label mutated via clone: %q", g.Label(b))
+	y := c.AddVertex("y")
+	if y != x || g.Label(x) != "x" || c.Label(y) != "y" {
+		t.Fatalf("vertex %d labelled %q in the original, %q in the clone; want x, y", x, g.Label(x), c.Label(y))
 	}
 	if len(g.Out(b)) != 1 { // only the "back" edge added above
 		t.Fatalf("original out-edges of b = %v", g.Out(b))

@@ -29,9 +29,56 @@ type TupleRef struct {
 	TupleID  int
 }
 
+// TupleIndex is the tuple side of a mapping: per relation, a column
+// holding the vertex of every tuple id, NoVertex for a tuple the mapping
+// gives no vertex. Set never writes inside a column's length, so a
+// Snapshot, which copies the column headers and shares the columns,
+// stays exact while the index it was taken from goes on growing, and can
+// be read without the lock its owner grows it under.
+type TupleIndex map[string][]graph.VID
+
+// VertexOf returns the vertex of tuple (rel, tupleID).
+func (ix TupleIndex) VertexOf(rel string, tupleID int) (graph.VID, bool) {
+	col := ix[rel]
+	if tupleID < 0 || tupleID >= len(col) || col[tupleID] == graph.NoVertex {
+		return graph.NoVertex, false
+	}
+	return col[tupleID], true
+}
+
+// Set maps the unmapped tuple ref to v. Tuples are mapped once each, in
+// ascending id order per relation — extraction walks a relation in
+// tuple order, an incremental AddTuple maps its newest tuple — so Set
+// appends past the column's end, never copying it. An id inside the
+// column (a tuple skipped, then mapped out of order) gets a fresh copy
+// of the column instead: a snapshot reader may be reading the old one.
+func (ix TupleIndex) Set(ref TupleRef, v graph.VID) {
+	col := ix[ref.Relation]
+	if ref.TupleID < len(col) {
+		col = append([]graph.VID(nil), col...)
+		col[ref.TupleID] = v
+		ix[ref.Relation] = col
+		return
+	}
+	for len(col) < ref.TupleID {
+		col = append(col, graph.NoVertex)
+	}
+	ix[ref.Relation] = append(col, v)
+}
+
+// Snapshot returns an index equal to ix now: the column headers are
+// copied (one per relation), the columns shared.
+func (ix TupleIndex) Snapshot() TupleIndex {
+	out := make(TupleIndex, len(ix))
+	for rel, col := range ix {
+		out[rel] = col
+	}
+	return out
+}
+
 // Mapping is the canonical 1-1 mapping f_D.
 type Mapping struct {
-	tupleVertex map[TupleRef]graph.VID
+	tupleVertex TupleIndex
 	vertexTuple map[graph.VID]TupleRef
 	attrVertex  map[TupleRef]map[string]graph.VID
 	fkEdges     map[[2]graph.VID]string // (u_t, u_t') → attribute name
@@ -39,9 +86,11 @@ type Mapping struct {
 
 // VertexOf returns the vertex u_t denoting tuple t of relation rel.
 func (m *Mapping) VertexOf(rel string, tupleID int) (graph.VID, bool) {
-	v, ok := m.tupleVertex[TupleRef{rel, tupleID}]
-	return v, ok
+	return m.tupleVertex.VertexOf(rel, tupleID)
 }
+
+// Tuples returns a snapshot of the tuple index (TupleIndex.Snapshot).
+func (m *Mapping) Tuples() TupleIndex { return m.tupleVertex.Snapshot() }
 
 // TupleOf returns the tuple a vertex denotes, if it is a tuple vertex.
 func (m *Mapping) TupleOf(v graph.VID) (TupleRef, bool) {
@@ -91,7 +140,7 @@ func (m *Mapping) NumTupleVertices() int { return len(m.vertexTuple) }
 func Map(db *relational.Database) (*graph.Graph, *Mapping, error) {
 	g := graph.New(db.NumTuples() * 4)
 	m := &Mapping{
-		tupleVertex: make(map[TupleRef]graph.VID),
+		tupleVertex: make(TupleIndex),
 		vertexTuple: make(map[graph.VID]TupleRef),
 		attrVertex:  make(map[TupleRef]map[string]graph.VID),
 		fkEdges:     make(map[[2]graph.VID]string),
@@ -103,7 +152,7 @@ func Map(db *relational.Database) (*graph.Graph, *Mapping, error) {
 		for _, t := range rel.Tuples {
 			ref := TupleRef{relName, t.ID}
 			v := g.AddVertex(relName)
-			m.tupleVertex[ref] = v
+			m.tupleVertex.Set(ref, v)
 			m.vertexTuple[v] = ref
 			m.attrVertex[ref] = make(map[string]graph.VID, len(rel.Schema.Attrs))
 		}
@@ -118,7 +167,7 @@ func Map(db *relational.Database) (*graph.Graph, *Mapping, error) {
 		}
 		for _, t := range rel.Tuples {
 			ref := TupleRef{relName, t.ID}
-			ut := m.tupleVertex[ref]
+			ut, _ := m.tupleVertex.VertexOf(relName, t.ID)
 			for i, attr := range rel.Schema.Attrs {
 				val := t.Values[i]
 				if relational.IsNull(val) {
@@ -130,7 +179,7 @@ func Map(db *relational.Database) (*graph.Graph, *Mapping, error) {
 						return nil, nil, fmt.Errorf("rdb2rdf: %s.%s references unknown relation %s", relName, attr, refRel)
 					}
 					if rt, ok := target.LookupKey(val); ok {
-						ut2 := m.tupleVertex[TupleRef{refRel, rt.ID}]
+						ut2, _ := m.tupleVertex.VertexOf(refRel, rt.ID)
 						g.MustAddEdge(ut, ut2, attr)
 						m.fkEdges[[2]graph.VID{ut, ut2}] = attr
 						continue
@@ -160,12 +209,12 @@ func AddTuple(g *graph.Graph, m *Mapping, db *relational.Database, relName strin
 		return fmt.Errorf("rdb2rdf: %s has no tuple %d", relName, tupleID)
 	}
 	ref := TupleRef{relName, tupleID}
-	if _, dup := m.tupleVertex[ref]; dup {
+	if _, dup := m.tupleVertex.VertexOf(relName, tupleID); dup {
 		return fmt.Errorf("rdb2rdf: tuple %s/%d already mapped", relName, tupleID)
 	}
 	t := rel.Tuples[tupleID]
 	ut := g.AddVertex(relName)
-	m.tupleVertex[ref] = ut
+	m.tupleVertex.Set(ref, ut)
 	m.vertexTuple[ut] = ref
 	m.attrVertex[ref] = make(map[string]graph.VID, len(rel.Schema.Attrs))
 
@@ -184,7 +233,7 @@ func AddTuple(g *graph.Graph, m *Mapping, db *relational.Database, relName strin
 				return fmt.Errorf("rdb2rdf: %s.%s references unknown relation %s", relName, attr, refRel)
 			}
 			if rt, ok := target.LookupKey(val); ok {
-				ut2, mapped := m.tupleVertex[TupleRef{refRel, rt.ID}]
+				ut2, mapped := m.tupleVertex.VertexOf(refRel, rt.ID)
 				if mapped {
 					g.MustAddEdge(ut, ut2, attr)
 					m.fkEdges[[2]graph.VID{ut, ut2}] = attr

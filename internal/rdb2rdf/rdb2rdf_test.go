@@ -256,3 +256,34 @@ func TestRecoverTupleRoundTrip(t *testing.T) {
 		t.Error("RecoverTuple on attribute vertex should fail")
 	}
 }
+
+// TestTupleIndexSnapshot: a snapshot keeps answering as the index stood
+// when it was taken while Set goes on mapping tuples — past a column's
+// end, into a relation it had no column for, and out of order into a
+// gap a skipped tuple left.
+func TestTupleIndexSnapshot(t *testing.T) {
+	ix := make(TupleIndex)
+	ix.Set(TupleRef{"a", 0}, 10)
+	ix.Set(TupleRef{"a", 2}, 12) // tuple a/1 has no vertex
+	snap := ix.Snapshot()
+	ix.Set(TupleRef{"a", 3}, 13)
+	ix.Set(TupleRef{"b", 0}, 20)
+	ix.Set(TupleRef{"a", 1}, 11)
+	for _, c := range []struct {
+		ix       TupleIndex
+		rel      string
+		id       int
+		v        graph.VID
+		ok       bool
+		snapshot bool
+	}{
+		{snap, "a", 0, 10, true, true}, {snap, "a", 1, graph.NoVertex, false, true},
+		{snap, "a", 2, 12, true, true}, {snap, "a", 3, graph.NoVertex, false, true},
+		{snap, "b", 0, graph.NoVertex, false, true}, {snap, "a", -1, graph.NoVertex, false, true},
+		{ix, "a", 1, 11, true, false}, {ix, "a", 3, 13, true, false}, {ix, "b", 0, 20, true, false},
+	} {
+		if v, ok := c.ix.VertexOf(c.rel, c.id); v != c.v || ok != c.ok {
+			t.Errorf("snapshot=%v VertexOf(%s, %d) = %d, %v; want %d, %v", c.snapshot, c.rel, c.id, v, ok, c.v, c.ok)
+		}
+	}
+}

@@ -125,3 +125,42 @@ func FuzzServeHTTP(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVPairBody is the differential for the /vpair body: what
+// appendVPair writes for up to two matches equals, byte for byte, what
+// json.Encoder.Encode writes for the same vpairResponse — for any
+// labels, rel string, vertex and tuple ids.
+func FuzzVPairBody(f *testing.F) {
+	for _, s := range []struct {
+		label1, label2, rel string
+		v1, v2              int32
+		tuple               int
+		n                   uint8
+	}{
+		{"Aurora Trail Runner", "red", "product", 0, 4, 0, 2},
+		{"", "", "", -1, 2147483647, -9223372036854775808, 0},
+		{"<b>&amp;</b>", "a>b", "r<&>", 3, 5, 7, 2},
+		{"line\u2028sep\u2029para", "é ü 中", "rel\u2028", 1, 2, 1, 2},
+		{"bad \xff\xfe utf8", "\xc3", "\xed\xa0\x80", 1, 2, 3, 2},
+		{"ctl \x00\x01\x1f\x7f", "tab\there\nnl\r", "\x08\x0c", 8, 9, 10, 2},
+		{`quote " back \ slash`, `\"`, `"\\`, 11, 12, 13, 1},
+	} {
+		f.Add(s.label1, s.label2, s.rel, s.v1, s.v2, s.tuple, s.n)
+	}
+	f.Fuzz(func(t *testing.T, label1, label2, rel string, v1, v2 int32, tuple int, n uint8) {
+		matches := []her.Pair{{U: 0, V: her.VertexID(v1)}, {U: 0, V: her.VertexID(v2)}}[:n%3]
+		labels := map[her.VertexID]string{her.VertexID(v2): label2, her.VertexID(v1): label1}
+		want := vpairResponse{Matches: []matchJSON{}, Rel: rel, Tuple: tuple}
+		for _, m := range matches {
+			want.Matches = append(want.Matches, matchJSON{Vertex: int32(m.V), Label: labels[m.V]})
+		}
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		got := appendVPair(nil, rel, tuple, matches, func(v her.VertexID) string { return labels[v] })
+		if !bytes.Equal(got, enc.Bytes()) {
+			t.Errorf("appended %q\nencoding/json %q", got, enc.Bytes())
+		}
+	})
+}

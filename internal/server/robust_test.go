@@ -119,14 +119,13 @@ func TestFeedbackBodyBound(t *testing.T) {
 	}
 }
 
-// TestVPairNoMatchIsEmptyList: the pooled response must render no match
-// as [], as the per-request slice it replaced did, never as null.
+// TestVPairNoMatchIsEmptyList: the appended body must render no match
+// as [], as encoding/json renders the empty slice, never as null.
 func TestVPairNoMatchIsEmptyList(t *testing.T) {
 	rec := httptest.NewRecorder()
 	x := exchanges.New().(*exchange)
 	x.ResponseWriter = rec
-	x.vpair = vpairResponse{Matches: x.vpair.Matches[:0], Rel: "product", Tuple: 7}
-	x.writeJSON(http.StatusOK, &x.vpair)
+	(&Server{}).writeVPair(x, "product", 7, nil)
 	if got, want := rec.Body.String(), "{\"matches\":[],\"rel\":\"product\",\"tuple\":7}\n"; got != want {
 		t.Errorf("no match rendered %q, want %q", got, want)
 	}

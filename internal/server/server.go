@@ -391,13 +391,12 @@ type exchange struct {
 	// write to the connection itself: a json.Encoder keeps the first
 	// write error it sees, and one client hanging up would fail every
 	// later response rendered by this pooled exchange.
-	buf   bytes.Buffer
-	enc   *json.Encoder // into buf
-	vpair vpairResponse // Matches' array is reused
+	buf bytes.Buffer
+	enc *json.Encoder // into buf
 }
 
 var exchanges = sync.Pool{New: func() any {
-	x := &exchange{vpair: vpairResponse{Matches: []matchJSON{}}}
+	x := &exchange{}
 	x.enc = json.NewEncoder(&x.buf)
 	return x
 }}
@@ -481,7 +480,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	errMsg, abort := s.handle(x, r)
 	status := x.status
 	if x.buf.Cap() <= maxPooledBody {
-		x.ResponseWriter, x.vpair.Rel = nil, ""
+		x.ResponseWriter = nil
 		exchanges.Put(x)
 	}
 
@@ -594,15 +593,18 @@ type spairResponse struct {
 	Vertex her.VertexID `json:"vertex"`
 }
 
-type matchJSON struct {
-	Vertex int32  `json:"vertex"`
-	Label  string `json:"label"`
-}
-
+// vpairResponse is the /vpair body. writeVPair appends it without
+// encoding/json, byte for byte what json.Encoder.Encode writes for it
+// (FuzzVPairBody holds the two equal).
 type vpairResponse struct {
 	Matches []matchJSON `json:"matches"` // never nil: no match is [], not null
 	Rel     string      `json:"rel"`
 	Tuple   int         `json:"tuple"`
+}
+
+type matchJSON struct {
+	Vertex int32  `json:"vertex"`
+	Label  string `json:"label"`
 }
 
 type apairResponse struct {
@@ -651,22 +653,57 @@ func (s *Server) handleSPair(x *exchange, r *http.Request) {
 		return
 	}
 	defer cancel()
-	u, err := vh.TupleVertex(rel, tuple)
-	if err != nil {
-		x.writeErr(http.StatusNotFound, err)
-		return
-	}
-	eng, err := s.engine(vh)
-	if err != nil {
-		x.writeMatchErr(err, http.StatusInternalServerError)
-		return
-	}
-	match, err := eng.SPair(ctx, u, vertex)
-	if err != nil {
-		x.writeMatchErr(err, http.StatusNotFound)
+	var match bool
+	if !x.atTuple(vh, rel, tuple, nil, func(u her.VertexID) (int, error) {
+		eng, err := s.engine(vh)
+		if err != nil {
+			return http.StatusInternalServerError, err
+		}
+		match, err = eng.SPair(ctx, u, vertex)
+		return http.StatusNotFound, err
+	}) {
 		return
 	}
 	x.writeJSON(http.StatusOK, spairResponse{Match: match, Rel: rel, Tuple: tuple, Vertex: vertex})
+}
+
+// maxServes bounds how many times atTuple resolves and serves one
+// request while recompiles keep renumbering the view under it.
+const maxServes = 3
+
+// atTuple resolves tuple (rel, tuple) to its vertex u in vh and calls
+// serve(u), which answers for u or fails with an error and the status
+// writeMatchErr falls back to; atTuple reports whether an answer
+// stands, and writes the error response when none does. A rule view's
+// recompile renumbers its vertices, so one landing between the
+// resolution and the serve makes serve's answer — or its error —
+// another vertex's: atTuple then resolves and serves again, up to
+// maxServes times, and answers 503 if the view never held still. sp,
+// when tracing, times each resolution as a "resolve" span.
+func (x *exchange) atTuple(vh *her.ViewHandle, rel string, tuple int, sp *obs.Span,
+	serve func(u her.VertexID) (fallback int, err error)) bool {
+	for try := 1; ; try++ {
+		rsp := sp.Child("resolve")
+		u, recompiles, err := vh.Resolve(rel, tuple)
+		rsp.End()
+		if err != nil {
+			x.writeErr(http.StatusNotFound, err)
+			return false
+		}
+		fallback, err := serve(u)
+		if vh.Recompiles() == recompiles {
+			if err != nil {
+				x.writeMatchErr(err, fallback)
+				return false
+			}
+			return true
+		}
+		if try == maxServes {
+			x.writeErr(http.StatusServiceUnavailable,
+				fmt.Errorf("view %s recompiled %d times while serving %s/%d; retry", vh.Name(), maxServes, rel, tuple))
+			return false
+		}
+	}
 }
 
 func (s *Server) handleVPair(x *exchange, r *http.Request) {
@@ -688,37 +725,71 @@ func (s *Server) handleVPair(x *exchange, r *http.Request) {
 	}
 	defer cancel()
 	sp := obs.SpanFrom(ctx)
-	rsp := sp.Child("resolve")
-	u, err := vh.TupleVertex(rel, tuple)
-	rsp.End()
-	if err != nil {
-		x.writeErr(http.StatusNotFound, err)
+	var matches []her.Pair
+	if !x.atTuple(vh, rel, tuple, sp, func(u her.VertexID) (int, error) {
+		eng, err := s.engine(vh)
+		if err != nil {
+			return http.StatusInternalServerError, err
+		}
+		matches, err = eng.VPair(ctx, u)
+		return http.StatusNotFound, err
+	}) {
 		return
 	}
-	eng, err := s.engine(vh)
-	if err != nil {
-		x.writeMatchErr(err, http.StatusInternalServerError)
-		return
-	}
-	matches, err := eng.VPair(ctx, u)
-	if err != nil {
-		x.writeMatchErr(err, http.StatusNotFound)
-		return
-	}
-	rsp = sp.Child("render")
+	rsp := sp.Child("render")
 	s.writeVPair(x, rel, tuple, matches)
 	rsp.End()
 }
 
-// writeVPair renders a /vpair answer from the exchange's own response
-// value, whose match slice the next request reuses.
+// writeVPair renders a /vpair answer: the vpairResponse body, appended
+// into the exchange's buffer rather than encoded by reflection, and sent
+// with one Write.
 func (s *Server) writeVPair(x *exchange, rel string, tuple int, matches []her.Pair) {
-	out := x.vpair.Matches[:0]
-	for _, m := range matches {
-		out = append(out, matchJSON{Vertex: int32(m.V), Label: s.sys.GraphLabel(m.V)})
+	x.buf.Reset()
+	b := appendVPair(x.buf.AvailableBuffer(), rel, tuple, matches, s.sys.GraphLabel)
+	x.buf.Write(b)
+	x.Header()["Content-Type"] = jsonContentType
+	x.WriteHeader(http.StatusOK)
+	_, _ = x.Write(x.buf.Bytes())
+}
+
+// appendVPair appends the vpairResponse body of a /vpair answer to b,
+// labelling each matched vertex with label, and returns the extended
+// buffer.
+func appendVPair(b []byte, rel string, tuple int, matches []her.Pair, label func(her.VertexID) string) []byte {
+	b = append(b, `{"matches":[`...)
+	for i, m := range matches {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"vertex":`...)
+		b = strconv.AppendInt(b, int64(int32(m.V)), 10)
+		b = append(b, `,"label":`...)
+		b = appendJSONString(b, label(m.V))
+		b = append(b, '}')
 	}
-	x.vpair = vpairResponse{Matches: out, Rel: rel, Tuple: tuple}
-	x.writeJSON(http.StatusOK, &x.vpair)
+	b = append(b, `],"rel":`...)
+	b = appendJSONString(b, rel)
+	b = append(b, `,"tuple":`...)
+	b = strconv.AppendInt(b, int64(tuple), 10)
+	return append(b, "}\n"...)
+}
+
+// appendJSONString appends str as encoding/json writes it. A string
+// whose every byte encoding/json writes unchanged — printable ASCII
+// other than '"', '\\', and the HTML-escaped '<', '>', '&' — is copied
+// between quotes; any other goes through json.Marshal, which escapes
+// what needs escaping and replaces invalid UTF-8 as an Encoder does.
+func appendJSONString(b []byte, str string) []byte {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(str) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, str...)
+	return append(b, '"')
 }
 
 func (s *Server) handleAPair(x *exchange, r *http.Request) {
@@ -784,14 +855,12 @@ func (s *Server) handleExplain(x *exchange, r *http.Request) {
 		x.writeErr(http.StatusNotFound, fmt.Errorf("unknown vertex %d", vertex))
 		return
 	}
-	u, err := vh.TupleVertex(rel, tuple)
-	if err != nil {
-		x.writeErr(http.StatusNotFound, err)
-		return
-	}
-	ex, err := vh.Explain(u, vertex)
-	if err != nil {
-		x.writeErr(http.StatusNotFound, err)
+	var ex *her.Explanation
+	if !x.atTuple(vh, rel, tuple, nil, func(u her.VertexID) (int, error) {
+		var err error
+		ex, err = vh.Explain(u, vertex)
+		return http.StatusNotFound, err
+	}) {
 		return
 	}
 	var lineage []lineageJSON

@@ -1,15 +1,15 @@
 package shard
 
 import (
-	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"her/internal/core"
 )
 
-// resultCache is the generation-stamped LRU fronting the router. Merged
-// match sets are stored under the request that produced them, together
-// with the mutation generation they were computed at.
+// resultCache is the generation-stamped result cache fronting the
+// router. Merged match sets are stored under the request that produced
+// them, together with the mutation generation they were computed at.
 // A lookup whose stored generation differs from the caller's misses
 // (dropping the entry only when it is older — a concurrent sweep may
 // already have advanced it past a request that captured its generation
@@ -19,19 +19,38 @@ import (
 // inside an affected halo region. Non-incremental changes (feedback, retraining)
 // skip the sweep, so every entry goes stale and is dropped lazily.
 //
+// A hit takes no lock. Entries are immutable apart from two atomics —
+// the generation a sweep re-stamps and the CLOCK reference bit a hit
+// sets — and readers reach them through index, which loads without
+// mu. Everything that adds or removes an entry (put, advance, the
+// stale drop) holds mu, which keeps index and ring in step. Eviction is
+// CLOCK (second chance): the hand sweeps ring, clearing set reference
+// bits, and evicts the first entry not used since the hand last passed
+// it — LRU's effect, without a list splice on every read.
+//
 // A nil *resultCache is a valid "disabled" cache: get always misses and
 // put is a no-op (the obs nil-safety idiom).
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List                // guarded by mu — front = most recently used
-	byReq map[request]*list.Element // guarded by mu
+	// index maps a request to its *cacheEntry. Loads take no lock;
+	// stores and deletes hold mu.
+	index sync.Map
+
+	mu   sync.Mutex
+	cap  int
+	ring []*cacheEntry // guarded by mu — the CLOCK's slots; nil = free
+	free []int         // guarded by mu — indexes of the nil slots in ring
+	hand int           // guarded by mu — the next slot the CLOCK inspects
 }
 
+// cacheEntry is one cached match set. req, pairs and slot never change
+// once the entry is stored (a put for the same request stores a new
+// entry in the same slot); gen and ref are its only mutable state.
 type cacheEntry struct {
 	req   request
-	gen   uint64
 	pairs []core.Pair
+	slot  int // its index in ring
+	gen   atomic.Uint64
+	ref   atomic.Bool // read since the CLOCK hand last passed it
 }
 
 // newResultCache creates a cache holding at most capacity entries;
@@ -40,11 +59,7 @@ func newResultCache(capacity int) *resultCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &resultCache{
-		cap:   capacity,
-		order: list.New(),
-		byReq: make(map[request]*list.Element),
-	}
+	return &resultCache{cap: capacity}
 }
 
 // get returns a copy of the match set stored for req at generation
@@ -57,53 +72,95 @@ func (c *resultCache) get(req request, gen uint64) ([]core.Pair, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byReq[req]
+	v, ok := c.index.Load(req)
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.gen != gen {
-		if e.gen < gen {
-			c.order.Remove(el)
-			delete(c.byReq, req)
+	e := v.(*cacheEntry)
+	if g := e.gen.Load(); g != gen {
+		if g < gen {
+			c.dropStale(e, gen)
 		}
 		return nil, false
 	}
-	c.order.MoveToFront(el)
+	// Set the bit only when it is clear: a hot entry's cache line is then
+	// read by every hit and written once per pass of the hand.
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 	out := make([]core.Pair, len(e.pairs))
 	copy(out, e.pairs)
 	return out, true
 }
 
-// put stores a copy of pairs for req at generation gen, evicting the
-// least recently used entry when the cache is full. A newer entry already present (a sweep advanced it while
-// this result was being computed) is left alone.
+// dropStale evicts e, which a get at generation gen found stale — unless
+// it is gone or was re-stamped since, or put replaced it: the drop
+// removes only the entry it saw.
+func (c *resultCache) dropStale(e *cacheEntry, gen uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ring[e.slot] == e && e.gen.Load() < gen {
+		c.removeLocked(e)
+	}
+}
+
+// removeLocked takes e out of index and ring. Callers hold c.mu and
+// have checked that e is the entry in its slot.
+func (c *resultCache) removeLocked(e *cacheEntry) {
+	c.index.Delete(e.req)
+	c.ring[e.slot] = nil
+	c.free = append(c.free, e.slot)
+}
+
+// put stores a copy of pairs for req at generation gen, evicting by
+// CLOCK when the cache is full. A newer entry already present (a sweep
+// advanced it while this result was being computed) is left alone.
 func (c *resultCache) put(req request, gen uint64, pairs []core.Pair) {
 	if c == nil {
 		return
 	}
-	stored := make([]core.Pair, len(pairs))
-	copy(stored, pairs)
+	e := &cacheEntry{req: req, pairs: make([]core.Pair, len(pairs))}
+	copy(e.pairs, pairs)
+	e.gen.Store(gen)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byReq[req]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.gen > gen {
+	if v, ok := c.index.Load(req); ok {
+		old := v.(*cacheEntry)
+		if old.gen.Load() > gen {
 			return
 		}
-		e.gen = gen
-		e.pairs = stored
-		c.order.MoveToFront(el)
-		return
+		e.slot = old.slot
+	} else {
+		e.slot = c.slotLocked()
 	}
-	for c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byReq, oldest.Value.(*cacheEntry).req)
+	c.ring[e.slot] = e
+	c.index.Store(req, e)
+}
+
+// slotLocked returns a free slot of ring: a freed one, a new one while
+// the ring is below capacity, else the slot of the CLOCK's victim, which
+// it evicts. Callers hold c.mu.
+func (c *resultCache) slotLocked() int {
+	if n := len(c.free); n > 0 {
+		slot := c.free[n-1]
+		c.free = c.free[:n-1]
+		return slot
 	}
-	c.byReq[req] = c.order.PushFront(&cacheEntry{req: req, gen: gen, pairs: stored})
+	if len(c.ring) < c.cap {
+		c.ring = append(c.ring, nil)
+		return len(c.ring) - 1
+	}
+	for {
+		slot := c.hand
+		c.hand = (c.hand + 1) % len(c.ring)
+		e := c.ring[slot]
+		if e.ref.Load() {
+			e.ref.Store(false) // second chance
+			continue
+		}
+		c.index.Delete(e.req)
+		return slot
+	}
 }
 
 // advance is the vertex-scoped invalidation sweep: it walks every live
@@ -117,18 +174,17 @@ func (c *resultCache) advance(to uint64, affects func(request) bool) (survived, 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.gen != to-1 || affects(e.req) {
-			c.order.Remove(el)
-			delete(c.byReq, e.req)
+	for _, e := range c.ring {
+		if e == nil {
+			continue
+		}
+		if e.gen.Load() != to-1 || affects(e.req) {
+			c.removeLocked(e)
 			evicted++
 		} else {
-			e.gen = to
+			e.gen.Store(to)
 			survived++
 		}
-		el = next
 	}
 	return survived, evicted
 }
@@ -141,7 +197,7 @@ func (c *resultCache) len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return len(c.ring) - len(c.free)
 }
 
 // inflight deduplicates concurrent identical requests singleflight

@@ -148,6 +148,7 @@ func (e *Engine) advance() error {
 		if deltas, ok := e.cfg.Deltas(e.cur.gen, target); ok && incrementalOnly(deltas) {
 			if err := e.applyDeltasLocked(deltas); err == nil {
 				e.cur.gen = target
+				e.ready.Store(target)
 				return nil
 			} else if err != errDeltaRebuild {
 				return err
@@ -160,6 +161,7 @@ func (e *Engine) advance() error {
 	}
 	stopWorkers(e.cur.shards)
 	e.cur = st
+	e.ready.Store(st.gen)
 	e.fullRebuilds.Add(1)
 	e.met.rebuilds.Inc()
 	return nil

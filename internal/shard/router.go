@@ -24,8 +24,10 @@ var ErrClosed = errors.New("shard: engine closed")
 
 // Engine is the sharded match-serving engine. It is safe for concurrent
 // use: requests share the current shard state under a read lock, while
-// generation changes (incremental updates, feedback, retraining) retire
-// it and build a fresh one under the write lock.
+// generation changes (incremental updates, feedback, retraining) advance
+// it in place or retire it and build a fresh one under the write lock.
+// A cache hit takes neither: once ready says the state has reached the
+// request's generation, the result cache answers it lock-free.
 type Engine struct {
 	cfg   Config
 	cache *resultCache
@@ -43,6 +45,11 @@ type Engine struct {
 	mu     sync.RWMutex
 	cur    *shardState // guarded by mu — requests read-lease it, advance swaps it
 	closed bool        // guarded by mu
+	// ready is cur's generation, stored under mu by NewEngine and
+	// advance once the cache sweep has re-stamped the surviving entries:
+	// a request whose generation it has reached needs no maintenance,
+	// so serve reads the cache without taking the lease.
+	ready atomic.Uint64
 }
 
 // engineMetrics resolves the engine's obs handles once; all of them are
@@ -105,6 +112,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.cur = st
+	e.ready.Store(st.gen)
 	return e, nil
 }
 
@@ -300,10 +308,13 @@ func (e *Engine) serve(ctx context.Context, req request) ([]core.Pair, error) {
 	// surviving entries to the new generation, so reading the cache first
 	// would misjudge a survivor as stale — and the very request that
 	// should have been served from the surviving entry would recompute
-	// it. Errors fall through: compute() calls state() again and reports
-	// them on the request path.
-	if _, release, err := e.state(gen); err == nil {
-		release()
+	// it. A state that already reached gen needs none, and a hit then
+	// takes no lock. Errors fall through: compute() calls state() again
+	// and reports them on the request path.
+	if e.ready.Load() < gen {
+		if _, release, err := e.state(gen); err == nil {
+			release()
+		}
 	}
 	counted := false
 	for {

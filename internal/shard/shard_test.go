@@ -295,13 +295,13 @@ func TestResultCacheGeneration(t *testing.T) {
 		t.Fatal("newer-generation entry evicted by an older caller")
 	}
 	c.advance(8, func(request) bool { return true })
-	// LRU eviction at capacity.
+	// Eviction at capacity: a was read since it was stored, b was not.
 	c.put(ra, 1, nil)
 	c.put(rb, 1, nil)
-	c.get(ra, 1) // a is now most recent
+	c.get(ra, 1) // a is now referenced
 	c.put(rc, 1, nil)
 	if _, ok := c.get(rb, 1); ok {
-		t.Fatal("LRU victim b still cached")
+		t.Fatal("eviction victim b still cached")
 	}
 	if _, ok := c.get(ra, 1); !ok {
 		t.Fatal("recently used a evicted")

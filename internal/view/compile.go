@@ -16,7 +16,7 @@ import (
 // a later tuple whose key resolves one of them invalidates append-only
 // maintenance (see ResolvesDangling).
 type Mapping struct {
-	tupleVertex map[rdb2rdf.TupleRef]graph.VID
+	tupleVertex rdb2rdf.TupleIndex
 	vertexTuple map[graph.VID]rdb2rdf.TupleRef
 	attrVertex  map[rdb2rdf.TupleRef]map[string]graph.VID
 	fkEdges     map[[2]graph.VID]string // (u_t, u_t') → rule label
@@ -37,9 +37,11 @@ type danglingRef struct {
 
 // VertexOf returns the vertex denoting tuple (rel, tupleID).
 func (m *Mapping) VertexOf(rel string, tupleID int) (graph.VID, bool) {
-	v, ok := m.tupleVertex[rdb2rdf.TupleRef{Relation: rel, TupleID: tupleID}]
-	return v, ok
+	return m.tupleVertex.VertexOf(rel, tupleID)
 }
+
+// Tuples returns a snapshot of the tuple index (rdb2rdf.TupleIndex.Snapshot).
+func (m *Mapping) Tuples() rdb2rdf.TupleIndex { return m.tupleVertex.Snapshot() }
 
 // TupleOf returns the tuple a vertex denotes, if it is a tuple vertex.
 func (m *Mapping) TupleOf(v graph.VID) (rdb2rdf.TupleRef, bool) {
@@ -88,7 +90,7 @@ func (m *Mapping) NumTupleVertices() int { return len(m.vertexTuple) }
 
 func newMapping(sizeHint int) *Mapping {
 	return &Mapping{
-		tupleVertex: make(map[rdb2rdf.TupleRef]graph.VID, sizeHint),
+		tupleVertex: make(rdb2rdf.TupleIndex),
 		vertexTuple: make(map[graph.VID]rdb2rdf.TupleRef, sizeHint),
 		attrVertex:  make(map[rdb2rdf.TupleRef]map[string]graph.VID, sizeHint),
 		fkEdges:     make(map[[2]graph.VID]string),
@@ -229,7 +231,7 @@ func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) 
 			}
 			ref := rdb2rdf.TupleRef{Relation: vr.Relation, TupleID: t.ID}
 			v := g.AddVertex(vertexLabel(rel, t, vr))
-			m.tupleVertex[ref] = v
+			m.tupleVertex.Set(ref, v)
 			m.vertexTuple[v] = ref
 			m.attrVertex[ref] = make(map[string]graph.VID, len(rel.Schema.Attrs))
 		}
@@ -242,8 +244,7 @@ func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) 
 		vr := &def.Vertices[i]
 		rel := db.Relation(vr.Relation)
 		for _, t := range rel.Tuples {
-			ref := rdb2rdf.TupleRef{Relation: vr.Relation, TupleID: t.ID}
-			ut, ok := m.tupleVertex[ref]
+			ut, ok := m.tupleVertex.VertexOf(vr.Relation, t.ID)
 			if !ok {
 				continue
 			}
@@ -256,7 +257,7 @@ func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) 
 		er := &def.Edges[ei]
 		rel := db.Relation(er.Relation)
 		for _, t := range rel.Tuples {
-			ut, ok := m.tupleVertex[rdb2rdf.TupleRef{Relation: er.Relation, TupleID: t.ID}]
+			ut, ok := m.tupleVertex.VertexOf(er.Relation, t.ID)
 			if !ok {
 				continue
 			}
@@ -330,7 +331,7 @@ func (c *compiled) extractTuple(g *graph.Graph, m *Mapping, ruleIdx int, rel *re
 				m.dangling[danglingRef{Relation: refRel, Key: val}] = true
 				continue
 			}
-			ut2, mapped := m.tupleVertex[rdb2rdf.TupleRef{Relation: refRel, TupleID: rt.ID}]
+			ut2, mapped := m.tupleVertex.VertexOf(refRel, rt.ID)
 			if !mapped {
 				continue
 			}
@@ -376,7 +377,7 @@ func (c *compiled) extractPaths(g *graph.Graph, m *Mapping, er *EdgeRule, t rela
 		}
 		relName, cur = refRel, rt
 	}
-	ut2, mapped := m.tupleVertex[rdb2rdf.TupleRef{Relation: relName, TupleID: cur.ID}]
+	ut2, mapped := m.tupleVertex.VertexOf(relName, cur.ID)
 	if !mapped || ut2 == ut {
 		return
 	}
@@ -433,7 +434,7 @@ func (c *compiled) extractClosure(g *graph.Graph, m *Mapping, er *EdgeRule, t re
 			return
 		}
 		visited[nref] = true
-		if ut2, mapped := m.tupleVertex[nref]; mapped && ut2 != ut {
+		if ut2, mapped := m.tupleVertex.VertexOf(nref.Relation, nref.TupleID); mapped && ut2 != ut {
 			g.MustAddEdge(ut, ut2, er.Label)
 			m.fkEdges[[2]graph.VID{ut, ut2}] = er.Label
 		}

@@ -59,7 +59,7 @@ func (c *compiled) extendTuple(g *graph.Graph, m *Mapping, relName string, tuple
 		return fmt.Errorf("view %s: %s has no tuple %d", c.def.Name, relName, tupleID)
 	}
 	ref := rdb2rdf.TupleRef{Relation: relName, TupleID: tupleID}
-	if _, dup := m.tupleVertex[ref]; dup {
+	if _, dup := m.tupleVertex.VertexOf(relName, tupleID); dup {
 		return fmt.Errorf("view %s: tuple %s/%d already mapped", c.def.Name, relName, tupleID)
 	}
 	ri, ok := c.byRelation[relName]
@@ -72,7 +72,7 @@ func (c *compiled) extendTuple(g *graph.Graph, m *Mapping, relName string, tuple
 		return nil
 	}
 	ut := g.AddVertex(vertexLabel(rel, t, vr))
-	m.tupleVertex[ref] = ut
+	m.tupleVertex.Set(ref, ut)
 	m.vertexTuple[ut] = ref
 	m.attrVertex[ref] = make(map[string]graph.VID, len(rel.Schema.Attrs))
 	c.extractTuple(g, m, ri, rel, t, ut)

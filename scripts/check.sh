@@ -53,8 +53,9 @@ stage "herlint" go run ./cmd/herlint -baseline .herlint-baseline.json ./...
 stage "go test" go test ./...
 # The server layer's microbenchmarks (ns/op, B/op, allocs/op of a cached
 # /vpair through ServeHTTP) are run by hand when measuring; one iteration
-# here keeps them compiling and passing.
-stage "server benchmarks (1x)" go test -run '^$' -bench ServeVPairHit -benchtime 1x ./internal/server
+# here keeps them compiling and passing — at one and at two CPUs, the
+# setting BenchmarkServeVPairHitParallel's parallel/serial ratio is read at.
+stage "server benchmarks (1x)" go test -run '^$' -bench ServeVPairHit -benchtime 1x -cpu 1,2 ./internal/server
 # Likewise the scoring kernel's and the matcher's (MvScore, Embed cold
 # and warm, Match and VPair cold): the numbers that say whether a hot
 # path allocates are measured, not linted.
@@ -85,8 +86,9 @@ if [ "${CHECK_BENCH:-1}" != "0" ]; then
 fi
 stage "go test -race -short" go test -race -short ./...
 # The sharded serving engine is the most concurrency-dense code in the
-# repo (per-shard workers, singleflight, LRU cache, generation rebuilds),
-# so it gets a full (non-short) race pass on top of the module-wide one.
+# repo (per-shard workers, singleflight, a cache read without a lock,
+# generation rebuilds), so it gets a full (non-short) race pass on top
+# of the module-wide one.
 stage "go test -race shard/server" go test -race ./internal/shard ./internal/server
 
 # Tier-2: differential correctness and fuzz smokes. The differential
@@ -133,6 +135,7 @@ if [ "$fuzztime" != "0" ]; then
     stage "fuzz FuzzReadCSV" go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime="$fuzztime" ./internal/relational
     stage "fuzz FuzzConvert" go test -run='^$' -fuzz='^FuzzConvert$' -fuzztime="$fuzztime" ./internal/json2graph
     stage "fuzz FuzzServeHTTP" go test -run='^$' -fuzz='^FuzzServeHTTP$' -fuzztime="$fuzztime" ./internal/server
+    stage "fuzz FuzzVPairBody" go test -run='^$' -fuzz='^FuzzVPairBody$' -fuzztime="$fuzztime" ./internal/server
     stage "fuzz FuzzMutationSequence" go test -run='^$' -fuzz='^FuzzMutationSequence$' -fuzztime="$fuzztime" ./internal/testkit
     stage "fuzz FuzzViewRuleParse" go test -run='^$' -fuzz='^FuzzViewRuleParse$' -fuzztime="$fuzztime" ./internal/view
 fi

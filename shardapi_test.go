@@ -2,10 +2,13 @@ package her
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"her/internal/shard"
 )
@@ -50,7 +53,7 @@ func TestShardConfigSnapshotClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	gd1, g1 := tsv(t, sys.GD), tsv(t, sys.G)
-	a.G.Graph().SetLabel(0, "copy only")
+	a.G.Graph().AddVertex("copy only")
 	a.G.Graph().MustAddEdge(1, 0, "copyEdge")
 	a.GD.Graph().MustAddEdge(0, a.GD.Graph().AddVertex("copy only"), "copyEdge")
 
@@ -268,6 +271,112 @@ func TestConcurrentMutateWhileServing(t *testing.T) {
 	if after.CacheSurvived <= before.CacheSurvived {
 		t.Fatalf("no cache entry survived the AddTuple sweep (survived %d → %d): vertex-scoped invalidation is not scoping",
 			before.CacheSurvived, after.CacheSurvived)
+	}
+
+	t.Run("view hits", concurrentViewHits)
+}
+
+// concurrentViewHits serves the direct and the mirror view from their
+// engines — resolving tuples and rendering G labels the way /vpair
+// does, without the system lock — while AddTuple, AddGraphVertex,
+// AddGraphEdge and one recompile of the mirror land. Every rendered
+// body must decode, and every label must be G's label of its vertex.
+func concurrentViewHits(t *testing.T) {
+	sys, direct, mirror, entities := viewFixture(t)
+	views := []*ViewHandle{direct, mirror}
+	engs := make([]*shard.Engine, len(views))
+	for i, h := range views {
+		eng, err := shard.NewEngine(h.ShardConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		engs[i] = eng
+	}
+	type match struct {
+		Vertex int32  `json:"vertex"`
+		Label  string `json:"label"`
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var requests atomic.Int64
+	served := make([][]match, 4)
+	for i := range served {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h, eng := views[i%2], engs[i%2]
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				requests.Add(1)
+				u, err := h.TupleVertex("main", n%2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Errors are expected transients (a request racing a
+				// rebuild); the labels and the race detector are the oracle.
+				pairs, err := eng.VPair(context.Background(), u)
+				if err != nil {
+					continue
+				}
+				body := make([]match, 0, len(pairs))
+				for _, p := range pairs {
+					body = append(body, match{Vertex: int32(p.V), Label: sys.GraphLabel(p.V)})
+				}
+				raw, err := json.Marshal(body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var decoded []match
+				if err := json.Unmarshal(raw, &decoded); err != nil {
+					t.Errorf("body %s does not decode: %v", raw, err)
+					return
+				}
+				served[i] = append(served[i], decoded...)
+			}
+		}(i)
+	}
+	for i := 0; i < 6; i++ {
+		v := sys.AddGraphVertex("main")
+		if err := sys.AddGraphEdge(v, sys.AddGraphVertex(fmt.Sprintf("entity %d", i+2)), "key"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.AddGraphEdge(entities[i%2], v, "relatedTo"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.AddTuple("main", fmt.Sprintf("entity %d", i+2), "green", "dim A"); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			if _, err := sys.AddTuple("dim", "dim B", "fr"); err != nil { // recompiles the mirror
+				t.Fatal(err)
+			}
+		}
+	}
+	// Let the readers hit the final state's caches too.
+	for want, deadline := requests.Load()+400, time.Now().Add(10*time.Second); requests.Load() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if n := len(served[0]) + len(served[1]) + len(served[2]) + len(served[3]); n == 0 {
+		t.Fatal("no match was served")
+	}
+	if mirror.Recompiles() != 1 || direct.Recompiles() != 0 {
+		t.Fatalf("recompiles: mirror %d, direct %d; want 1, 0", mirror.Recompiles(), direct.Recompiles())
+	}
+	for _, ms := range served {
+		for _, m := range ms {
+			if want := sys.G.Label(VertexID(m.Vertex)); m.Label != want {
+				t.Fatalf("vertex %d rendered with label %q, G labels it %q", m.Vertex, m.Label, want)
+			}
+		}
 	}
 }
 

@@ -55,6 +55,8 @@ type tupleMapping interface {
 	TupleOf(v graph.VID) (rdb2rdf.TupleRef, bool)
 	TupleVertices(rel string, count int) []graph.VID
 	NumTupleVertices() int
+	// Tuples snapshots the tuple→vertex index for lock-free reads.
+	Tuples() rdb2rdf.TupleIndex
 }
 
 // ViewInfo describes one hosted view for /stats and the CLI.
@@ -69,8 +71,9 @@ type ViewInfo struct {
 
 // ViewHandle is one hosted view: the state of one graph over D and the
 // queries addressed at it. All fields are guarded by System.mu except
-// the immutable identity (sys, name, errp, def, rules, deltas) and
-// generation, which serving engines read without the lock.
+// the immutable identity (sys, name, errp, def, rules, deltas) and the
+// two atomics — generation, which serving engines read, and resolved,
+// which TupleVertex reads — written under System.mu and read without it.
 type ViewHandle struct {
 	sys   *System
 	name  string
@@ -96,6 +99,35 @@ type ViewHandle struct {
 	// cache invalidation — from resets that force a full rebuild.
 	generation atomic.Uint64
 	deltas     *shard.DeltaLog
+
+	// recompiles counts the rule view's recompiles since it was
+	// installed: each renumbers the view's vertices.
+	recompiles uint64
+	// resolved is what a tuple resolution reads without the lock: every
+	// write that changes the mapping publishes it (publishLocked), after
+	// the write's generation bump.
+	resolved atomic.Pointer[resolution]
+}
+
+// resolution is a published snapshot of a view's tuple→vertex index and
+// the recompile count it belongs to. A reader that finds the tuple here
+// finds the write that mapped it already counted in the generation, so
+// a serving engine it asks next serves a state that has the vertex.
+type resolution struct {
+	tuples     rdb2rdf.TupleIndex // nil without a tuple mapping
+	recompiles uint64
+}
+
+// publishLocked publishes the view's resolution: a snapshot of its
+// tuple index (one header per relation; the columns are shared) and its
+// recompile count. Callers hold s.mu and have bumped the generation for
+// the write being published.
+func (h *ViewHandle) publishLocked() {
+	r := &resolution{recompiles: h.recompiles}
+	if h.mapping != nil {
+		r.tuples = h.mapping.Tuples()
+	}
+	h.resolved.Store(r)
 }
 
 // recordLocked stamps d with the view's next generation, records it in
@@ -192,7 +224,9 @@ func (h *ViewHandle) extendTupleLocked(rel string, id int) error {
 			if reg := s.opts.Metrics; reg != nil {
 				reg.Counter(fmt.Sprintf("her_view_resets_total{view=%q}", h.name)).Inc()
 			}
+			h.recompiles++
 			h.recordLocked(shard.Delta{Kind: shard.DeltaReset})
+			h.publishLocked()
 			return nil
 		}
 	}
@@ -214,6 +248,7 @@ func (h *ViewHandle) extendTupleLocked(rel string, id int) error {
 		reg.Counter(fmt.Sprintf("her_view_delta_tuples_total{view=%q}", h.name)).Inc()
 	}
 	h.recordLocked(d)
+	h.publishLocked()
 	return nil
 }
 
@@ -248,6 +283,7 @@ func (s *System) AddViewDef(def *ViewDef) error {
 	if err := h.compileLocked(); err != nil {
 		return err
 	}
+	h.publishLocked()
 	s.hosted = append(s.hosted, h)
 	named := s.hosted[1:] // direct stays first; the rest sort by name
 	sort.Slice(named, func(i, j int) bool { return named[i].name < named[j].name })
@@ -334,21 +370,42 @@ func (h *ViewHandle) TupleOf(u VertexID) (TupleRef, bool) {
 	return h.mapping.TupleOf(u)
 }
 
-// TupleVertex resolves a tuple to its vertex in this view's graph. The
-// lookup takes the system lock: AddTuple extends the mapping's tables
-// while serving paths resolve concurrently.
+// TupleVertex resolves a tuple to its vertex in this view's graph.
 func (h *ViewHandle) TupleVertex(rel string, tupleID int) (VertexID, error) {
+	u, _, err := h.Resolve(rel, tupleID)
+	return u, err
+}
+
+// Resolve is TupleVertex that also returns the view's recompile count
+// the vertex belongs to. A rule view's recompile renumbers its
+// vertices, so a caller that resolves, then asks a serving engine about
+// the vertex, holds an answer about the tuple only while Recompiles
+// still returns that count; the direct view never recompiles.
+//
+// A tuple the published resolution maps is answered from it without
+// the system lock; any other — an unknown tuple, or no mapping — takes
+// the locked read, which reports the error.
+func (h *ViewHandle) Resolve(rel string, tupleID int) (VertexID, uint64, error) {
+	r := h.resolved.Load()
+	if u, ok := r.tuples.VertexOf(rel, tupleID); ok {
+		return u, r.recompiles, nil
+	}
 	h.sys.mu.Lock()
 	defer h.sys.mu.Unlock()
 	if h.mapping == nil {
-		return NoVertex, fmt.Errorf("%sno tuple mapping (built with NewFromGraphs)", h.errp)
+		return NoVertex, 0, fmt.Errorf("%sno tuple mapping (built with NewFromGraphs)", h.errp)
 	}
 	u, ok := h.mapping.VertexOf(rel, tupleID)
 	if !ok {
-		return NoVertex, fmt.Errorf("%sunknown tuple %s/%d", h.errp, rel, tupleID)
+		return NoVertex, 0, fmt.Errorf("%sunknown tuple %s/%d", h.errp, rel, tupleID)
 	}
-	return u, nil
+	return u, h.recompiles, nil
 }
+
+// Recompiles reports how many times the view was recompiled since it
+// was installed, as last published (see Resolve). Safe for concurrent
+// use.
+func (h *ViewHandle) Recompiles() uint64 { return h.resolved.Load().recompiles }
 
 // GDLabel returns the label of vertex u in this view's graph ("" when u
 // is not a vertex of it), under the system lock — AddTuple extends the
