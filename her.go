@@ -130,13 +130,16 @@ type System struct {
 	labels atomic.Pointer[[]string]
 }
 
-// New builds a System from a relational database and a graph; the
-// direct view is extracted with the RDB2RDF canonical mapping.
+// New builds a System from a relational database and a graph. The
+// direct view is the RDB2RDF canonical mapping, hosted like every other
+// view: its rules are view.Direct(db), compiled by view.Compile, and
+// AddTuple extends it by view.ExtendTuple, append-only forever.
 func New(db *relational.Database, g *graph.Graph, opts Options) (*System, error) {
 	if db == nil || g == nil {
 		return nil, fmt.Errorf("her: database and graph must be non-nil")
 	}
-	gd, mapping, err := rdb2rdf.Map(db)
+	def := view.Direct(db)
+	gd, mapping, err := view.Compile(def, db)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +148,7 @@ func New(db *relational.Database, g *graph.Graph, opts Options) (*System, error)
 		return nil, err
 	}
 	s.DB, s.Mapping = db, mapping
-	s.direct.mapping, s.direct.rules = mapping, view.Direct(db).RuleCount()
+	s.direct.def, s.direct.mapping, s.direct.rules = def, mapping, def.RuleCount()
 	s.direct.publishLocked()
 	return s, nil
 }

@@ -45,9 +45,6 @@ type CallSite struct {
 	Callee *FuncNode
 	Call   *ast.CallExpr
 	Iface  bool // resolved by devirtualizing an interface method call
-	Go     bool // the call is the operand of a go statement
-	Defer  bool // the call is the operand of a defer statement
-	InLit  bool // the call sits inside a func literal of the enclosing decl
 }
 
 // Program is the whole-module view shared by every Pass of one Run: the
@@ -105,39 +102,36 @@ func BuildProgram(pkgs []*Package) *Program {
 }
 
 // resolveCalls walks one declaration body and records every call edge it
-// can resolve.
+// can resolve. The operand of a go or defer statement is an edge, but of
+// that call only the arguments are walked: the body of a func literal it
+// runs is not part of the declaration's call sequence.
 func (prog *Program) resolveCalls(node *FuncNode, impls *implCache) {
 	info := node.Pkg.Info
-	var walk func(n ast.Node, inLit bool)
-	walk = func(n ast.Node, inLit bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				walk(x.Body, true)
-				return false
-			case *ast.GoStmt:
-				prog.addCall(node, info, x.Call, impls, true, false, inLit)
-				for _, arg := range x.Call.Args {
-					walk(arg, inLit)
-				}
-				return false
-			case *ast.DeferStmt:
-				prog.addCall(node, info, x.Call, impls, false, true, inLit)
-				for _, arg := range x.Call.Args {
-					walk(arg, inLit)
-				}
-				return false
-			case *ast.CallExpr:
-				prog.addCall(node, info, x, impls, false, false, inLit)
-			}
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		var call *ast.CallExpr
+		switch x := n.(type) {
+		case *ast.GoStmt:
+			call = x.Call
+		case *ast.DeferStmt:
+			call = x.Call
+		case *ast.CallExpr:
+			prog.addCall(node, info, x, impls)
 			return true
-		})
+		default:
+			return true
+		}
+		prog.addCall(node, info, call, impls)
+		for _, arg := range call.Args {
+			ast.Inspect(arg, visit)
+		}
+		return false
 	}
-	walk(node.Decl.Body, false)
+	ast.Inspect(node.Decl.Body, visit)
 }
 
 // addCall resolves one call expression to zero or more edges.
-func (prog *Program) addCall(node *FuncNode, info *types.Info, call *ast.CallExpr, impls *implCache, isGo, isDefer, inLit bool) {
+func (prog *Program) addCall(node *FuncNode, info *types.Info, call *ast.CallExpr, impls *implCache) {
 	fn := calleeFunc(info, call)
 	if fn == nil {
 		return
@@ -151,19 +145,13 @@ func (prog *Program) addCall(node *FuncNode, info *types.Info, call *ast.CallExp
 		// when the set is small enough to enumerate.
 		for _, impl := range impls.implementations(recv.Type(), fn.Name()) {
 			if callee := prog.Funcs[impl]; callee != nil {
-				node.Out = append(node.Out, CallSite{
-					Callee: callee, Call: call, Iface: true,
-					Go: isGo, Defer: isDefer, InLit: inLit,
-				})
+				node.Out = append(node.Out, CallSite{Callee: callee, Call: call, Iface: true})
 			}
 		}
 		return
 	}
 	if callee := prog.Funcs[fn]; callee != nil {
-		node.Out = append(node.Out, CallSite{
-			Callee: callee, Call: call,
-			Go: isGo, Defer: isDefer, InLit: inLit,
-		})
+		node.Out = append(node.Out, CallSite{Callee: callee, Call: call})
 	}
 }
 

@@ -14,6 +14,12 @@
 //     recorded in the Mapping rather than the label string, so score
 //     functions see the attribute name A (as in the paper's Example 7,
 //     which computes h_ρ(brand, brandName) for the FK edge).
+//
+// The package is the §II reference and the one mapping type. Map is the
+// reference extractor: production builds every hosted graph, the direct
+// one included, with the rule compiler of internal/view, whose built-in
+// Direct view the testkit differentials hold byte-identical to Map. Both
+// record what they extract in a Mapping.
 package rdb2rdf
 
 import (
@@ -76,12 +82,77 @@ func (ix TupleIndex) Snapshot() TupleIndex {
 	return out
 }
 
-// Mapping is the canonical 1-1 mapping f_D.
+// Mapping is the 1-1 tuple↔vertex mapping f_D of one extracted graph:
+// tuple vertices, attribute leaves and tuple→tuple edges, plus the
+// foreign-key references that dangled during extraction. Map and the
+// rule compiler of internal/view both build it through the Map* and
+// NoteDangling methods, so every hosted graph has this one mapping type.
 type Mapping struct {
 	tupleVertex TupleIndex
 	vertexTuple map[graph.VID]TupleRef
 	attrVertex  map[TupleRef]map[string]graph.VID
-	fkEdges     map[[2]graph.VID]string // (u_t, u_t') → attribute name
+	fkEdges     map[[2]graph.VID]string // (u_t, u_t') → edge label
+	dangling    map[danglingRef]bool
+}
+
+// danglingRef keys a dangling reference: the referenced relation plus
+// the key value that failed to resolve.
+type danglingRef struct {
+	Relation string
+	Key      string
+}
+
+// NewMapping returns an empty mapping sized for about sizeHint tuples.
+func NewMapping(sizeHint int) *Mapping {
+	return &Mapping{
+		tupleVertex: make(TupleIndex),
+		vertexTuple: make(map[graph.VID]TupleRef, sizeHint),
+		attrVertex:  make(map[TupleRef]map[string]graph.VID, sizeHint),
+		fkEdges:     make(map[[2]graph.VID]string),
+		dangling:    make(map[danglingRef]bool),
+	}
+}
+
+// MapTuple records v as the vertex of the unmapped tuple ref.
+func (m *Mapping) MapTuple(ref TupleRef, v graph.VID) {
+	m.tupleVertex.Set(ref, v)
+	m.vertexTuple[v] = ref
+}
+
+// MapAttr records v as the leaf projecting attribute attr of tuple ref.
+func (m *Mapping) MapAttr(ref TupleRef, attr string, v graph.VID) {
+	av := m.attrVertex[ref]
+	if av == nil {
+		av = make(map[string]graph.VID)
+		m.attrVertex[ref] = av
+	}
+	av[attr] = v
+}
+
+// MapForeignKey records (from, to) as a tuple→tuple edge labeled label.
+func (m *Mapping) MapForeignKey(from, to graph.VID, label string) {
+	m.fkEdges[[2]graph.VID{from, to}] = label
+}
+
+// NoteDangling records that key found no tuple of relation rel.
+func (m *Mapping) NoteDangling(rel, key string) {
+	m.dangling[danglingRef{Relation: rel, Key: key}] = true
+}
+
+// ResolvesDangling reports whether tuple (rel, tupleID) of db has the
+// key of a reference that dangled during extraction: re-extraction
+// would give an old tuple vertex an edge to it, which appending the
+// tuple does not.
+func (m *Mapping) ResolvesDangling(db *relational.Database, rel string, tupleID int) bool {
+	r := db.Relation(rel)
+	if r == nil || r.Schema.Key == "" || tupleID < 0 || tupleID >= len(r.Tuples) {
+		return false
+	}
+	kv := r.Tuples[tupleID].Values[r.Schema.AttrIndex(r.Schema.Key)]
+	if relational.IsNull(kv) {
+		return false
+	}
+	return m.dangling[danglingRef{Relation: rel, Key: kv}]
 }
 
 // VertexOf returns the vertex u_t denoting tuple t of relation rel.
@@ -98,35 +169,26 @@ func (m *Mapping) TupleOf(v graph.VID) (TupleRef, bool) {
 	return t, ok
 }
 
-// IsTupleVertex reports whether v denotes a tuple (rather than an
-// attribute value).
-func (m *Mapping) IsTupleVertex(v graph.VID) bool {
-	_, ok := m.vertexTuple[v]
-	return ok
-}
-
 // AttrVertexOf returns the vertex u_{t,A} for attribute attr of the tuple.
 func (m *Mapping) AttrVertexOf(rel string, tupleID int, attr string) (graph.VID, bool) {
-	av, ok := m.attrVertex[TupleRef{rel, tupleID}]
-	if !ok {
-		return graph.NoVertex, false
-	}
-	v, ok := av[attr]
+	v, ok := m.attrVertex[TupleRef{rel, tupleID}][attr]
 	return v, ok
 }
 
-// IsForeignKeyEdge reports whether (from, to) is a γ-marked foreign-key
-// edge, returning the attribute name it encodes.
+// IsForeignKeyEdge reports whether (from, to) is a tuple→tuple edge,
+// returning its label: the FK attribute name under f_D, the edge rule's
+// label in a rule view.
 func (m *Mapping) IsForeignKeyEdge(from, to graph.VID) (string, bool) {
 	a, ok := m.fkEdges[[2]graph.VID{from, to}]
 	return a, ok
 }
 
 // TupleVertices returns every tuple vertex of relation rel in tuple order.
-func (m *Mapping) TupleVertices(rel string, count int) []graph.VID {
-	out := make([]graph.VID, 0, count)
-	for id := 0; id < count; id++ {
-		if v, ok := m.VertexOf(rel, id); ok {
+func (m *Mapping) TupleVertices(rel string) []graph.VID {
+	col := m.tupleVertex[rel]
+	out := make([]graph.VID, 0, len(col))
+	for _, v := range col {
+		if v != graph.NoVertex {
 			out = append(out, v)
 		}
 	}
@@ -139,22 +201,13 @@ func (m *Mapping) NumTupleVertices() int { return len(m.vertexTuple) }
 // Map converts database db into its canonical graph G_D and mapping f_D.
 func Map(db *relational.Database) (*graph.Graph, *Mapping, error) {
 	g := graph.New(db.NumTuples() * 4)
-	m := &Mapping{
-		tupleVertex: make(TupleIndex),
-		vertexTuple: make(map[graph.VID]TupleRef),
-		attrVertex:  make(map[TupleRef]map[string]graph.VID),
-		fkEdges:     make(map[[2]graph.VID]string),
-	}
+	m := NewMapping(db.NumTuples())
 
 	// Pass 1: one vertex per tuple, labeled with the relation name.
 	for _, relName := range db.RelationNames() {
 		rel := db.Relation(relName)
 		for _, t := range rel.Tuples {
-			ref := TupleRef{relName, t.ID}
-			v := g.AddVertex(relName)
-			m.tupleVertex.Set(ref, v)
-			m.vertexTuple[v] = ref
-			m.attrVertex[ref] = make(map[string]graph.VID, len(rel.Schema.Attrs))
+			m.MapTuple(TupleRef{relName, t.ID}, g.AddVertex(relName))
 		}
 	}
 
@@ -181,82 +234,28 @@ func Map(db *relational.Database) (*graph.Graph, *Mapping, error) {
 					if rt, ok := target.LookupKey(val); ok {
 						ut2, _ := m.tupleVertex.VertexOf(refRel, rt.ID)
 						g.MustAddEdge(ut, ut2, attr)
-						m.fkEdges[[2]graph.VID{ut, ut2}] = attr
+						m.MapForeignKey(ut, ut2, attr)
 						continue
 					}
 					// Dangling FK degrades to a plain attribute vertex.
+					m.NoteDangling(refRel, val)
 				}
 				av := g.AddVertex(val)
 				g.MustAddEdge(ut, av, attr)
-				m.attrVertex[ref][attr] = av
+				m.MapAttr(ref, attr, av)
 			}
 		}
 	}
 	return g, m, nil
 }
 
-// AddTuple incrementally extends a canonical graph and its mapping with
-// one tuple that was appended to db after Map ran: the tuple vertex, its
-// attribute vertices and its outgoing foreign-key edges are added.
-// Dangling foreign keys of OLDER tuples that the new tuple would resolve
-// are not rewritten (they already degraded to attribute vertices).
-func AddTuple(g *graph.Graph, m *Mapping, db *relational.Database, relName string, tupleID int) error {
-	rel := db.Relation(relName)
-	if rel == nil {
-		return fmt.Errorf("rdb2rdf: unknown relation %s", relName)
-	}
-	if tupleID < 0 || tupleID >= len(rel.Tuples) {
-		return fmt.Errorf("rdb2rdf: %s has no tuple %d", relName, tupleID)
-	}
-	ref := TupleRef{relName, tupleID}
-	if _, dup := m.tupleVertex.VertexOf(relName, tupleID); dup {
-		return fmt.Errorf("rdb2rdf: tuple %s/%d already mapped", relName, tupleID)
-	}
-	t := rel.Tuples[tupleID]
-	ut := g.AddVertex(relName)
-	m.tupleVertex.Set(ref, ut)
-	m.vertexTuple[ut] = ref
-	m.attrVertex[ref] = make(map[string]graph.VID, len(rel.Schema.Attrs))
-
-	fkOf := make(map[string]string, len(rel.Schema.ForeignKeys))
-	for _, fk := range rel.Schema.ForeignKeys {
-		fkOf[fk.Attr] = fk.RefRelation
-	}
-	for i, attr := range rel.Schema.Attrs {
-		val := t.Values[i]
-		if relational.IsNull(val) {
-			continue
-		}
-		if refRel, isFK := fkOf[attr]; isFK {
-			target := db.Relation(refRel)
-			if target == nil {
-				return fmt.Errorf("rdb2rdf: %s.%s references unknown relation %s", relName, attr, refRel)
-			}
-			if rt, ok := target.LookupKey(val); ok {
-				ut2, mapped := m.tupleVertex.VertexOf(refRel, rt.ID)
-				if mapped {
-					g.MustAddEdge(ut, ut2, attr)
-					m.fkEdges[[2]graph.VID{ut, ut2}] = attr
-					continue
-				}
-			}
-		}
-		av := g.AddVertex(val)
-		g.MustAddEdge(ut, av, attr)
-		m.attrVertex[ref][attr] = av
-	}
-	return nil
-}
-
 // RecoverTuple reconstructs the attribute values of the tuple denoted by
 // vertex u_t from the canonical graph alone, for round-trip verification.
 // Foreign-key attributes recover the referenced tuple's key value.
 func RecoverTuple(g *graph.Graph, m *Mapping, db *relational.Database, v graph.VID) (map[string]string, error) {
-	ref, ok := m.TupleOf(v)
-	if !ok {
+	if _, ok := m.TupleOf(v); !ok {
 		return nil, fmt.Errorf("rdb2rdf: vertex %d is not a tuple vertex", v)
 	}
-	rel := db.Relation(ref.Relation)
 	out := make(map[string]string)
 	for _, e := range g.Out(v) {
 		if fkAttr, isFK := m.IsForeignKeyEdge(v, e.To); isFK {
@@ -268,6 +267,5 @@ func RecoverTuple(g *graph.Graph, m *Mapping, db *relational.Database, v graph.V
 		}
 		out[e.Label] = g.Label(e.To)
 	}
-	_ = rel
 	return out, nil
 }

@@ -147,81 +147,6 @@ func TestDanglingForeignKeyDegrades(t *testing.T) {
 	}
 }
 
-func TestAddTupleIncremental(t *testing.T) {
-	db := paperDB(t)
-	g, m, err := Map(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv, ne := g.NumVertices(), g.NumEdges()
-
-	// A new item referencing an existing brand.
-	id := db.Relation("item").MustInsert(
-		"Trail Blazer X", "mesh", "black", "TB1", "Addidas", "50")
-	if err := AddTuple(g, m, db, "item", id); err != nil {
-		t.Fatal(err)
-	}
-	ut, ok := m.VertexOf("item", id)
-	if !ok {
-		t.Fatal("new tuple unmapped")
-	}
-	if g.Label(ut) != "item" {
-		t.Errorf("new tuple vertex label = %q", g.Label(ut))
-	}
-	// 1 tuple vertex + 5 attribute vertices (brand is an FK edge).
-	if g.NumVertices() != nv+6 {
-		t.Errorf("vertices %d → %d, want +6", nv, g.NumVertices())
-	}
-	if g.NumEdges() != ne+6 {
-		t.Errorf("edges %d → %d, want +6", ne, g.NumEdges())
-	}
-	// The FK edge lands on the existing brand vertex.
-	b2, _ := m.VertexOf("brand", 1)
-	if lbl, found := g.FindEdge(ut, b2); !found || lbl != "brand" {
-		t.Errorf("FK edge = %q,%v", lbl, found)
-	}
-	// Round trip still works for the new tuple.
-	got, err := RecoverTuple(g, m, db, ut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["material"] != "mesh" || got["brand"] != "Addidas" {
-		t.Errorf("recovered = %v", got)
-	}
-
-	// Error cases.
-	if err := AddTuple(g, m, db, "nonexistent", 0); err == nil {
-		t.Error("unknown relation should fail")
-	}
-	if err := AddTuple(g, m, db, "item", 99); err == nil {
-		t.Error("out-of-range tuple should fail")
-	}
-	if err := AddTuple(g, m, db, "item", id); err == nil {
-		t.Error("re-adding a mapped tuple should fail")
-	}
-}
-
-func TestAddTupleWithNullAndDanglingFK(t *testing.T) {
-	db := paperDB(t)
-	g, m, err := Map(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := db.Relation("item").MustInsert(
-		"Ghost Shoe", relational.Null, "grey", relational.Null, "NoSuchBrand", "1")
-	if err := AddTuple(g, m, db, "item", id); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.AttrVertexOf("item", id, "material"); ok {
-		t.Error("null attribute should not map")
-	}
-	// Dangling FK degrades to an attribute vertex.
-	av, ok := m.AttrVertexOf("item", id, "brand")
-	if !ok || g.Label(av) != "NoSuchBrand" {
-		t.Errorf("dangling FK handling: %v %q", ok, g.Label(av))
-	}
-}
-
 func TestRecoverTupleRoundTrip(t *testing.T) {
 	db := paperDB(t)
 	g, m, err := Map(db)

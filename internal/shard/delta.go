@@ -212,7 +212,7 @@ func (e *Engine) applyDelta(st *shardState, d *Delta) error {
 
 // applyTupleDelta grows the private G_D mirror with the tuple's fresh
 // region. No fragment is touched: G is unchanged, the new G_D vertices
-// have no incoming edges from old vertices (rdb2rdf.AddTuple only adds
+// have no incoming edges from old vertices (view.ExtendTuple only adds
 // edges leaving them), so every cached verdict and ranker entry stays
 // valid, and the shared RankerD evaluates the new vertices lazily. Only
 // unscoped APair entries are evicted from the result cache — they must

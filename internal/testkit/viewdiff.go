@@ -105,7 +105,7 @@ func SlimViewDef(db *relational.Database) *view.Def {
 
 // CompileSlim materializes the slim view over db, returning its graph,
 // mapping and canonical dump.
-func CompileSlim(db *relational.Database) (*graph.Graph, *view.Mapping, string, error) {
+func CompileSlim(db *relational.Database) (*graph.Graph, *rdb2rdf.Mapping, string, error) {
 	def := SlimViewDef(db)
 	g, m, err := view.Compile(def, db)
 	if err != nil {

@@ -2,12 +2,16 @@ package testkit
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"her"
 	"her/internal/graph"
+	"her/internal/rdb2rdf"
 	"her/internal/relational"
 	"her/internal/shard"
+	"her/internal/view"
 )
 
 // goldenViewDB mirrors the rdb2rdf golden fixture: maker(name, country)
@@ -56,6 +60,93 @@ func TestDirectViewDifferentialGenerated(t *testing.T) {
 	}
 }
 
+// TestDirectViewDifferentialAppend holds the direct view's extension
+// path to the reference. Per seed, the workload's database is split into
+// a prefix and a seeded interleaving of every relation's remaining
+// tuples; view.Direct is compiled on the prefix and extended by
+// view.ExtendTuple one tuple at a time, as her.System extends its direct
+// view. After every step no earlier vertex may have changed its label or
+// out-edges — direct is append-only — and when no step resolved a
+// dangling reference the extended view must be canonically equal to
+// rdb2rdf.Map of the final database.
+func TestDirectViewDifferentialAppend(t *testing.T) {
+	n := seedsPerFamily()
+	compared := 0
+	for seed := int64(1); seed <= n; seed++ {
+		w, err := GenWorkload(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		names := w.DB.RelationNames()
+		schemas := make([]*relational.Schema, len(names))
+		for i, name := range names {
+			schemas[i] = w.DB.Relation(name).Schema
+		}
+		db := relational.NewDatabase(schemas...)
+		var suffix []string // the relation of each appended tuple, in append order
+		for _, name := range names {
+			tuples := w.DB.Relation(name).Tuples
+			cut := rng.Intn(len(tuples) + 1)
+			for _, tu := range tuples[:cut] {
+				db.Relation(name).MustInsert(tu.Values...)
+			}
+			for range tuples[cut:] {
+				suffix = append(suffix, name)
+			}
+		}
+		rng.Shuffle(len(suffix), func(i, j int) { suffix[i], suffix[j] = suffix[j], suffix[i] })
+
+		def := view.Direct(db)
+		g, m, err := view.Compile(def, db)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		type vertexState struct {
+			label string
+			out   []graph.Edge
+		}
+		var before []vertexState
+		record := func() {
+			for v := graph.VID(len(before)); int(v) < g.NumVertices(); v++ {
+				before = append(before, vertexState{g.Label(v), slices.Clone(g.Out(v))})
+			}
+		}
+		record()
+		resolved := false
+		for step, name := range suffix {
+			rel := db.Relation(name)
+			id := rel.MustInsert(w.DB.Relation(name).Tuples[len(rel.Tuples)].Values...)
+			resolved = resolved || m.ResolvesDangling(db, name, id)
+			if err := view.ExtendTuple(g, m, def, db, name, id); err != nil {
+				t.Fatalf("seed %d step %d: ExtendTuple(%s/%d): %v", seed, step, name, id, err)
+			}
+			for v, st := range before {
+				if g.Label(graph.VID(v)) != st.label || !slices.Equal(g.Out(graph.VID(v)), st.out) {
+					t.Fatalf("seed %d step %d: appending %s/%d changed old vertex %d", seed, step, name, id, v)
+				}
+			}
+			record()
+		}
+		if resolved {
+			continue
+		}
+		compared++
+		wantG, wantM, err := rdb2rdf.Map(db)
+		if err != nil {
+			t.Fatalf("seed %d: rdb2rdf.Map: %v", seed, err)
+		}
+		if got, want := view.CanonicalDump(g, m, db), view.CanonicalDump(wantG, wantM, db); got != want {
+			t.Fatalf("seed %d: extended direct view diverges from rdb2rdf.Map:\nextended:\n%s\nreference:\n%s",
+				seed, got, want)
+		}
+	}
+	if compared == 0 {
+		t.Fatalf("all %d seeds resolved a dangling reference: nothing was compared to rdb2rdf.Map", n)
+	}
+	t.Logf("%d of %d seeds compared to rdb2rdf.Map; the rest resolved a dangling reference", compared, n)
+}
+
 // mutationViewDB builds the database the mutation differential starts
 // from: one dimension row and two main rows, one of which references a
 // dimension key that does not exist yet (a dangling FK the sequence
@@ -92,7 +183,9 @@ func smallTargetGraph() *graph.Graph {
 // System hosting the slim view and checks, after every step, that the
 // incrementally maintained view is canonically equal to a re-extraction
 // from scratch — including the step that resolves a dangling FK, which
-// append-only extension cannot express and must recompile.
+// append-only extension cannot express and must recompile. The direct
+// view, which never recompiles, equals rdb2rdf.Map of the database
+// until that step and differs from it afterwards.
 func TestViewMutationDifferential(t *testing.T) {
 	db := mutationViewDB(t)
 	sys, err := her.New(db, smallTargetGraph(), her.Options{Seed: 1})
@@ -107,8 +200,25 @@ func TestViewMutationDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	direct, err := sys.View("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := false
 	check := func(step string) {
 		t.Helper()
+		gotDirect, err := direct.CanonicalDump()
+		if err != nil {
+			t.Fatalf("%s: direct: %v", step, err)
+		}
+		refG, refM, err := rdb2rdf.Map(sys.DB)
+		if err != nil {
+			t.Fatalf("%s: rdb2rdf.Map: %v", step, err)
+		}
+		if (gotDirect == view.CanonicalDump(refG, refM, sys.DB)) == resolved {
+			t.Fatalf("%s: direct view equals rdb2rdf.Map: %v, want %v:\n%s",
+				step, resolved, !resolved, gotDirect)
+		}
 		got, err := vh.CanonicalDump()
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
@@ -136,6 +246,7 @@ func TestViewMutationDifferential(t *testing.T) {
 	if _, err := sys.AddTuple("dim", "dim B", "fr"); err != nil {
 		t.Fatal(err)
 	}
+	resolved = true
 	check("resolve dangling FK")
 
 	if _, err := sys.AddTuple("main", "entity 3", relational.Null, "dim B"); err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"her/internal/graph"
+	"her/internal/rdb2rdf"
 	"her/internal/relational"
 )
 
@@ -16,7 +17,7 @@ import (
 // mutation-sequence differential needs, because a re-extraction from
 // scratch interleaves relations' vertex ids differently than an
 // append-only history while denoting the same graph.
-func CanonicalDump(g *graph.Graph, m *Mapping, db *relational.Database) string {
+func CanonicalDump(g *graph.Graph, m *rdb2rdf.Mapping, db *relational.Database) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "vertices %d edges %d tuples %d\n",
 		g.NumVertices(), g.NumEdges(), m.NumTupleVertices())

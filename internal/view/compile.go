@@ -9,95 +9,6 @@ import (
 	"her/internal/relational"
 )
 
-// Mapping is the tuple↔vertex mapping of one materialized view — the
-// view-generalized form of rdb2rdf.Mapping's f_D, with the same query
-// surface so serving layers treat any view uniformly. It additionally
-// tracks the dangling foreign-key references seen during extraction:
-// a later tuple whose key resolves one of them invalidates append-only
-// maintenance (see ResolvesDangling).
-type Mapping struct {
-	tupleVertex rdb2rdf.TupleIndex
-	vertexTuple map[graph.VID]rdb2rdf.TupleRef
-	attrVertex  map[rdb2rdf.TupleRef]map[string]graph.VID
-	fkEdges     map[[2]graph.VID]string // (u_t, u_t') → rule label
-
-	// dangling records every (relation, key value) lookup that failed
-	// during extraction — degraded FK leaves and broken path steps.
-	dangling map[danglingRef]bool
-}
-
-// danglingRef keys a dangling reference: the referenced relation plus
-// the key value that failed to resolve. rdb2rdf never needs this
-// because the direct mapping freezes dangling FKs forever; views
-// recompile when a later tuple resolves one.
-type danglingRef struct {
-	Relation string
-	Key      string
-}
-
-// VertexOf returns the vertex denoting tuple (rel, tupleID).
-func (m *Mapping) VertexOf(rel string, tupleID int) (graph.VID, bool) {
-	return m.tupleVertex.VertexOf(rel, tupleID)
-}
-
-// Tuples returns a snapshot of the tuple index (rdb2rdf.TupleIndex.Snapshot).
-func (m *Mapping) Tuples() rdb2rdf.TupleIndex { return m.tupleVertex.Snapshot() }
-
-// TupleOf returns the tuple a vertex denotes, if it is a tuple vertex.
-func (m *Mapping) TupleOf(v graph.VID) (rdb2rdf.TupleRef, bool) {
-	t, ok := m.vertexTuple[v]
-	return t, ok
-}
-
-// IsTupleVertex reports whether v denotes a tuple.
-func (m *Mapping) IsTupleVertex(v graph.VID) bool {
-	_, ok := m.vertexTuple[v]
-	return ok
-}
-
-// AttrVertexOf returns the leaf vertex projecting attribute attr of the
-// tuple, if one was materialized.
-func (m *Mapping) AttrVertexOf(rel string, tupleID int, attr string) (graph.VID, bool) {
-	av, ok := m.attrVertex[rdb2rdf.TupleRef{Relation: rel, TupleID: tupleID}]
-	if !ok {
-		return graph.NoVertex, false
-	}
-	v, ok := av[attr]
-	return v, ok
-}
-
-// IsForeignKeyEdge reports whether (from, to) is a tuple→tuple edge
-// produced by an edge rule, returning the rule's label.
-func (m *Mapping) IsForeignKeyEdge(from, to graph.VID) (string, bool) {
-	a, ok := m.fkEdges[[2]graph.VID{from, to}]
-	return a, ok
-}
-
-// TupleVertices returns every materialized tuple vertex of relation rel
-// in tuple order.
-func (m *Mapping) TupleVertices(rel string, count int) []graph.VID {
-	out := make([]graph.VID, 0, count)
-	for id := 0; id < count; id++ {
-		if v, ok := m.VertexOf(rel, id); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// NumTupleVertices reports how many vertices denote tuples.
-func (m *Mapping) NumTupleVertices() int { return len(m.vertexTuple) }
-
-func newMapping(sizeHint int) *Mapping {
-	return &Mapping{
-		tupleVertex: make(rdb2rdf.TupleIndex),
-		vertexTuple: make(map[graph.VID]rdb2rdf.TupleRef, sizeHint),
-		attrVertex:  make(map[rdb2rdf.TupleRef]map[string]graph.VID, sizeHint),
-		fkEdges:     make(map[[2]graph.VID]string),
-		dangling:    make(map[danglingRef]bool),
-	}
-}
-
 // compiled is the per-Def compilation plan resolved against a concrete
 // schema: per-relation attribute/FK indexes the extraction loops read
 // without repeated map lookups.
@@ -213,13 +124,13 @@ func plan(def *Def, db *relational.Database) (*compiled, error) {
 // schema-attribute order, then join-path and closure rules in
 // definition order — for the built-in Direct view this reproduces
 // rdb2rdf.Map byte for byte.
-func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) {
+func Compile(def *Def, db *relational.Database) (*graph.Graph, *rdb2rdf.Mapping, error) {
 	c, err := plan(def, db)
 	if err != nil {
 		return nil, nil, err
 	}
 	g := graph.New(db.NumTuples() * 4)
-	m := newMapping(db.NumTuples())
+	m := rdb2rdf.NewMapping(db.NumTuples())
 
 	// Pass 1: tuple vertices, in vertex-rule order then tuple order.
 	for i := range def.Vertices {
@@ -230,10 +141,7 @@ func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) 
 				continue
 			}
 			ref := rdb2rdf.TupleRef{Relation: vr.Relation, TupleID: t.ID}
-			v := g.AddVertex(vertexLabel(rel, t, vr))
-			m.tupleVertex.Set(ref, v)
-			m.vertexTuple[v] = ref
-			m.attrVertex[ref] = make(map[string]graph.VID, len(rel.Schema.Attrs))
+			m.MapTuple(ref, g.AddVertex(vertexLabel(rel, t, vr)))
 		}
 	}
 
@@ -244,7 +152,7 @@ func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) 
 		vr := &def.Vertices[i]
 		rel := db.Relation(vr.Relation)
 		for _, t := range rel.Tuples {
-			ut, ok := m.tupleVertex.VertexOf(vr.Relation, t.ID)
+			ut, ok := m.VertexOf(vr.Relation, t.ID)
 			if !ok {
 				continue
 			}
@@ -257,7 +165,7 @@ func Compile(def *Def, db *relational.Database) (*graph.Graph, *Mapping, error) 
 		er := &def.Edges[ei]
 		rel := db.Relation(er.Relation)
 		for _, t := range rel.Tuples {
-			ut, ok := m.tupleVertex.VertexOf(er.Relation, t.ID)
+			ut, ok := m.VertexOf(er.Relation, t.ID)
 			if !ok {
 				continue
 			}
@@ -311,7 +219,7 @@ func vertexLabel(rel *relational.Relation, t relational.Tuple, vr *VertexRule) s
 // materialized tuple, degrades to the leaf when dangling-and-projected,
 // and is skipped otherwise. Dangling lookups are recorded so a later
 // tuple resolving one invalidates append-only maintenance.
-func (c *compiled) extractTuple(g *graph.Graph, m *Mapping, ruleIdx int, rel *relational.Relation, t relational.Tuple, ut graph.VID) {
+func (c *compiled) extractTuple(g *graph.Graph, m *rdb2rdf.Mapping, ruleIdx int, rel *relational.Relation, t relational.Tuple, ut graph.VID) {
 	proj := c.project[ruleIdx]
 	ref := rdb2rdf.TupleRef{Relation: rel.Schema.Name, TupleID: t.ID}
 	for i, attr := range rel.Schema.Attrs {
@@ -328,15 +236,15 @@ func (c *compiled) extractTuple(g *graph.Graph, m *Mapping, ruleIdx int, rel *re
 			target := c.db.Relation(refRel)
 			rt, ok := target.LookupKey(val)
 			if !ok {
-				m.dangling[danglingRef{Relation: refRel, Key: val}] = true
+				m.NoteDangling(refRel, val)
 				continue
 			}
-			ut2, mapped := m.tupleVertex.VertexOf(refRel, rt.ID)
+			ut2, mapped := m.VertexOf(refRel, rt.ID)
 			if !mapped {
 				continue
 			}
 			g.MustAddEdge(ut, ut2, er.Label)
-			m.fkEdges[[2]graph.VID{ut, ut2}] = er.Label
+			m.MapForeignKey(ut, ut2, er.Label)
 			edged = true
 		}
 		if edged || !projected {
@@ -344,14 +252,14 @@ func (c *compiled) extractTuple(g *graph.Graph, m *Mapping, ruleIdx int, rel *re
 		}
 		av := g.AddVertex(val)
 		g.MustAddEdge(ut, av, attr)
-		m.attrVertex[ref][attr] = av
+		m.MapAttr(ref, attr, av)
 	}
 }
 
 // extractPaths runs pass 3 for one materialized source tuple: follow
 // the rule's FK chain (or closure) and add an edge to every
 // materialized endpoint. Intermediate tuples need not be materialized.
-func (c *compiled) extractPaths(g *graph.Graph, m *Mapping, er *EdgeRule, t relational.Tuple, ut graph.VID) {
+func (c *compiled) extractPaths(g *graph.Graph, m *rdb2rdf.Mapping, er *EdgeRule, t relational.Tuple, ut graph.VID) {
 	if er.Closure > 0 {
 		c.extractClosure(g, m, er, t, ut)
 		return
@@ -372,24 +280,24 @@ func (c *compiled) extractPaths(g *graph.Graph, m *Mapping, er *EdgeRule, t rela
 		target := c.db.Relation(refRel)
 		rt, ok := target.LookupKey(val)
 		if !ok {
-			m.dangling[danglingRef{Relation: refRel, Key: val}] = true
+			m.NoteDangling(refRel, val)
 			return
 		}
 		relName, cur = refRel, rt
 	}
-	ut2, mapped := m.tupleVertex.VertexOf(relName, cur.ID)
+	ut2, mapped := m.VertexOf(relName, cur.ID)
 	if !mapped || ut2 == ut {
 		return
 	}
 	g.MustAddEdge(ut, ut2, er.Label)
-	m.fkEdges[[2]graph.VID{ut, ut2}] = er.Label
+	m.MapForeignKey(ut, ut2, er.Label)
 }
 
 // extractClosure walks the functional FK chain up to the rule's depth,
 // adding an edge to every materialized tuple reached. The chain stops
 // at a null value, a dangling key, a missing FK in the reached
 // relation, or a revisit (cycle).
-func (c *compiled) extractClosure(g *graph.Graph, m *Mapping, er *EdgeRule, t relational.Tuple, ut graph.VID) {
+func (c *compiled) extractClosure(g *graph.Graph, m *rdb2rdf.Mapping, er *EdgeRule, t relational.Tuple, ut graph.VID) {
 	attr := er.Path[0]
 	relName := er.Relation
 	cur := t
@@ -426,7 +334,7 @@ func (c *compiled) extractClosure(g *graph.Graph, m *Mapping, er *EdgeRule, t re
 		}
 		rt, ok := target.LookupKey(val)
 		if !ok {
-			m.dangling[danglingRef{Relation: refRel, Key: val}] = true
+			m.NoteDangling(refRel, val)
 			return
 		}
 		nref := rdb2rdf.TupleRef{Relation: refRel, TupleID: rt.ID}
@@ -434,9 +342,9 @@ func (c *compiled) extractClosure(g *graph.Graph, m *Mapping, er *EdgeRule, t re
 			return
 		}
 		visited[nref] = true
-		if ut2, mapped := m.tupleVertex.VertexOf(nref.Relation, nref.TupleID); mapped && ut2 != ut {
+		if ut2, mapped := m.VertexOf(nref.Relation, nref.TupleID); mapped && ut2 != ut {
 			g.MustAddEdge(ut, ut2, er.Label)
-			m.fkEdges[[2]graph.VID{ut, ut2}] = er.Label
+			m.MapForeignKey(ut, ut2, er.Label)
 		}
 		relName, cur = refRel, rt
 	}

@@ -10,10 +10,13 @@ const DirectName = "direct"
 // db's schema: one vertex rule per relation (sorted name order, no
 // predicate, relation-name labels, all attributes projected) and one
 // single-step edge rule per declared foreign key (schema declaration
-// order), labeled with the FK attribute name. Compiling it reproduces
-// rdb2rdf.Map byte for byte — graph and mapping alike — which the
-// testkit differential gate pins on the golden database and on
-// generated schemas.
+// order), labeled with the FK attribute name. It is how production
+// extracts the direct graph: her.New compiles it, and ExtendTuple
+// appends each new tuple to it. Compiling it reproduces rdb2rdf.Map
+// byte for byte — graph and mapping alike — which the testkit
+// differential gates pin on the golden database and on generated
+// schemas, and extending it tuple by tuple does too, for as long as no
+// new tuple resolves a reference that dangled.
 func Direct(db *relational.Database) *Def {
 	d := NewDef(DirectName)
 	for _, relName := range db.RelationNames() {

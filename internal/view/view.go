@@ -3,11 +3,12 @@
 // API) describing which tuples become vertices, which attributes are
 // projected as leaf vertices, and which foreign-key join paths and
 // bounded FK closures become edges. Compiling a Def against a
-// relational.Database materializes a graph.Graph plus a tuple↔vertex
-// Mapping, so every view is a first-class linking target alongside the
-// canonical RDB2RDF direct mapping — which is itself expressible as the
-// built-in Direct view, byte-identical to rdb2rdf.Map output (the
-// differential gate in internal/testkit keeps this honest).
+// relational.Database materializes a graph.Graph plus its tuple↔vertex
+// rdb2rdf.Mapping, so every view is a first-class linking target. The
+// package is the one extractor behind every hosted graph: the canonical
+// RDB2RDF direct mapping is the built-in Direct view, compiled and
+// extended here, and byte-identical to the rdb2rdf.Map reference (the
+// differential gates in internal/testkit keep this honest).
 //
 // The design follows GraphGen's "graphs as declarative views over
 // relational data" (PAPERS.md): the paper's framework only requires

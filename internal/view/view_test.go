@@ -29,18 +29,9 @@ func goldenDB(t *testing.T) *relational.Database {
 	return db
 }
 
-// tupleMapper is the query surface shared by rdb2rdf.Mapping and
-// view.Mapping that DumpMapping serializes.
-type tupleMapper interface {
-	VertexOf(rel string, tupleID int) (graph.VID, bool)
-	AttrVertexOf(rel string, tupleID int, attr string) (graph.VID, bool)
-	IsForeignKeyEdge(from, to graph.VID) (string, bool)
-	NumTupleVertices() int
-}
-
 // DumpMapping serializes a mapping deterministically through its public
 // query surface, so two mappings are byte-comparable.
-func DumpMapping(db *relational.Database, g *graph.Graph, m tupleMapper) string {
+func DumpMapping(db *relational.Database, g *graph.Graph, m *rdb2rdf.Mapping) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tuples %d\n", m.NumTupleVertices())
 	for _, relName := range db.RelationNames() {
@@ -223,6 +214,107 @@ func TestExtendTupleMatchesRecompile(t *testing.T) {
 	}
 	if got, want := CanonicalDump(g, m, db), CanonicalDump(g2, m2, db); got != want {
 		t.Fatalf("extended view diverges from recompile\n--- extend ---\n%s--- recompile ---\n%s", got, want)
+	}
+}
+
+// TestExtendDirectTuple: a tuple appended after Compile(Direct) gains
+// its vertex, its leaves and its FK edge to an existing tuple, and
+// round-trips through rdb2rdf.RecoverTuple; an unknown relation, an
+// out-of-range tuple id and an already-mapped tuple are errors that
+// leave the graph as it was.
+func TestExtendDirectTuple(t *testing.T) {
+	db := goldenDB(t)
+	d := Direct(db)
+	g, m, err := Compile(d, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv, ne := g.NumVertices(), g.NumEdges()
+	id := db.Relation("part").MustInsert("gear-4", "green", "Umbrella")
+	if err := ExtendTuple(g, m, d, db, "part", id); err != nil {
+		t.Fatal(err)
+	}
+	ut, ok := m.VertexOf("part", id)
+	if !ok {
+		t.Fatal("new tuple unmapped")
+	}
+	if g.Label(ut) != "part" {
+		t.Errorf("new tuple vertex label = %q", g.Label(ut))
+	}
+	// 1 tuple vertex + 2 leaves (sku, color); maker is an FK edge.
+	if g.NumVertices() != nv+3 || g.NumEdges() != ne+3 {
+		t.Errorf("vertices %d → %d, edges %d → %d, want +3 each", nv, g.NumVertices(), ne, g.NumEdges())
+	}
+	maker, _ := m.VertexOf("maker", 1)
+	if lbl, found := g.FindEdge(ut, maker); !found || lbl != "maker" {
+		t.Errorf("FK edge = %q,%v", lbl, found)
+	}
+	if lbl, fk := m.IsForeignKeyEdge(ut, maker); !fk || lbl != "maker" {
+		t.Errorf("FK edge not recorded in the mapping: %q,%v", lbl, fk)
+	}
+	got, err := rdb2rdf.RecoverTuple(g, m, db, ut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]string{"sku": "gear-4", "color": "green", "maker": "Umbrella"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered %v, want %v", got, want)
+	}
+
+	nv, ne = g.NumVertices(), g.NumEdges()
+	if err := ExtendTuple(g, m, d, db, "nonexistent", 0); err == nil {
+		t.Error("unknown relation should fail")
+	}
+	if err := ExtendTuple(g, m, d, db, "part", 99); err == nil {
+		t.Error("out-of-range tuple should fail")
+	}
+	if err := ExtendTuple(g, m, d, db, "part", id); err == nil {
+		t.Error("re-adding a mapped tuple should fail")
+	}
+	if g.NumVertices() != nv || g.NumEdges() != ne {
+		t.Errorf("failed extensions changed the graph: %d/%d → %d/%d", nv, ne, g.NumVertices(), g.NumEdges())
+	}
+}
+
+// TestExtendDirectTupleNullAndDanglingFK: an appended tuple's null
+// attribute maps to nothing and its dangling FK degrades to a leaf. The
+// direct view is append-only, so when the referenced tuple arrives later
+// the reference stays that leaf: the old vertex gains no edge.
+func TestExtendDirectTupleNullAndDanglingFK(t *testing.T) {
+	db := goldenDB(t)
+	d := Direct(db)
+	g, m, err := Compile(d, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := db.Relation("part").MustInsert("rod-5", relational.Null, "Initech")
+	if err := ExtendTuple(g, m, d, db, "part", id); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.AttrVertexOf("part", id, "color"); ok {
+		t.Error("null attribute should not map")
+	}
+	leaf, ok := m.AttrVertexOf("part", id, "maker")
+	if !ok || g.Label(leaf) != "Initech" {
+		t.Fatalf("dangling FK handling: %v %q", ok, g.Label(leaf))
+	}
+
+	mid := db.Relation("maker").MustInsert("Initech", "US")
+	if !m.ResolvesDangling(db, "maker", mid) {
+		t.Fatal("resolving insert not detected")
+	}
+	if err := ExtendTuple(g, m, d, db, "maker", mid); err != nil {
+		t.Fatal(err)
+	}
+	ut, _ := m.VertexOf("part", id)
+	mv, ok := m.VertexOf("maker", mid)
+	if !ok {
+		t.Fatal("resolving tuple unmapped")
+	}
+	if lbl, found := g.FindEdge(ut, mv); found {
+		t.Errorf("old tuple gained edge %q to the resolving tuple", lbl)
+	}
+	if av, ok := m.AttrVertexOf("part", id, "maker"); !ok || av != leaf {
+		t.Errorf("dangling FK leaf changed: (%d,%v), want (%d,true)", av, ok, leaf)
 	}
 }
 

@@ -21,20 +21,20 @@ import (
 // Every graph over D the System links against G is a hosted view: its
 // own G_D-side graph, tuple↔vertex mapping, ranker, matcher, candidate
 // generator, overrides, generation counter and delta log, maintained by
-// one loop per write path over System.hosted. The reserved view
-// "direct" is the first entry of that table and differs only in its
-// extractor: rdb2rdf.Map builds it and rdb2rdf.AddTuple extends it
-// (append-only forever — the reference internal/testkit.DirectViewDiff
-// compares the rule compiler against), where a named view is compiled
-// from its rules by internal/view.
+// one loop per write path over System.hosted. Every view, the reserved
+// "direct" first entry of that table included, is compiled from its
+// rules by view.Compile (direct's rules are view.Direct) and extended by
+// view.ExtendTuple; rdb2rdf.Map is only the reference
+// internal/testkit.DirectViewDiff compares that extractor against.
 //
-// Maintenance rides PR 7's delta machinery per view: AddTuple extends
-// each view's graph by the new tuple's fresh region and records a
-// DeltaTuple in that view's log; G mutations fan out as graph deltas;
-// and a change append-only extraction cannot express — a new tuple
-// resolving a reference that dangled when a rule view was extracted —
-// recompiles that view and records a DeltaReset, which forces its
-// serving engines into the full rebuild they need.
+// Maintenance rides the delta machinery per view: AddTuple extends each
+// view's graph by the new tuple's fresh region and records a DeltaTuple
+// in that view's log; G mutations fan out as graph deltas; and a change
+// append-only extraction cannot express — a new tuple resolving a
+// reference that dangled when a rule view was extracted — recompiles
+// that view and records a DeltaReset, which forces its serving engines
+// into the full rebuild they need. direct is append-only forever: its
+// dangling references stay dangling.
 
 // ViewDef re-exports the view definition type for the builder API.
 type ViewDef = view.Def
@@ -47,17 +47,6 @@ func NewViewDef(name string) *ViewDef { return view.NewDef(name) }
 
 // ParseViews parses view definitions in the rule language.
 func ParseViews(src []byte) ([]*ViewDef, error) { return view.Parse(src) }
-
-// tupleMapping is the tuple↔vertex surface queries need of a view's
-// mapping; *rdb2rdf.Mapping and *view.Mapping both provide it.
-type tupleMapping interface {
-	VertexOf(rel string, tupleID int) (graph.VID, bool)
-	TupleOf(v graph.VID) (rdb2rdf.TupleRef, bool)
-	TupleVertices(rel string, count int) []graph.VID
-	NumTupleVertices() int
-	// Tuples snapshots the tuple→vertex index for lock-free reads.
-	Tuples() rdb2rdf.TupleIndex
-}
 
 // ViewInfo describes one hosted view for /stats and the CLI.
 type ViewInfo struct {
@@ -78,11 +67,11 @@ type ViewHandle struct {
 	sys   *System
 	name  string
 	errp  string    // error prefix naming the view ("her: " for direct)
-	def   *view.Def // extraction rules; nil when rdb2rdf extracts the graph
+	def   *view.Def // extraction rules; nil without a relational database (NewFromGraphs)
 	rules int       // rule count of the definition the graph denotes
 
 	gd      *graph.Graph
-	mapping tupleMapping // nil without a relational database (NewFromGraphs)
+	mapping *rdb2rdf.Mapping // nil without a relational database (NewFromGraphs)
 	rankerD *ranking.Ranker
 	matcher *core.Matcher
 	gen     core.CandidateGen
@@ -201,34 +190,36 @@ func (h *ViewHandle) compileLocked() error {
 }
 
 // extendTupleLocked maintains the view after tuple (rel, id) was
-// appended to the database. This is the one place that knows how each
-// view is extracted: rdb2rdf.AddTuple extends the direct view (append-
-// only, dangling references stay dangling); a rule view is extended by
-// view.ExtendTuple when that is sound and recompiled — a DeltaReset —
-// when the new tuple resolves a reference that dangled at extraction
-// time. Callers hold s.mu.
+// appended to the database, through view.ExtendTuple for every view. A
+// rule view recompiles instead — a DeltaReset — when the new tuple
+// resolves a reference that dangled at extraction time, or when the
+// extension fails. direct never recompiles: sys.GD, sys.Mapping and the
+// feedback overrides live in its vertex space, so it stays append-only
+// and its dangling references stay dangling. Callers hold s.mu.
 func (h *ViewHandle) extendTupleLocked(rel string, id int) error {
 	s := h.sys
 	base := h.gd.NumVertices()
-	switch m := h.mapping.(type) {
-	case *rdb2rdf.Mapping:
-		if err := rdb2rdf.AddTuple(h.gd, m, s.DB, rel, id); err != nil {
+	extended := false
+	if h == s.direct || !h.mapping.ResolvesDangling(s.DB, rel, id) {
+		err := view.ExtendTuple(h.gd, h.mapping, h.def, s.DB, rel, id)
+		if err != nil && h == s.direct {
 			return err
 		}
-	case *view.Mapping:
-		// Extension is best-effort; a full recompile is always sound.
-		if m.ResolvesDangling(s.DB, rel, id) || view.ExtendTuple(h.gd, m, h.def, s.DB, rel, id) != nil {
-			if err := h.compileLocked(); err != nil {
-				return err
-			}
-			if reg := s.opts.Metrics; reg != nil {
-				reg.Counter(fmt.Sprintf("her_view_resets_total{view=%q}", h.name)).Inc()
-			}
-			h.recompiles++
-			h.recordLocked(shard.Delta{Kind: shard.DeltaReset})
-			h.publishLocked()
-			return nil
+		// Extension is best-effort for a rule view; a full recompile is
+		// always sound.
+		extended = err == nil
+	}
+	if !extended {
+		if err := h.compileLocked(); err != nil {
+			return err
 		}
+		if reg := s.opts.Metrics; reg != nil {
+			reg.Counter(fmt.Sprintf("her_view_resets_total{view=%q}", h.name)).Inc()
+		}
+		h.recompiles++
+		h.recordLocked(shard.Delta{Kind: shard.DeltaReset})
+		h.publishLocked()
+		return nil
 	}
 	// The new tuple extends G_D and the source set: unscoped APair
 	// results are stale now, while VPair and explicit-source results
@@ -467,15 +458,9 @@ func (h *ViewHandle) sourcesLocked() []graph.VID {
 	if h.mapping == nil {
 		return nil
 	}
-	db := h.sys.DB
-	names := db.RelationNames()
-	total := 0
-	for _, relName := range names {
-		total += len(db.Relation(relName).Tuples)
-	}
-	out := make([]graph.VID, 0, total)
-	for _, relName := range names {
-		out = append(out, h.mapping.TupleVertices(relName, len(db.Relation(relName).Tuples))...)
+	out := make([]graph.VID, 0, h.mapping.NumTupleVertices())
+	for _, relName := range h.sys.DB.RelationNames() {
+		out = append(out, h.mapping.TupleVertices(relName)...)
 	}
 	return out
 }
@@ -596,20 +581,19 @@ func (h *ViewHandle) Explain(u, v VertexID) (*Explanation, error) {
 	}, nil
 }
 
-// CanonicalDump serializes a rule view in the vertex-id-independent
-// form of view.CanonicalDump — the equality the mutation-sequence
-// differential compares, since append-only maintenance and a fresh
-// recompile interleave vertex ids differently while denoting the same
-// graph. Errors on a view no rules extract (the direct view, which is
-// pinned byte-identically instead).
+// CanonicalDump serializes the view in the vertex-id-independent form
+// of view.CanonicalDump — the equality the differentials compare, since
+// append-only maintenance and a fresh extraction interleave vertex ids
+// differently while denoting the same graph. It works on every view
+// with a tuple mapping, direct included; it errors without one
+// (NewFromGraphs).
 func (h *ViewHandle) CanonicalDump() (string, error) {
 	h.sys.mu.Lock()
 	defer h.sys.mu.Unlock()
-	m, ok := h.mapping.(*view.Mapping)
-	if !ok {
-		return "", fmt.Errorf("%sCanonicalDump is for rule-extracted views", h.errp)
+	if h.mapping == nil {
+		return "", fmt.Errorf("%sno tuple mapping (built with NewFromGraphs)", h.errp)
 	}
-	return view.CanonicalDump(h.gd, m, h.sys.DB), nil
+	return view.CanonicalDump(h.gd, h.mapping, h.sys.DB), nil
 }
 
 // WriteTSV serializes the view's graph (cloned under the system lock,

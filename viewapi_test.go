@@ -200,11 +200,11 @@ func deltaKinds(t *testing.T, h *ViewHandle, after, upto uint64) []shard.DeltaKi
 }
 
 // TestDirectViewStaysAppendOnly: the one thing that distinguishes the
-// direct view is its extractor. A tuple that resolves a dangling FK
-// extends the direct graph in place (rdb2rdf.AddTuple: a DeltaTuple,
-// the dangling reference stays dangling, sys.GD/sys.Mapping keep their
-// identity), while the rule view recompiles (a DeltaReset) and from
-// then on numbers its vertices differently.
+// direct view is that it never recompiles. A tuple that resolves a
+// dangling FK extends the direct graph in place (view.ExtendTuple: a
+// DeltaTuple, the dangling reference stays dangling, sys.GD/sys.Mapping
+// keep their identity), while the rule view recompiles (a DeltaReset)
+// and from then on numbers its vertices differently.
 func TestDirectViewStaysAppendOnly(t *testing.T) {
 	sys, direct, mirror, _ := viewFixture(t)
 	gd, mapping := sys.GD, sys.Mapping
@@ -214,7 +214,7 @@ func TestDirectViewStaysAppendOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.GD != gd || sys.Mapping != mapping || direct.gd != gd || direct.mapping != tupleMapping(mapping) {
+	if sys.GD != gd || sys.Mapping != mapping || direct.gd != gd || direct.mapping != mapping {
 		t.Fatal("AddTuple replaced the direct view's graph or mapping")
 	}
 	if got := deltaKinds(t, direct, dg, direct.Generation()); !reflect.DeepEqual(got, []shard.DeltaKind{shard.DeltaTuple}) {
