@@ -19,6 +19,7 @@
 package bsp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -33,9 +34,15 @@ import (
 type Config struct {
 	Workers int // n; must be ≥ 1
 	// MaxSupersteps bounds the fixpoint loop as a safety net; 0 means
-	// a generous default.
+	// a generous default (1000). Run fails with ErrNotConverged when a
+	// superstep at the bound still sends messages.
 	MaxSupersteps int
 }
+
+// ErrNotConverged is returned, wrapped with the bound, when Run reaches
+// Config.MaxSupersteps with messages still pending: the union of the
+// partial results at that point is not Π, so Run returns no matches.
+var ErrNotConverged = errors.New("bsp: no fixpoint within the superstep bound")
 
 // Stats describes one PAllMatch run.
 type Stats struct {
@@ -191,7 +198,8 @@ func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]
 	inInvalid := make([][]core.Pair, n)
 	inRevalid := make([][]core.Pair, n)
 
-	for step := 0; step < maxSteps; step++ {
+	busy := true
+	for step := 0; busy && step < maxSteps; step++ {
 		stats.Supersteps++
 		stepStart := time.Now()
 		var wg sync.WaitGroup
@@ -208,7 +216,7 @@ func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]
 		nextReq := make([][]request, n)
 		nextInv := make([][]core.Pair, n)
 		nextRev := make([][]core.Pair, n)
-		busy := false
+		busy = false
 		for _, w := range workers {
 			for _, p := range w.newAssumed {
 				owner := part.Of[p.V]
@@ -245,14 +253,14 @@ func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]
 		stepDur := time.Since(stepStart)
 		stats.SuperstepDurations = append(stats.SuperstepDurations, stepDur)
 		met.superstep.Observe(stepDur.Seconds())
-		if !busy {
-			break
-		}
 	}
 
 	matches := union(&stats, ms, cands)
 	stats.WallTime = time.Since(runStart)
 	met.run.Observe(stats.WallTime.Seconds())
+	if busy {
+		return nil, stats, fmt.Errorf("%w (%d)", ErrNotConverged, maxSteps)
+	}
 	return matches, stats, nil
 }
 

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -201,5 +202,34 @@ func TestCrossFragmentRecursion(t *testing.T) {
 		if workers > 1 && st.Requests == 0 {
 			t.Errorf("workers=%d: expected cross-fragment requests, stats %+v", workers, st)
 		}
+	}
+}
+
+// TestSuperstepBound: a run cut off by MaxSupersteps while messages are
+// still pending fails with ErrNotConverged instead of returning the
+// partial union; a bound the run fits in changes nothing.
+func TestSuperstepBound(t *testing.T) {
+	// One edge across the two fragments: superstep 1 asks the other
+	// worker about the border pair, superstep 2 serves the request and
+	// sends nothing.
+	gd, g := graph.New(), graph.New()
+	for _, x := range []*graph.Graph{gd, g} {
+		x.MustAddEdge(x.AddVertex("N"), x.AddVertex("N"), "e")
+	}
+	p := core.Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0.2, K: 2}
+	run := func(max int) ([]core.Pair, Stats, error) {
+		eng, _ := NewEngine(gd, g, ranking.NewRanker(gd, nil, 2), ranking.NewRanker(g, nil, 2), p)
+		return eng.Run(nil, nil, Config{Workers: 2, MaxSupersteps: max})
+	}
+	want, st, err := run(0)
+	if err != nil || st.Supersteps != 2 {
+		t.Fatalf("unbounded run: %d supersteps, err %v; the instance must need 2", st.Supersteps, err)
+	}
+	got, st, err := run(1)
+	if !errors.Is(err, ErrNotConverged) || got != nil || st.Supersteps != 1 {
+		t.Errorf("MaxSupersteps 1: matches %v, %d supersteps, err %v; want none, 1, ErrNotConverged", got, st.Supersteps, err)
+	}
+	if got, _, err := run(2); err != nil || !pairsEqual(got, want) {
+		t.Errorf("MaxSupersteps 2: %v, err %v; want %v", got, err, want)
 	}
 }

@@ -4,6 +4,13 @@
 // multi-layer perceptrons with manual backpropagation, binary cross
 // entropy and triplet/ranking losses, and an Adam optimizer. Everything is
 // float64 and stdlib-only.
+//
+// Training is single-threaded and deterministic: a seed, a config and
+// the samples fix the weights bit for bit, and saved models depend on
+// that. The passes are arranged for speed (forward computes units in
+// blocks, backward skips zero deltas, buffers live for one Train call)
+// without reordering any floating-point sum; the package tests hold
+// them bit-identical to a plain per-sample reference trainer.
 package nn
 
 import (
@@ -56,7 +63,9 @@ func (a Activation) deriv(y float64) float64 {
 
 // MLP is a fully connected network whose final layer is linear; Score
 // applies a sigmoid on top so outputs live in [0, 1]. Inference (Apply,
-// Score) is safe for concurrent use; training methods are not.
+// Score) is safe for concurrent use; training methods are not. Each
+// Apply and each Train call allocates its own buffers, so the MLP holds
+// no scratch state.
 type MLP struct {
 	sizes  []int
 	hidden Activation
@@ -111,41 +120,73 @@ func (m *MLP) InputSize() int { return m.sizes[0] }
 // OutputSize returns the output dimension.
 func (m *MLP) OutputSize() int { return m.sizes[len(m.sizes)-1] }
 
-// forward computes the activations of every layer. acts[0] is the input;
-// the final layer is linear.
-func (m *MLP) forward(x []float64) [][]float64 {
+// newActs returns one buffer per layer output for forward to fill, in
+// a single allocation; acts[0], the input, is set by forward.
+func (m *MLP) newActs() [][]float64 {
+	n := 0
+	for _, s := range m.sizes[1:] {
+		n += s
+	}
+	buf := make([]float64, n)
 	acts := make([][]float64, len(m.sizes))
-	acts[0] = x
-	for l := 0; l < len(m.W); l++ {
-		in, out := m.sizes[l], m.sizes[l+1]
-		a := make([]float64, out)
-		w := m.W[l]
-		for j := 0; j < out; j++ {
-			s := m.B[l][j]
-			row := w[j*in : (j+1)*in]
-			xin := acts[l]
-			for i := range row {
-				s += row[i] * xin[i]
-			}
-			if l < len(m.W)-1 {
-				s = m.hidden.apply(s)
-			}
-			a[j] = s
-		}
-		acts[l+1] = a
+	for l, s := range m.sizes[1:] {
+		acts[l+1], buf = buf[:s:s], buf[s:]
 	}
 	return acts
 }
 
+// forward sets acts[0] to x, writes the activations of every later
+// layer into acts (from newActs) and returns the output layer, which is
+// linear. Training and inference share it.
+//
+// Units are computed four at a time per pass over the layer's input:
+// the four sums are independent, so their adds overlap instead of each
+// waiting on the one before (eight measured slower on amd64). Every unit's
+// sum still runs bias first, then the inputs in index order, so the
+// outputs are bit-identical to one unit at a time.
+func (m *MLP) forward(x []float64, acts [][]float64) []float64 {
+	acts[0] = x
+	for l, w := range m.W {
+		xin, out, b := acts[l][:m.sizes[l]], acts[l+1], m.B[l]
+		in := len(xin)
+		j := 0
+		for ; j+4 <= len(out); j += 4 {
+			r0 := w[j*in:][:in]
+			r1 := w[(j+1)*in:][:in]
+			r2 := w[(j+2)*in:][:in]
+			r3 := w[(j+3)*in:][:in]
+			s0, s1, s2, s3 := b[j], b[j+1], b[j+2], b[j+3]
+			for i, xi := range xin {
+				s0 += r0[i] * xi
+				s1 += r1[i] * xi
+				s2 += r2[i] * xi
+				s3 += r3[i] * xi
+			}
+			out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(out); j++ {
+			row := w[j*in:][:in]
+			s := b[j]
+			for i, xi := range xin {
+				s += row[i] * xi
+			}
+			out[j] = s
+		}
+		if l < len(m.W)-1 {
+			for j, s := range out {
+				out[j] = m.hidden.apply(s)
+			}
+		}
+	}
+	return acts[len(acts)-1]
+}
+
 // Apply runs the network on x and returns the linear output layer.
 func (m *MLP) Apply(x []float64) []float64 {
+	acts := m.newActs()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	acts := m.forward(x)
-	out := acts[len(acts)-1]
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
+	return m.forward(x, acts)
 }
 
 // Score runs the network and squashes the first output with a sigmoid,
@@ -170,50 +211,58 @@ func (m *MLP) newGrads() *grads {
 	return g
 }
 
-// backward accumulates gradients for one sample given the forward
-// activations and the gradient of the loss w.r.t. the (linear) output.
-// It returns the gradient w.r.t. the input (useful for chained models).
-func (m *MLP) backward(acts [][]float64, gradOut []float64, g *grads) []float64 {
-	delta := gradOut
+// clear zeroes every gradient for the next batch.
+func (g *grads) clear() {
+	for l := range g.dW {
+		clear(g.dW[l])
+		clear(g.dB[l])
+	}
+}
+
+// backward adds one sample's parameter gradients to g, given its forward
+// activations acts and, in delta[len(delta)-1], the gradient of the loss
+// w.r.t. the linear output; delta (from newActs) is scratch for the
+// gradients w.r.t. the hidden pre-activations. The gradient w.r.t. the
+// input is not computed: no caller chains models.
+//
+// A unit whose delta is ±0 is skipped, which changes no bit: for finite
+// activations it would add ±0 to accumulators that start at +0, and a
+// sum that starts at +0 is never -0, so adding ±0 leaves it as it is.
+// With ReLU that skips every inactive unit, about half the hidden layer.
+func (m *MLP) backward(acts, delta [][]float64, g *grads) {
 	for l := len(m.W) - 1; l >= 0; l-- {
-		in, out := m.sizes[l], m.sizes[l+1]
-		w := m.W[l]
-		xin := acts[l]
-		for j := 0; j < out; j++ {
-			d := delta[j]
-			g.dB[l][j] += d
-			row := g.dW[l][j*in : (j+1)*in]
-			for i := 0; i < in; i++ {
-				row[i] += d * xin[i]
+		xin, d := acts[l][:m.sizes[l]], delta[l+1]
+		in := len(xin)
+		dW, dB := g.dW[l], g.dB[l]
+		for j, dj := range d {
+			if dj == 0 {
+				continue
+			}
+			dB[j] += dj
+			row := dW[j*in:][:in]
+			for i, xi := range xin {
+				row[i] += dj * xi
 			}
 		}
 		if l == 0 {
-			// Gradient w.r.t. input.
-			gin := make([]float64, in)
-			for j := 0; j < out; j++ {
-				d := delta[j]
-				row := w[j*in : (j+1)*in]
-				for i := 0; i < in; i++ {
-					gin[i] += d * row[i]
-				}
-			}
-			return gin
+			return
 		}
-		prev := make([]float64, in)
-		for j := 0; j < out; j++ {
-			d := delta[j]
-			row := w[j*in : (j+1)*in]
-			for i := 0; i < in; i++ {
-				prev[i] += d * row[i]
+		prev, w := delta[l][:in], m.W[l]
+		clear(prev)
+		for j, dj := range d {
+			if dj == 0 {
+				continue
+			}
+			row := w[j*in:][:in]
+			for i, wi := range row {
+				prev[i] += dj * wi
 			}
 		}
 		// Through the hidden activation of layer l.
-		for i := 0; i < in; i++ {
-			prev[i] *= m.hidden.deriv(acts[l][i])
+		for i, y := range xin {
+			prev[i] *= m.hidden.deriv(y)
 		}
-		delta = prev
 	}
-	return nil
 }
 
 // step applies accumulated gradients with Adam, scaled by 1/batch.

@@ -65,11 +65,11 @@ func TestGradientCheck(t *testing.T) {
 		p := 1 / (1 + math.Exp(-z))
 		return bceLoss(p, y)
 	}
-	g := m.newGrads()
-	acts := m.forward(x)
-	z := acts[len(acts)-1][0]
+	g, acts, delta := m.newGrads(), m.newActs(), m.newActs()
+	z := m.forward(x, acts)[0]
 	p := 1 / (1 + math.Exp(-z))
-	m.backward(acts, []float64{p - y}, g)
+	delta[len(delta)-1][0] = p - y
+	m.backward(acts, delta, g)
 
 	const eps = 1e-6
 	for l := range m.W {

@@ -28,7 +28,10 @@ func DefaultTrainConfig() TrainConfig {
 
 // TrainBCE fits the network to the samples with sigmoid + binary cross
 // entropy. The network's output size must be 1. It returns the mean loss
-// of the final epoch.
+// of the final epoch. Mini-batches follow a shuffle seeded by cfg.Seed;
+// each batch's gradients are summed in sample order, then one Adam step
+// applies their mean. The activations, deltas and gradients are
+// allocated once per call and reused by every sample and batch.
 func (m *MLP) TrainBCE(samples []Sample, cfg TrainConfig) float64 {
 	if len(samples) == 0 {
 		return 0
@@ -47,6 +50,8 @@ func (m *MLP) TrainBCE(samples []Sample, cfg TrainConfig) float64 {
 	for i := range idx {
 		idx[i] = i
 	}
+	acts, delta, g := m.newActs(), m.newActs(), m.newGrads()
+	dOut := delta[len(delta)-1]
 	var lastLoss float64
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -56,15 +61,15 @@ func (m *MLP) TrainBCE(samples []Sample, cfg TrainConfig) float64 {
 			if end > len(idx) {
 				end = len(idx)
 			}
-			g := m.newGrads()
+			g.clear()
 			for _, si := range idx[start:end] {
 				s := samples[si]
-				acts := m.forward(s.X)
-				z := acts[len(acts)-1][0]
+				z := m.forward(s.X, acts)[0]
 				p := 1 / (1 + math.Exp(-z))
 				epochLoss += bceLoss(p, s.Y)
 				// d(BCE∘sigmoid)/dz = p - y.
-				m.backward(acts, []float64{p - s.Y}, g)
+				dOut[0] = p - s.Y
+				m.backward(acts, delta, g)
 			}
 			m.step(g, cfg.LearnRate, end-start)
 		}
@@ -94,7 +99,9 @@ type Triplet struct {
 
 // TrainTriplet fine-tunes the network with a margin ranking loss over
 // pre-sigmoid scores: L = max(0, margin - z(pos) + z(neg)). Returns the
-// mean loss of the final epoch.
+// mean loss of the final epoch. Batching and buffers are as in TrainBCE;
+// a batch's Adam step averages over its triplets with a positive loss
+// and is skipped when there are none.
 func (m *MLP) TrainTriplet(triplets []Triplet, margin float64, cfg TrainConfig) float64 {
 	if len(triplets) == 0 {
 		return 0
@@ -113,6 +120,8 @@ func (m *MLP) TrainTriplet(triplets []Triplet, margin float64, cfg TrainConfig) 
 	for i := range idx {
 		idx[i] = i
 	}
+	actsP, actsN, delta, g := m.newActs(), m.newActs(), m.newActs(), m.newGrads()
+	dOut := delta[len(delta)-1]
 	var lastLoss float64
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -122,22 +131,22 @@ func (m *MLP) TrainTriplet(triplets []Triplet, margin float64, cfg TrainConfig) 
 			if end > len(idx) {
 				end = len(idx)
 			}
-			g := m.newGrads()
+			g.clear()
 			active := 0
 			for _, ti := range idx[start:end] {
 				tr := triplets[ti]
-				actsP := m.forward(tr.Pos)
-				actsN := m.forward(tr.Neg)
-				zp := actsP[len(actsP)-1][0]
-				zn := actsN[len(actsN)-1][0]
+				zp := m.forward(tr.Pos, actsP)[0]
+				zn := m.forward(tr.Neg, actsN)[0]
 				loss := margin - zp + zn
 				if loss <= 0 {
 					continue
 				}
 				active++
 				epochLoss += loss
-				m.backward(actsP, []float64{-1}, g)
-				m.backward(actsN, []float64{1}, g)
+				dOut[0] = -1
+				m.backward(actsP, delta, g)
+				dOut[0] = 1
+				m.backward(actsN, delta, g)
 			}
 			if active > 0 {
 				m.step(g, cfg.LearnRate, active)

@@ -480,6 +480,9 @@ func (h *ViewHandle) apairLocked(sources []graph.VID) []Pair {
 // Like APair it holds the system lock for the whole run: the workers
 // read the live graphs and rankers, which AddTuple, AddGraphVertex and
 // AddGraphEdge extend under that lock, and never take it themselves.
+// A run that still exchanges messages at the engine's superstep bound
+// (1000) has no fixpoint: it returns no matches and an error wrapping
+// bsp.ErrNotConverged, never the partial union.
 func (h *ViewHandle) APairParallel(workers int) ([]Pair, ParallelStats, error) {
 	h.sys.mu.Lock()
 	defer h.sys.mu.Unlock()
