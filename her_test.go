@@ -209,7 +209,7 @@ func TestRefinementReachesPerfect(t *testing.T) {
 
 func TestOptionsNormalize(t *testing.T) {
 	o := Options{}.Normalize()
-	if o.EmbeddingDim != 128 || o.K != 20 || o.Workers != 1 {
+	if o.EmbeddingDim != 128 || o.K != 20 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	custom := Options{EmbeddingDim: 64, Sigma: 0.9}.Normalize()

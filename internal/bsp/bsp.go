@@ -1,16 +1,20 @@
 // Package bsp is the GRAPE-style parallel engine of Section VI-B: it runs
-// PAllMatch with n shared-nothing logical workers under the Bulk
-// Synchronous Parallel model. Graph G is partitioned by edge-cut; each
-// candidate pair (u, v) is owned by the worker whose fragment owns v.
-// In the first superstep (PPSim) every worker optimistically assumes
-// pairs involving non-owned ("border") vertices are valid and computes
-// its partial result with AllParaMatch; at each synchronization barrier
-// workers exchange two kinds of messages — evaluation requests for
-// assumed pairs, and invalidations of pairs that flipped true→false — and
-// then refine their partial results incrementally (IncPSim, which is the
-// cleanup stage of ParaMatch applied to incoming invalidations). The
-// computation reaches a fixpoint when a superstep produces no messages;
+// PAllMatch with n shared-nothing logical workers. Graph G is partitioned
+// by edge-cut; each candidate pair (u, v) is owned by the worker whose
+// fragment owns v. Every worker first evaluates its own candidates with
+// AllParaMatch (PPSim), optimistically assuming that pairs owned by
+// another worker ("border" pairs) are valid; the first assumption of a
+// pair sends its owner an evaluation request, which subscribes the
+// asker. When an owned pair flips true→false (or back), the owner sends
+// an invalidation (or revalidation) to its subscribers, which refine
+// their partial results incrementally (IncPSim, the cleanup stage of
+// ParaMatch applied to the incoming message). Once no message is left,
 // Π is the union of the per-worker partial results.
+//
+// One worker and one message type serve two schedulers: Run exchanges
+// messages at Bulk Synchronous Parallel superstep barriers, RunAsync
+// delivers them through per-worker mailboxes as they are sent (the
+// paper's remark 1).
 //
 // The graphs themselves are immutable and shared read-only between
 // workers — a host-process optimization; every mutable structure (the
@@ -19,8 +23,10 @@
 package bsp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,9 +39,10 @@ import (
 // Config configures a parallel run.
 type Config struct {
 	Workers int // n; must be ≥ 1
-	// MaxSupersteps bounds the fixpoint loop as a safety net; 0 means
+	// MaxSupersteps bounds Run's fixpoint loop as a safety net; 0 means
 	// a generous default (1000). Run fails with ErrNotConverged when a
-	// superstep at the bound still sends messages.
+	// superstep at the bound still sends messages. RunAsync has no
+	// supersteps and ignores it.
 	MaxSupersteps int
 }
 
@@ -49,14 +56,13 @@ type Stats struct {
 	Workers        int
 	Supersteps     int
 	Requests       int   // evaluation-request messages exchanged
-	Invalidations  int   // invalidation messages exchanged
+	Invalidations  int   // invalidation and revalidation messages exchanged
 	CandidatePairs int   // total candidate pairs across workers
 	PerWorkerPairs []int // work division: candidates per worker
 	Calls          int   // total ParaMatch invocations across workers
 	PerWorkerCalls []int // work division: ParaMatch invocations per worker
 	// SuperstepDurations records the wall time of each superstep (one
-	// entry for the whole run under the asynchronous engine, which has
-	// no barriers).
+	// entry for the whole run under RunAsync, which has no barriers).
 	SuperstepDurations []time.Duration
 	WallTime           time.Duration // total run wall time
 }
@@ -75,12 +81,10 @@ type Engine struct {
 // engineMetrics resolves the engine's registry handles (all nil when
 // Metrics is nil, making every recording a no-op).
 type engineMetrics struct {
-	superstep *obs.Histogram // her_bsp_superstep_seconds
-	run       *obs.Histogram // her_bsp_run_seconds{mode=...}
-	requests  *obs.Counter   // her_bsp_messages_total{kind="request"}
-	invalid   *obs.Counter   // her_bsp_messages_total{kind="invalidation"}
-	revalid   *obs.Counter   // her_bsp_messages_total{kind="revalidation"}
-	pairs     *obs.Counter   // her_bsp_candidate_pairs_total
+	superstep *obs.Histogram      // her_bsp_superstep_seconds
+	run       *obs.Histogram      // her_bsp_run_seconds{mode=...}
+	messages  [kinds]*obs.Counter // her_bsp_messages_total{kind=...}
+	pairs     *obs.Counter        // her_bsp_candidate_pairs_total
 }
 
 func (e *Engine) metrics(mode string) engineMetrics {
@@ -88,10 +92,12 @@ func (e *Engine) metrics(mode string) engineMetrics {
 	return engineMetrics{
 		superstep: r.Histogram("her_bsp_superstep_seconds", nil),
 		run:       r.Histogram(`her_bsp_run_seconds{mode="`+mode+`"}`, nil),
-		requests:  r.Counter(`her_bsp_messages_total{kind="request"}`),
-		invalid:   r.Counter(`her_bsp_messages_total{kind="invalidation"}`),
-		revalid:   r.Counter(`her_bsp_messages_total{kind="revalidation"}`),
-		pairs:     r.Counter("her_bsp_candidate_pairs_total"),
+		messages: [kinds]*obs.Counter{
+			invalidation: r.Counter(`her_bsp_messages_total{kind="invalidation"}`),
+			revalidation: r.Counter(`her_bsp_messages_total{kind="revalidation"}`),
+			request:      r.Counter(`her_bsp_messages_total{kind="request"}`),
+		},
+		pairs: r.Counter("her_bsp_candidate_pairs_total"),
 	}
 }
 
@@ -107,239 +113,253 @@ func NewEngine(gd, g *graph.Graph, rd, rg *ranking.Ranker, p core.Params) (*Engi
 	return &Engine{GD: gd, G: g, RD: rd, RG: rg, P: p}, nil
 }
 
-// request asks the owner of a pair to evaluate it for a subscriber.
-type request struct {
-	p    core.Pair
-	from int
+// msgKind says what a message asks of its receiver. The order is the
+// order in which Run applies one superstep's inbox.
+type msgKind int
+
+const (
+	invalidation msgKind = iota // the owner refuted p
+	revalidation                // the owner restored p
+	request                     // evaluate p and subscribe the sender to it
+	kinds
+)
+
+// message is the one PAllMatch message, from worker from to worker to.
+type message struct {
+	p        core.Pair
+	from, to int
+	kind     msgKind
 }
 
-// worker is one shared-nothing BSP worker.
+// run is one PAllMatch computation: the workers over one partition of G,
+// and the scheduler's delivery of their messages.
+type run struct {
+	part    *graph.Partition
+	workers []*worker
+	met     engineMetrics
+	began   time.Time
+	stats   Stats
+	// post delivers a sent message. The scheduler installs it before any
+	// worker runs; it is called on the sending worker's goroutine.
+	post func(message)
+}
+
+// worker is one shared-nothing PAllMatch worker. Everything in it is
+// touched only by the goroutine that runs the worker.
 type worker struct {
 	id    int
-	eng   *Engine
-	m     *core.Matcher
-	owns  func(graph.VID) bool
+	r     *run
+	m     *core.Matcher // private, read-tracked, bordered by the fragment
 	cands []core.Pair
-
-	subs map[core.Pair]map[int]bool // owned pair → subscriber workers
-
-	// Per-superstep outboxes.
-	newAssumed []core.Pair // delegated pairs assumed this superstep
-	invalided  []core.Pair // owned pairs that flipped to invalid
-	revalided  []core.Pair // owned pairs that flipped back to valid
-	directInv  []message   // immediate responses to requests already known invalid
+	subs  map[core.Pair]map[int]bool // owned pair → subscriber workers
+	sent  [kinds]int
 }
 
-type message struct {
-	p  core.Pair
-	to int
-}
-
-// Run computes Π for the given G_D source vertices (nil means all) with
-// cfg.Workers workers, returning the match set and run statistics.
-func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]core.Pair, Stats, error) {
+// start checks the worker count, partitions G, gives every worker a
+// private matcher bordered by its fragment, and deals out the candidate
+// pairs of the source vertices (nil means every vertex of G_D).
+func (e *Engine) start(mode string, sources []graph.VID, gen core.CandidateGen, cfg Config) (*run, error) {
 	n := cfg.Workers
 	if n < 1 {
-		return nil, Stats{}, fmt.Errorf("bsp: Workers must be ≥ 1, got %d", n)
+		return nil, fmt.Errorf("bsp: Workers must be ≥ 1, got %d", n)
 	}
-	runStart := time.Now()
-	met := e.metrics("bsp")
-	maxSteps := cfg.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 1000
+	r := &run{met: e.metrics(mode), began: time.Now()}
+	var err error
+	if r.part, err = graph.PartitionEdgeCutSCC(e.G, n); err != nil {
+		return nil, err
 	}
-	part, err := graph.PartitionEdgeCutSCC(e.G, n)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	// Build workers with private matchers.
-	workers := make([]*worker, n)
-	ms := make([]*core.Matcher, n)
 	for i := 0; i < n; i++ {
 		m, err := core.NewMatcher(e.GD, e.G, e.RD, e.RG, e.P)
 		if err != nil {
-			return nil, Stats{}, err
+			return nil, err
 		}
-		ms[i] = m
-		m.EnableReadTracking()
 		m.SetMetrics(e.Metrics)
-		w := &worker{id: i, eng: e, m: m, subs: make(map[core.Pair]map[int]bool)}
-		w.owns = func(v graph.VID) bool { return part.Of[v] == w.id }
-		m.SetDelegate(func(p core.Pair) bool {
-			if w.owns(p.V) {
-				return false
-			}
-			if !w.m.IsAssumed(p) {
-				w.newAssumed = append(w.newAssumed, p)
-			}
-			return true
+		w := &worker{id: i, r: r, m: m, subs: make(map[core.Pair]map[int]bool)}
+		m.SetBorder(core.Border{
+			Delegate:  w.delegate,
+			OnInvalid: func(p core.Pair) { w.notify(p, invalidation) },
+			OnRevalid: func(p core.Pair) { w.notify(p, revalidation) },
 		})
-		m.SetOnInvalid(func(p core.Pair) {
-			if w.owns(p.V) {
-				w.invalided = append(w.invalided, p)
-			}
-		})
-		m.SetOnRevalid(func(p core.Pair) {
-			if w.owns(p.V) {
-				w.revalided = append(w.revalided, p)
-			}
-		})
-		workers[i] = w
+		r.workers = append(r.workers, w)
 	}
 
-	cands, stats := e.distribute(ms, sources, gen, part, met)
-	for i, w := range workers {
-		w.cands = cands[i]
-	}
-
-	// Inboxes for the next superstep.
-	inRequests := make([][]request, n)
-	inInvalid := make([][]core.Pair, n)
-	inRevalid := make([][]core.Pair, n)
-
-	busy := true
-	for step := 0; busy && step < maxSteps; step++ {
-		stats.Supersteps++
-		stepStart := time.Now()
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				w.superstep(step == 0, inRequests[w.id], inInvalid[w.id], inRevalid[w.id])
-			}(w)
-		}
-		wg.Wait()
-
-		// Barrier: route messages.
-		nextReq := make([][]request, n)
-		nextInv := make([][]core.Pair, n)
-		nextRev := make([][]core.Pair, n)
-		busy = false
-		for _, w := range workers {
-			for _, p := range w.newAssumed {
-				owner := part.Of[p.V]
-				nextReq[owner] = append(nextReq[owner], request{p: p, from: w.id})
-				stats.Requests++
-				met.requests.Inc()
-				busy = true
-			}
-			for _, p := range w.invalided {
-				for sub := range w.subs[p] {
-					nextInv[sub] = append(nextInv[sub], p)
-					stats.Invalidations++
-					met.invalid.Inc()
-					busy = true
-				}
-			}
-			for _, p := range w.revalided {
-				for sub := range w.subs[p] {
-					nextRev[sub] = append(nextRev[sub], p)
-					stats.Invalidations++
-					met.revalid.Inc()
-					busy = true
-				}
-			}
-			for _, msg := range w.directInv {
-				nextInv[msg.to] = append(nextInv[msg.to], msg.p)
-				stats.Invalidations++
-				met.invalid.Inc()
-				busy = true
-			}
-			w.newAssumed, w.invalided, w.revalided, w.directInv = nil, nil, nil, nil
-		}
-		inRequests, inInvalid, inRevalid = nextReq, nextInv, nextRev
-		stepDur := time.Since(stepStart)
-		stats.SuperstepDurations = append(stats.SuperstepDurations, stepDur)
-		met.superstep.Observe(stepDur.Seconds())
-	}
-
-	matches := union(&stats, ms, cands)
-	stats.WallTime = time.Since(runStart)
-	met.run.Observe(stats.WallTime.Seconds())
-	if busy {
-		return nil, stats, fmt.Errorf("%w (%d)", ErrNotConverged, maxSteps)
-	}
-	return matches, stats, nil
-}
-
-// distribute generates the candidate pairs of the source vertices (nil
-// means every vertex of G_D) and deals each to the worker whose
-// fragment owns its G-side vertex: one scan, mirroring
-// Matcher.CandidatesFor, serves all workers. ms holds the workers'
-// matchers; the state the scan warms in the one it borrows is discarded.
-func (e *Engine) distribute(ms []*core.Matcher, sources []graph.VID, gen core.CandidateGen, part *graph.Partition, met engineMetrics) ([][]core.Pair, Stats) {
+	// One scan, mirroring Matcher.CandidatesFor, serves all workers; the
+	// state it warms in the matcher it borrows is discarded.
 	if sources == nil {
 		sources = make([]graph.VID, e.GD.NumVertices())
 		for i := range sources {
 			sources[i] = graph.VID(i)
 		}
 	}
-	n, probe := len(ms), ms[0]
-	cands := make([][]core.Pair, n)
-	stats := Stats{Workers: n, PerWorkerPairs: make([]int, n)}
+	r.stats = Stats{Workers: n, PerWorkerPairs: make([]int, n)}
+	probe := r.workers[0].m
 	for _, u := range sources {
 		for _, v := range probe.CandidatesFor(u, gen) {
-			cands[part.Of[v]] = append(cands[part.Of[v]], core.Pair{U: u, V: v})
-			stats.CandidatePairs++
-			stats.PerWorkerPairs[part.Of[v]]++
+			w := r.workers[r.part.Of[v]]
+			w.cands = append(w.cands, core.Pair{U: u, V: v})
+			r.stats.PerWorkerPairs[w.id]++
+			r.stats.CandidatePairs++
 		}
 	}
 	probe.Reset()
-	met.pairs.Add(int64(stats.CandidatePairs))
-	return cands, stats
+	r.met.pairs.Add(int64(r.stats.CandidatePairs))
+	return r, nil
 }
 
-// union reads Π out of the final per-owner caches — the valid pairs
-// among each worker's own candidates, sorted — and totals the workers'
-// ParaMatch calls into stats. Candidate lists are disjoint across
-// workers (owned by v), so no dedup is needed.
-func union(stats *Stats, ms []*core.Matcher, cands [][]core.Pair) []core.Pair {
-	matches := make([]core.Pair, 0, stats.CandidatePairs)
-	stats.PerWorkerCalls = make([]int, len(ms))
-	for i, m := range ms {
-		stats.PerWorkerCalls[i] = m.Stats().Calls
-		stats.Calls += stats.PerWorkerCalls[i]
-		for _, p := range cands[i] {
-			if valid, found := m.Cached(p); found && valid {
+// finish totals the workers' messages and ParaMatch calls into the run's
+// Stats and reads Π out of the final per-owner caches: the valid pairs
+// among each worker's own candidates, sorted. Candidate lists are
+// disjoint across workers (owned by v), so no dedup is needed.
+func (r *run) finish() []core.Pair {
+	st := &r.stats
+	matches := make([]core.Pair, 0, st.CandidatePairs)
+	st.PerWorkerCalls = make([]int, len(r.workers))
+	for i, w := range r.workers {
+		st.Requests += w.sent[request]
+		st.Invalidations += w.sent[invalidation] + w.sent[revalidation]
+		st.PerWorkerCalls[i] = w.m.Stats().Calls
+		st.Calls += st.PerWorkerCalls[i]
+		for _, p := range w.cands {
+			if valid, found := w.m.Cached(p); found && valid {
 				matches = append(matches, p)
 			}
 		}
 	}
+	st.WallTime = time.Since(r.began)
+	r.met.run.Observe(st.WallTime.Seconds())
 	return core.SortPairs(matches)
 }
 
-// superstep processes one BSP round for the worker: apply incoming
-// invalidations (IncPSim), serve evaluation requests, and in the first
-// round evaluate the worker's own candidate pairs (PPSim).
-func (w *worker) superstep(first bool, reqs []request, invs, revs []core.Pair) {
-	for _, p := range invs {
-		w.m.Invalidate(p)
+// delegate is the worker's border: a pair whose G-side vertex another
+// fragment owns is assumed valid, and its first assumption asks the
+// owner to evaluate it.
+func (w *worker) delegate(p core.Pair) bool {
+	owner := w.r.part.Of[p.V]
+	if owner == w.id {
+		return false
 	}
-	for _, p := range revs {
-		w.m.Revalidate(p)
+	if !w.m.IsAssumed(p) {
+		w.send(message{p: p, from: w.id, to: owner, kind: request})
 	}
-	for _, r := range reqs {
-		set := w.subs[r.p]
+	return true
+}
+
+// notify tells the subscribers of an owned pair that it flipped; they
+// are looked up at the flip, so a later subscriber is answered by
+// handle instead.
+func (w *worker) notify(p core.Pair, kind msgKind) {
+	if w.r.part.Of[p.V] != w.id {
+		return
+	}
+	for sub := range w.subs[p] {
+		w.send(message{p: p, from: w.id, to: sub, kind: kind})
+	}
+}
+
+// send counts a message into the worker's Stats and the run's metrics
+// and hands it to the scheduler.
+func (w *worker) send(msg message) {
+	w.sent[msg.kind]++
+	w.r.met.messages[msg.kind].Inc()
+	w.r.post(msg)
+}
+
+// handle processes one incoming message: invalidations run the IncPSim
+// cleanup, revalidations restore the assumption and re-run its readers,
+// and a request subscribes the asker, then evaluates the pair on demand
+// or, when it is already known invalid, replies at once.
+func (w *worker) handle(msg message) {
+	switch msg.kind {
+	case invalidation:
+		w.m.Invalidate(msg.p)
+	case revalidation:
+		w.m.Revalidate(msg.p)
+	case request:
+		set := w.subs[msg.p]
 		if set == nil {
 			set = make(map[int]bool)
-			w.subs[r.p] = set
+			w.subs[msg.p] = set
 		}
-		set[r.from] = true
-		if valid, found := w.m.Cached(r.p); found {
-			if !valid {
-				w.directInv = append(w.directInv, message{p: r.p, to: r.from})
-			}
-			continue
-		}
-		w.m.Match(r.p.U, r.p.V) // invalid results reach subscribers via the observer
-	}
-	if first {
-		for _, p := range w.cands {
-			if _, found := w.m.Cached(p); !found {
-				w.m.Match(p.U, p.V)
-			}
+		set[msg.from] = true
+		if valid, found := w.m.Cached(msg.p); !found {
+			w.m.Match(msg.p.U, msg.p.V) // a refutation reaches the asker through notify
+		} else if !valid {
+			w.send(message{p: msg.p, from: w.id, to: msg.from, kind: invalidation})
 		}
 	}
+}
+
+// evaluateOwn is PPSim: evaluate every own candidate not yet decided.
+func (w *worker) evaluateOwn() {
+	for _, p := range w.cands {
+		if _, found := w.m.Cached(p); !found {
+			w.m.Match(p.U, p.V)
+		}
+	}
+}
+
+// Run computes Π for the given G_D source vertices (nil means all) with
+// cfg.Workers workers under the BSP model, returning the match set and
+// run statistics. In the first superstep every worker evaluates its own
+// candidates; at each barrier the workers' outboxes are routed in worker
+// order, and in the next superstep each worker applies its inbox —
+// invalidations, then revalidations, then requests. The fixpoint is a
+// superstep that sends no message; a run still sending at
+// cfg.MaxSupersteps fails with ErrNotConverged.
+func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]core.Pair, Stats, error) {
+	maxSteps := cfg.MaxSupersteps
+	if maxSteps <= 0 {
+		maxSteps = 1000
+	}
+	r, err := e.start("bsp", sources, gen, cfg)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	n := len(r.workers)
+	outboxes := make([][]message, n) // by sender: a worker appends only to its own
+	r.post = func(msg message) { outboxes[msg.from] = append(outboxes[msg.from], msg) }
+	inboxes := make([][]message, n)
+
+	busy := true
+	for step := 0; busy && step < maxSteps; step++ {
+		stepStart := time.Now()
+		var wg sync.WaitGroup
+		for i, w := range r.workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, msg := range inboxes[i] {
+					w.handle(msg)
+				}
+				if step == 0 {
+					w.evaluateOwn()
+				}
+			}()
+		}
+		wg.Wait()
+
+		// Barrier: route the messages.
+		inboxes = make([][]message, n)
+		busy = false
+		for i, out := range outboxes {
+			for _, msg := range out {
+				inboxes[msg.to] = append(inboxes[msg.to], msg)
+				busy = true
+			}
+			outboxes[i] = out[:0]
+		}
+		for _, in := range inboxes {
+			slices.SortStableFunc(in, func(a, b message) int { return cmp.Compare(a.kind, b.kind) })
+		}
+		stepDur := time.Since(stepStart)
+		r.stats.Supersteps++
+		r.stats.SuperstepDurations = append(r.stats.SuperstepDurations, stepDur)
+		r.met.superstep.Observe(stepDur.Seconds())
+	}
+
+	matches := r.finish()
+	if busy {
+		return nil, r.stats, fmt.Errorf("%w (%d)", ErrNotConverged, maxSteps)
+	}
+	return matches, r.stats, nil
 }

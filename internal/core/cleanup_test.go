@@ -196,7 +196,7 @@ func TestAssumeAndInvalidObserver(t *testing.T) {
 		t.Error("assumed pair should answer true from cache")
 	}
 	var invalidated []Pair
-	m.SetOnInvalid(func(q Pair) { invalidated = append(invalidated, q) })
+	m.SetBorder(Border{OnInvalid: func(q Pair) { invalidated = append(invalidated, q) }})
 	// Force evaluation: labels differ so it is invalid.
 	delete(m.cache, p)
 	if m.Match(u, v) {

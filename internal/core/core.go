@@ -106,7 +106,7 @@ type Matcher struct {
 	recheck    map[Pair]int
 	assumed    map[Pair]bool // border-node assumptions seeded by the BSP engine
 
-	// Read tracking (enabled by the parallel engines): p → pairs whose
+	// Read tracking (on when a border is set): p → pairs whose
 	// evaluation consulted p's verdict. The paper's IncPSim re-checks
 	// only lineage (W) dependants, but under optimistic border
 	// assumptions a refuted assumption can also flip a NEGATIVE verdict
@@ -125,18 +125,9 @@ type Matcher struct {
 	// phase latency histograms; the zero value is disabled.
 	met coreMetrics
 
-	// onInvalid, when set, observes pairs whose cached state becomes
-	// false (used by the BSP engine to emit messages).
-	onInvalid func(Pair)
-	// onRevalid observes pairs whose cached state flips back from false
-	// to true during a tracked re-run, so the engine can notify
-	// subscribers holding a stale invalidation.
-	onRevalid func(Pair)
-	// delegate, when set, is consulted before evaluating a pair this
-	// matcher does not own; returning true makes the matcher assume the
-	// pair valid (the BSP engine's optimistic border initialization) and
-	// leave its decision to the owning worker.
-	delegate func(Pair) bool
+	// border connects the matcher to the owners of the pairs it does not
+	// decide; set, with trackReads, by SetBorder.
+	border Border
 
 	stats Counters
 }
@@ -165,10 +156,29 @@ func (m *Matcher) resetState() {
 	m.rerunQueue = nil
 }
 
-// EnableReadTracking turns on full read-dependency tracking, required
-// for correctness when verdicts can rest on optimistic assumptions that
-// are refuted later (the parallel engines).
-func (m *Matcher) EnableReadTracking() { m.trackReads = true }
+// Border connects a matcher to the owners of the pairs it does not
+// decide (the parallel engines: one matcher per worker, each deciding
+// the pairs whose G-side vertex its fragment owns). Any field may be nil.
+type Border struct {
+	// Delegate returns true for a pair the matcher must not decide
+	// itself; the matcher then assumes it valid until an Invalidate
+	// from its owner rectifies it.
+	Delegate func(Pair) bool
+	// OnInvalid observes pairs whose cached state becomes false.
+	OnInvalid func(Pair)
+	// OnRevalid observes pairs whose cached state flips back from false
+	// to true during a re-run, so the owner can notify the workers
+	// holding a stale invalidation.
+	OnRevalid func(Pair)
+}
+
+// SetBorder installs b and turns on full read-dependency tracking,
+// which correctness needs once verdicts can rest on optimistic
+// assumptions that are refuted later.
+func (m *Matcher) SetBorder(b Border) {
+	m.border = b
+	m.trackReads = true
+}
 
 // noteRead records that evaluating reader consulted the verdict of q.
 func (m *Matcher) noteRead(reader, q Pair) {
@@ -227,15 +237,6 @@ func (m *Matcher) Assume(p Pair) {
 // IsAssumed reports whether p is an (un-invalidated) assumption.
 func (m *Matcher) IsAssumed(p Pair) bool { return m.assumed[p] }
 
-// SetOnInvalid installs an observer called whenever a pair's cached
-// state becomes false.
-func (m *Matcher) SetOnInvalid(fn func(Pair)) { m.onInvalid = fn }
-
-// SetDelegate installs the ownership filter used by the BSP engine: fn
-// returns true for pairs this matcher must not decide itself, which are
-// then assumed valid until an external Invalidate rectifies them.
-func (m *Matcher) SetDelegate(fn func(Pair) bool) { m.delegate = fn }
-
 // Invalidate marks p invalid and rectifies its dependants — the IncPSim
 // refinement step applied when a message reports p invalid elsewhere.
 func (m *Matcher) Invalidate(p Pair) {
@@ -261,9 +262,6 @@ func (m *Matcher) Revalidate(p Pair) {
 	m.scheduleAffected(p)
 	m.drainReruns()
 }
-
-// SetOnRevalid installs the false→true flip observer.
-func (m *Matcher) SetOnRevalid(fn func(Pair)) { m.onRevalid = fn }
 
 // ForgetVertices drops every cached decision whose G-side vertex the
 // predicate selects, together with (transitively) every pair whose
@@ -338,8 +336,8 @@ func (m *Matcher) setInvalid(p Pair) {
 	m.unregister(p)
 	m.cache[p] = &entry{valid: false}
 	delete(m.assumed, p)
-	if m.onInvalid != nil {
-		m.onInvalid(p)
+	if m.border.OnInvalid != nil {
+		m.border.OnInvalid(p)
 	}
 }
 
@@ -367,7 +365,7 @@ func (m *Matcher) unregister(p Pair) {
 
 // match implements the three stages of Fig. 4 for one pair.
 func (m *Matcher) match(p Pair) bool {
-	if m.delegate != nil && m.delegate(p) {
+	if m.border.Delegate != nil && m.border.Delegate(p) {
 		m.Assume(p)
 		return true
 	}
@@ -541,8 +539,8 @@ func (m *Matcher) drainReruns() {
 		if m.trackReads && now && !old {
 			// false → true flip: pairs that consulted the old negative
 			// verdict may deserve a different answer now.
-			if m.onRevalid != nil {
-				m.onRevalid(q)
+			if m.border.OnRevalid != nil {
+				m.border.OnRevalid(q)
 			}
 			m.scheduleAffected(q)
 		}

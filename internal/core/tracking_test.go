@@ -24,14 +24,14 @@ func trackedFixture(t *testing.T) (*Matcher, Pair, Pair) {
 	g.MustAddEdge(v1, v2, "b")
 	g.MustAddEdge(v1, v3, "c")
 	m := newMatcher(t, gd, g, Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 1.0, K: 3})
-	m.EnableReadTracking()
+	m.SetBorder(Border{})
 	return m, Pair{U: u1, V: v1}, Pair{U: u2, V: v2}
 }
 
 func TestInvalidateAssumptionFlipsReader(t *testing.T) {
 	m, root, child := trackedFixture(t)
 	// Delegate the child pair: assume it true.
-	m.SetDelegate(func(p Pair) bool { return p == child })
+	m.SetBorder(Border{Delegate: func(p Pair) bool { return p == child }})
 	if !m.Match(root.U, root.V) {
 		t.Fatal("root should match under the assumption")
 	}
@@ -49,9 +49,11 @@ func TestInvalidateAssumptionFlipsReader(t *testing.T) {
 
 func TestRevalidateObserver(t *testing.T) {
 	m, root, child := trackedFixture(t)
-	m.SetDelegate(func(p Pair) bool { return p == child })
 	var revalidated []Pair
-	m.SetOnRevalid(func(p Pair) { revalidated = append(revalidated, p) })
+	m.SetBorder(Border{
+		Delegate:  func(p Pair) bool { return p == child },
+		OnRevalid: func(p Pair) { revalidated = append(revalidated, p) },
+	})
 	m.Match(root.U, root.V)
 	m.Invalidate(child)
 	m.Revalidate(child)
@@ -69,7 +71,7 @@ func TestRevalidateObserver(t *testing.T) {
 
 func TestFrozenPairStaysInvalid(t *testing.T) {
 	m, root, child := trackedFixture(t)
-	m.SetDelegate(func(p Pair) bool { return p == child })
+	m.SetBorder(Border{Delegate: func(p Pair) bool { return p == child }})
 	m.Match(root.U, root.V)
 	// Oscillate the assumption beyond the recheck budget.
 	budget := m.maxRechecks()

@@ -186,12 +186,13 @@ func (d *Def) String() string {
 }
 
 // quoteTok renders a token for String(): bare when it survives the
-// tokenizer unchanged, double-quoted otherwise.
+// tokenizer unchanged, double-quoted otherwise. A '\r' is quoted
+// because the line scanner drops one that ends a line.
 func quoteTok(s string) string {
 	bare := s != "" && s != "*"
 	for i := 0; bare && i < len(s); i++ {
 		switch s[i] {
-		case ' ', '\t', '"', '#', '\\':
+		case ' ', '\t', '"', '#', '\\', '\r':
 			bare = false
 		}
 	}

@@ -31,9 +31,6 @@ type Options struct {
 	LSTMEmbed  int
 	LSTMHidden int
 
-	// Workers is the default worker count for parallel APair (default 1).
-	Workers int
-
 	// Seed drives all model initialization and training shuffles.
 	Seed int64
 
@@ -81,9 +78,6 @@ func (o Options) Normalize() Options {
 	}
 	if o.LSTMHidden <= 0 {
 		o.LSTMHidden = 32
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

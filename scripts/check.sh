@@ -57,9 +57,10 @@ stage "go test" go test ./...
 # setting BenchmarkServeVPairHitParallel's parallel/serial ratio is read at.
 stage "server benchmarks (1x)" go test -run '^$' -bench ServeVPairHit -benchtime 1x -cpu 1,2 ./internal/server
 # Likewise the scoring kernel's and the matcher's (MvScore, Embed cold
-# and warm, Match and VPair cold) and M_ρ's (TrainBCE, Score): the
-# numbers that say whether a hot path allocates are measured, not linted.
-stage "embed/core benchmarks (1x)" go test -run '^$' -bench . -benchtime 1x ./internal/embed ./internal/core ./internal/nn
+# and warm, Match and VPair cold), M_ρ's (TrainBCE, Score) and
+# PAllMatch's (Run, RunAsync at 1/2/4 workers): the numbers that say
+# whether a hot path allocates are measured, not linted.
+stage "embed/core benchmarks (1x)" go test -run '^$' -bench . -benchtime 1x ./internal/embed ./internal/core ./internal/nn ./internal/bsp
 # The benchmark is its own module (benchmark/go.mod replaces `her` with
 # ..), so ./... above never compiles it: vet and short-test it against
 # the working tree here, or an API change that breaks it is first seen
