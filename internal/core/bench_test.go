@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"her"
@@ -76,4 +77,34 @@ func BenchmarkVPairCold(b *testing.B) {
 		b.StartTimer()
 		pairSink = m.VPair(pr.U, nil)
 	}
+}
+
+var matcherSink *core.Matcher
+
+// BenchmarkMatcherLiveBytes is the match state's memory: one matcher
+// runs VParaMatch over every tuple vertex of the workload, and the
+// reported B/pair is the live heap the matcher retains (heap with it
+// minus heap without it, both after a GC) per cached pair. The rankers'
+// and scorers' memos belong to the system and are live on both sides.
+func BenchmarkMatcherLiveBytes(b *testing.B) {
+	w, fresh := benchMatcher(b)
+	var ms runtime.MemStats
+	var perPair float64
+	pairs := 0
+	for i := 0; i < b.N; i++ {
+		matcherSink = fresh()
+		for _, u := range w.Sources {
+			pairSink = matcherSink.VPair(u, nil)
+		}
+		pairs = matcherSink.CachedPairs()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		with := ms.HeapAlloc
+		matcherSink = nil
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		perPair = float64(int64(with)-int64(ms.HeapAlloc)) / float64(pairs)
+	}
+	b.ReportMetric(perPair, "B/pair")
+	b.ReportMetric(float64(pairs), "pairs")
 }

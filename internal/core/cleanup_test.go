@@ -61,6 +61,7 @@ func TestInterdependentCleanup(t *testing.T) {
 	if m.Match(u1, v1) {
 		t.Error("(u1, v1) should not match: the SCC's support collapses")
 	}
+	mustCheckState(t, m, "after cleanup")
 	// The stale (u2, v2) entry must have been rectified by cleanup.
 	if valid, found := m.Cached(Pair{U: u2, V: v2}); found && valid {
 		t.Error("(u2, v2) left stale-valid after cleanup")
@@ -121,6 +122,7 @@ func TestRecheckBudgetTerminates(t *testing.T) {
 	m := newMatcher(t, gd, g, Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0.4, K: 3})
 	// Just ensure it terminates and stays consistent.
 	got := m.Match(us[0], vs[0])
+	mustCheckState(t, m, "after the cleanups")
 	m2 := newMatcher(t, gd, g, Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0.4, K: 3})
 	ref := ReferenceMatch(m2, us[0], vs[0])
 	if got && !ref {
@@ -164,6 +166,7 @@ func TestSoundnessAgainstReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := m.Match(u, v)
+		mustCheckState(t, m, "trial %d", trial)
 		m2, _ := NewMatcher(gd, g, ranking.NewRanker(gd, nil, 3), ranking.NewRanker(g, nil, 3), p)
 		ref := ReferenceMatch(m2, u, v)
 		total++
@@ -198,10 +201,11 @@ func TestAssumeAndInvalidObserver(t *testing.T) {
 	var invalidated []Pair
 	m.SetBorder(Border{OnInvalid: func(q Pair) { invalidated = append(invalidated, q) }})
 	// Force evaluation: labels differ so it is invalid.
-	delete(m.cache, p)
+	delete(m.verdict, p)
 	if m.Match(u, v) {
 		t.Error("A/B should not match at sigma=1")
 	}
+	mustCheckState(t, m, "after invalidation")
 	if len(invalidated) != 1 || invalidated[0] != p {
 		t.Errorf("observer saw %v", invalidated)
 	}

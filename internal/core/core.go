@@ -84,16 +84,14 @@ type Counters struct {
 	Rechecks  int // dependant pairs re-run by cleanup
 }
 
-// entry is one cache cell: the current validity of a pair and, when
-// valid, the lineage set W that witnesses it.
-type entry struct {
-	valid bool
-	w     []Pair
-}
-
 // Matcher runs parametric simulation between two graphs. It owns the
 // cache and ecache hash maps of Fig. 4 and is NOT safe for concurrent
 // use; the BSP engine creates one Matcher per worker.
+//
+// Fig. 4's cache is two tables: verdict holds the current validity of
+// every decided pair, and witness the lineage set W of a valid pair
+// whose W is non-empty, at exact length. A pair has a witness entry only
+// while its verdict is true (checkState).
 type Matcher struct {
 	GD *graph.Graph // G_D (or G1)
 	G  *graph.Graph // G (or G2)
@@ -101,7 +99,8 @@ type Matcher struct {
 	RG *ranking.Ranker
 	P  Params
 
-	cache      map[Pair]*entry
+	verdict    map[Pair]bool
+	witness    map[Pair][]Pair
 	dependents map[Pair]map[Pair]bool // p → pairs whose W contains p
 	recheck    map[Pair]int
 	assumed    map[Pair]bool // border-node assumptions seeded by the BSP engine
@@ -147,7 +146,8 @@ func NewMatcher(gd, g *graph.Graph, rd, rg *ranking.Ranker, p Params) (*Matcher,
 }
 
 func (m *Matcher) resetState() {
-	m.cache = make(map[Pair]*entry)
+	m.verdict = make(map[Pair]bool)
+	m.witness = make(map[Pair][]Pair)
 	m.dependents = make(map[Pair]map[Pair]bool)
 	m.recheck = make(map[Pair]int)
 	m.assumed = make(map[Pair]bool)
@@ -218,10 +218,8 @@ func (m *Matcher) Hrho(p1, p2 graph.Path) float64 {
 
 // Cached returns the cached validity of p, if any.
 func (m *Matcher) Cached(p Pair) (valid bool, ok bool) {
-	if e, found := m.cache[p]; found {
-		return e.valid, true
-	}
-	return false, false
+	valid, ok = m.verdict[p]
+	return valid, ok
 }
 
 // Assume seeds p as an assumed-valid pair (the BSP engine's optimistic
@@ -229,8 +227,8 @@ func (m *Matcher) Cached(p Pair) (valid bool, ok bool) {
 // invalidated.
 func (m *Matcher) Assume(p Pair) {
 	m.assumed[p] = true
-	if _, ok := m.cache[p]; !ok {
-		m.cache[p] = &entry{valid: true}
+	if _, ok := m.verdict[p]; !ok {
+		m.verdict[p] = true
 	}
 }
 
@@ -240,7 +238,7 @@ func (m *Matcher) IsAssumed(p Pair) bool { return m.assumed[p] }
 // Invalidate marks p invalid and rectifies its dependants — the IncPSim
 // refinement step applied when a message reports p invalid elsewhere.
 func (m *Matcher) Invalidate(p Pair) {
-	if e, ok := m.cache[p]; ok && !e.valid {
+	if valid, ok := m.verdict[p]; ok && !valid {
 		return // already known invalid
 	}
 	m.fail(p)
@@ -253,11 +251,11 @@ func (m *Matcher) Revalidate(p Pair) {
 	if m.frozen[p] {
 		return // conservatively settled; stays invalid
 	}
-	if e, ok := m.cache[p]; ok && e.valid {
+	if m.verdict[p] {
 		return // already valid locally
 	}
 	m.unregister(p)
-	delete(m.cache, p)
+	delete(m.verdict, p)
 	m.Assume(p)
 	m.scheduleAffected(p)
 	m.drainReruns()
@@ -273,8 +271,8 @@ func (m *Matcher) Revalidate(p Pair) {
 func (m *Matcher) ForgetVertices(affected func(v graph.VID) bool) {
 	// The initial sweep is bounded by the cache; the worklist re-grows
 	// past it only through dependency fan-out.
-	queue := make([]Pair, 0, len(m.cache))
-	for p := range m.cache {
+	queue := make([]Pair, 0, len(m.verdict))
+	for p := range m.verdict {
 		if affected(p.V) {
 			queue = append(queue, p)
 		}
@@ -291,7 +289,7 @@ func (m *Matcher) ForgetVertices(affected func(v graph.VID) bool) {
 			continue
 		}
 		seen[p] = true
-		if _, ok := m.cache[p]; !ok {
+		if _, ok := m.verdict[p]; !ok {
 			continue
 		}
 		deps := make([]Pair, 0, len(m.dependents[p]))
@@ -300,7 +298,7 @@ func (m *Matcher) ForgetVertices(affected func(v graph.VID) bool) {
 		}
 		queue = append(queue, SortPairs(deps)...)
 		m.unregister(p)
-		delete(m.cache, p)
+		delete(m.verdict, p)
 		delete(m.assumed, p)
 		delete(m.recheck, p)
 	}
@@ -310,10 +308,10 @@ func (m *Matcher) ForgetVertices(affected func(v graph.VID) bool) {
 // parametric simulation, reusing and extending the cache across calls.
 func (m *Matcher) Match(u, v graph.VID) bool {
 	p := Pair{U: u, V: v}
-	if e, ok := m.cache[p]; ok {
+	if valid, ok := m.verdict[p]; ok {
 		m.stats.CacheHits++
 		m.met.cacheHits.Inc()
-		return e.valid
+		return valid
 	}
 	return m.timedMatch(p)
 }
@@ -334,16 +332,21 @@ func (m *Matcher) maxRechecks() int {
 
 func (m *Matcher) setInvalid(p Pair) {
 	m.unregister(p)
-	m.cache[p] = &entry{valid: false}
+	m.verdict[p] = false
 	delete(m.assumed, p)
 	if m.border.OnInvalid != nil {
 		m.border.OnInvalid(p)
 	}
 }
 
+// setValid records p as valid with lineage set w, which it copies at
+// exact length (w is the caller's scratch).
 func (m *Matcher) setValid(p Pair, w []Pair) {
 	m.unregister(p)
-	m.cache[p] = &entry{valid: true, w: w}
+	m.verdict[p] = true
+	if len(w) > 0 {
+		m.witness[p] = append([]Pair(nil), w...)
+	}
 	for _, q := range w {
 		deps := m.dependents[q]
 		if deps == nil {
@@ -354,13 +357,13 @@ func (m *Matcher) setValid(p Pair, w []Pair) {
 	}
 }
 
-// unregister removes p's dependency registrations from its old W.
+// unregister removes p's dependency registrations from its old W, and
+// the W itself.
 func (m *Matcher) unregister(p Pair) {
-	if e, ok := m.cache[p]; ok {
-		for _, q := range e.w {
-			delete(m.dependents[q], p)
-		}
+	for _, q := range m.witness[p] {
+		delete(m.dependents[q], p)
 	}
+	delete(m.witness, p)
 }
 
 // match implements the three stages of Fig. 4 for one pair.
@@ -383,8 +386,9 @@ func (m *Matcher) match(p Pair) bool {
 		return true
 	}
 	// Optimistic entry so interdependent candidates (strongly connected
-	// components across both graphs) can self-support coinductively.
-	m.cache[p] = &entry{valid: true}
+	// components across both graphs) can self-support coinductively. p
+	// is undecided here, so it has no W to unregister.
+	m.verdict[p] = true
 
 	vuk := m.RD.TopK(u, m.P.K) // ecache-backed V_u^k
 	vvk := m.RG.TopK(v, m.P.K) // ecache-backed V_v^k
@@ -411,8 +415,10 @@ func (m *Matcher) match(p Pair) bool {
 	}
 
 	sum := 0.0
-	w := make([]Pair, 0, len(lists)) // one lineage pair per property list until Δ is reached
-	used := make(map[graph.VID]bool) // injectivity of the lineage set
+	// One lineage pair per property list until Δ is reached. setValid
+	// copies it, so up to the default k (20) it lives in this frame.
+	var buf [20]Pair
+	w := buf[:0]
 
 	for j := range lists {
 		l := lists[j]
@@ -422,7 +428,7 @@ func (m *Matcher) match(p Pair) bool {
 			if idx+1 < len(l) {
 				next = l[idx+1].score
 			}
-			if used[cand.v] {
+			if takenV(w, cand.v) {
 				// Taken by an earlier property; demote this list's head.
 				maxSco += next - cand.score
 				if maxSco < m.P.Delta {
@@ -432,10 +438,10 @@ func (m *Matcher) match(p Pair) bool {
 			}
 			cp := Pair{U: cand.u, V: cand.v}
 			var ok bool
-			if e, found := m.cache[cp]; found {
+			if valid, found := m.verdict[cp]; found {
 				m.stats.CacheHits++
 				m.met.cacheHits.Inc()
-				ok = e.valid
+				ok = valid
 			} else {
 				ok = m.match(cp)
 			}
@@ -443,7 +449,6 @@ func (m *Matcher) match(p Pair) bool {
 			if ok {
 				sum += cand.score
 				w = append(w, cp)
-				used[cand.v] = true
 				if sum >= m.P.Delta {
 					m.setValid(p, w)
 					return true
@@ -458,6 +463,17 @@ func (m *Matcher) match(p Pair) bool {
 		}
 	}
 	return m.fail(p)
+}
+
+// takenV reports whether an earlier property's lineage pair in w already
+// took v: the injectivity of the lineage set. w holds at most k pairs.
+func takenV(w []Pair, v graph.VID) bool {
+	for _, q := range w {
+		if q.V == v {
+			return true
+		}
+	}
+	return false
 }
 
 // fail runs the cleanup stage (lines 28-32): mark p invalid, then re-run
@@ -504,11 +520,11 @@ func (m *Matcher) drainReruns() {
 		if m.frozen[q] {
 			continue
 		}
-		e, ok := m.cache[q]
+		old, ok := m.verdict[q]
 		if !ok {
 			continue
 		}
-		if !m.trackReads && !e.valid {
+		if !m.trackReads && !old {
 			continue // the paper's cleanup re-runs valid dependants only
 		}
 		if m.assumed[q] {
@@ -516,9 +532,8 @@ func (m *Matcher) drainReruns() {
 			// assumption stands until an invalidation message arrives.
 			continue
 		}
-		old := e.valid
 		m.unregister(q)
-		delete(m.cache, q)
+		delete(m.verdict, q)
 		delete(m.assumed, q)
 		m.recheck[q]++
 		m.stats.Rechecks++
@@ -552,8 +567,6 @@ func (m *Matcher) drainReruns() {
 type scored struct {
 	u, v  graph.VID
 	score float64
-	pathU graph.Path
-	pathV graph.Path
 }
 
 // candidateList builds l_{u'}: candidates v' ∈ V_v^k with
@@ -567,7 +580,6 @@ func (m *Matcher) candidateList(su ranking.Selected, vvk []ranking.Selected) []s
 		l = append(l, scored{
 			u: su.Desc, v: sv.Desc,
 			score: m.Hrho(su.Path, sv.Path),
-			pathU: su.Path, pathV: sv.Path,
 		})
 	}
 	// Insertion sort: lists are at most k long.

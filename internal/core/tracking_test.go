@@ -35,13 +35,16 @@ func TestInvalidateAssumptionFlipsReader(t *testing.T) {
 	if !m.Match(root.U, root.V) {
 		t.Fatal("root should match under the assumption")
 	}
+	mustCheckState(t, m, "Assume")
 	// The owner refutes the assumption: the root must flip to false.
 	m.Invalidate(child)
+	mustCheckState(t, m, "Invalidate")
 	if valid, ok := m.Cached(root); !ok || valid {
 		t.Error("root not rectified after assumption refuted")
 	}
 	// And back: revalidation restores it.
 	m.Revalidate(child)
+	mustCheckState(t, m, "Revalidate")
 	if valid, ok := m.Cached(root); !ok || !valid {
 		t.Error("root not restored after revalidation")
 	}
@@ -57,6 +60,7 @@ func TestRevalidateObserver(t *testing.T) {
 	m.Match(root.U, root.V)
 	m.Invalidate(child)
 	m.Revalidate(child)
+	mustCheckState(t, m, "Invalidate, Revalidate")
 	// The root flipped false→true during Revalidate's rerun.
 	found := false
 	for _, p := range revalidated {
@@ -77,7 +81,9 @@ func TestFrozenPairStaysInvalid(t *testing.T) {
 	budget := m.maxRechecks()
 	for i := 0; i < budget+5; i++ {
 		m.Invalidate(child)
+		mustCheckState(t, m, "round %d: Invalidate", i)
 		m.Revalidate(child)
+		mustCheckState(t, m, "round %d: Revalidate", i)
 	}
 	// The root is frozen at a conservative verdict; further revalidation
 	// cannot resurrect it.
@@ -88,6 +94,7 @@ func TestFrozenPairStaysInvalid(t *testing.T) {
 		t.Error("frozen root should stay invalid")
 	}
 	m.Revalidate(child)
+	mustCheckState(t, m, "Revalidate of a frozen reader")
 	if valid, _ := m.Cached(root); valid {
 		t.Error("frozen pair resurrected")
 	}
@@ -102,9 +109,11 @@ func TestForgetVertices(t *testing.T) {
 	if _, ok := m.Cached(Pair{U: f.u2, V: f.v10}); !ok {
 		t.Fatal("brand pair should be cached")
 	}
+	mustCheckState(t, m, "Match")
 	// Forget everything whose G side is the brand vertex: the brand pair
 	// AND the root (which depends on it) must both be dropped.
 	m.ForgetVertices(func(v graph.VID) bool { return v == f.v10 })
+	mustCheckState(t, m, "ForgetVertices")
 	if _, ok := m.Cached(Pair{U: f.u2, V: f.v10}); ok {
 		t.Error("brand pair survived ForgetVertices")
 	}
@@ -115,6 +124,7 @@ func TestForgetVertices(t *testing.T) {
 	if !m.Match(f.u1, f.v1) {
 		t.Error("match lost after forget + re-evaluate")
 	}
+	mustCheckState(t, m, "re-evaluate")
 }
 
 func TestNoteReadIgnoresSelf(t *testing.T) {

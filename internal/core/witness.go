@@ -14,8 +14,7 @@ import (
 // artifact — it shows WHY two vertices match.
 func (m *Matcher) Witness(u, v graph.VID) []Pair {
 	root := Pair{U: u, V: v}
-	e, ok := m.cache[root]
-	if !ok || !e.valid {
+	if !m.verdict[root] {
 		return nil
 	}
 	seen := map[Pair]bool{root: true}
@@ -25,12 +24,10 @@ func (m *Matcher) Witness(u, v graph.VID) []Pair {
 		p := queue[0]
 		queue = queue[1:]
 		out = append(out, p)
-		if pe, ok := m.cache[p]; ok {
-			for _, q := range pe.w {
-				if !seen[q] {
-					seen[q] = true
-					queue = append(queue, q)
-				}
+		for _, q := range m.witness[p] {
+			if !seen[q] {
+				seen[q] = true
+				queue = append(queue, q)
 			}
 		}
 	}
@@ -45,12 +42,13 @@ func (m *Matcher) Witness(u, v graph.VID) []Pair {
 
 // Lineage returns the lineage set S(u,v) recorded for a confirmed match.
 func (m *Matcher) Lineage(u, v graph.VID) []Pair {
-	e, ok := m.cache[Pair{U: u, V: v}]
-	if !ok || !e.valid {
+	p := Pair{U: u, V: v}
+	if !m.verdict[p] {
 		return nil
 	}
-	out := make([]Pair, len(e.w))
-	copy(out, e.w)
+	w := m.witness[p]
+	out := make([]Pair, len(w))
+	copy(out, w)
 	return out
 }
 
@@ -67,8 +65,8 @@ type SchemaMatch struct {
 // starts with an attribute edge e, the prefix ρ_e of the G-side path with
 // the maximum M_ρ(L(e), L(ρ_e)) is selected.
 func (m *Matcher) SchemaMatches(ut, vg graph.VID) ([]SchemaMatch, error) {
-	e, ok := m.cache[Pair{U: ut, V: vg}]
-	if !ok || !e.valid {
+	p := Pair{U: ut, V: vg}
+	if !m.verdict[p] {
 		return nil, fmt.Errorf("core: (%d, %d) is not a confirmed match", ut, vg)
 	}
 	vuk := m.RD.TopK(ut, m.P.K)
@@ -82,7 +80,7 @@ func (m *Matcher) SchemaMatches(ut, vg graph.VID) ([]SchemaMatch, error) {
 		pathV[s.Desc] = s.Path
 	}
 	var out []SchemaMatch
-	for _, lp := range e.w {
+	for _, lp := range m.witness[p] {
 		pu, okU := pathU[lp.U]
 		pv, okV := pathV[lp.V]
 		if !okU || !okV || pu.Len() == 0 || pv.Len() == 0 {

@@ -32,6 +32,7 @@ func TestWitnessSatisfiesDefinition(t *testing.T) {
 		if !m.Match(u, v) {
 			continue
 		}
+		mustCheckState(t, m, "trial %d", trial)
 		checked++
 		w := m.Witness(u, v)
 		inPi := make(map[Pair]bool, len(w))
@@ -154,6 +155,7 @@ func TestVPairEqualsPerPairMatch(t *testing.T) {
 		for _, pr := range m.VPair(u, nil) {
 			got[pr.V] = true
 		}
+		mustCheckState(t, m, "trial %d", trial)
 		for v := 0; v < nv; v++ {
 			fresh, _ := NewMatcher(gd, g, ranking.NewRanker(gd, nil, 3), ranking.NewRanker(g, nil, 3), p)
 			want := fresh.Match(u, graph.VID(v))
