@@ -74,7 +74,7 @@ func TestInterdependentCleanup(t *testing.T) {
 	}
 	// Agreement with the reference fixpoint.
 	m2 := newMatcher(t, gd, g, Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 1.0, K: 5})
-	if ReferenceMatch(m2, u1, v1) {
+	if pairSet(ReferenceMatch(m2))[Pair{U: u1, V: v1}] {
 		t.Error("reference should also reject")
 	}
 }
@@ -99,14 +99,16 @@ func TestSelfSupportingCyclePositive(t *testing.T) {
 		t.Error("self-supporting cycle should match coinductively")
 	}
 	m2 := newMatcher(t, gd, g, p)
-	if !ReferenceMatch(m2, u1, v1) {
+	if !pairSet(ReferenceMatch(m2))[Pair{U: u1, V: v1}] {
 		t.Error("reference disagrees on cycle")
 	}
 }
 
 func TestRecheckBudgetTerminates(t *testing.T) {
 	// A dense SCC with partially matching labels stresses repeated
-	// cleanup; the recheck budget must keep it terminating.
+	// cleanup. A pair is re-run only when a member of its W turns false,
+	// and each pair turns false at most once, so the cleanups terminate
+	// at the reference verdict.
 	gd := graph.New()
 	g := graph.New()
 	const n = 6
@@ -120,14 +122,21 @@ func TestRecheckBudgetTerminates(t *testing.T) {
 		g.MustAddEdge(vs[i], vs[(i+2)%n], "e")
 	}
 	m := newMatcher(t, gd, g, Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0.4, K: 3})
-	// Just ensure it terminates and stays consistent.
 	got := m.Match(us[0], vs[0])
 	mustCheckState(t, m, "after the cleanups")
 	m2 := newMatcher(t, gd, g, Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0.4, K: 3})
-	ref := ReferenceMatch(m2, us[0], vs[0])
-	if got && !ref {
-		t.Errorf("ParaMatch=true must imply reference=true")
+	if ref := pairSet(ReferenceMatch(m2))[Pair{U: us[0], V: vs[0]}]; got != ref {
+		t.Errorf("ParaMatch=%t, reference=%t", got, ref)
 	}
+}
+
+// pairSet indexes a match set.
+func pairSet(ps []Pair) map[Pair]bool {
+	set := make(map[Pair]bool, len(ps))
+	for _, p := range ps {
+		set[p] = true
+	}
+	return set
 }
 
 // randomGraph builds a small random labeled graph.
@@ -144,14 +153,13 @@ func randomGraph(rng *rand.Rand, nv, ne int, labels []string, edgeLabels []strin
 	return g
 }
 
-// TestSoundnessAgainstReference: whenever ParaMatch confirms a pair, the
-// optimal-assignment greatest fixpoint must also confirm it. (The reverse
-// can fail in principle because ParaMatch's lineage selection is greedy.)
+// TestSoundnessAgainstReference: ParaMatch confirms a pair exactly when
+// the maximum-weight-assignment greatest fixpoint contains it — sound
+// (no pair outside Π) and complete (no pair of Π missed).
 func TestSoundnessAgainstReference(t *testing.T) {
 	labels := []string{"P", "Q", "R"}
 	edgeLabels := []string{"x", "y"}
 	rng := rand.New(rand.NewSource(11))
-	agree, total := 0, 0
 	for trial := 0; trial < 120; trial++ {
 		nv := 3 + rng.Intn(4)
 		ne := rng.Intn(2 * nv)
@@ -168,19 +176,10 @@ func TestSoundnessAgainstReference(t *testing.T) {
 		got := m.Match(u, v)
 		mustCheckState(t, m, "trial %d", trial)
 		m2, _ := NewMatcher(gd, g, ranking.NewRanker(gd, nil, 3), ranking.NewRanker(g, nil, 3), p)
-		ref := ReferenceMatch(m2, u, v)
-		total++
-		if got == ref {
-			agree++
+		if ref := pairSet(ReferenceMatch(m2))[Pair{U: u, V: v}]; got != ref {
+			t.Fatalf("trial %d: ParaMatch=%t but reference=%t (nv=%d ne=%d δ=%.1f u=%d v=%d)",
+				trial, got, ref, nv, ne, delta, u, v)
 		}
-		if got && !ref {
-			t.Fatalf("trial %d: ParaMatch=true but reference=false (nv=%d ne=%d δ=%.1f u=%d v=%d)",
-				trial, nv, ne, delta, u, v)
-		}
-	}
-	// Greedy vs optimal rarely diverge; require near-complete agreement.
-	if float64(agree)/float64(total) < 0.95 {
-		t.Errorf("agreement too low: %d/%d", agree, total)
 	}
 }
 

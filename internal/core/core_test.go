@@ -103,6 +103,31 @@ func TestLeafMatching(t *testing.T) {
 	}
 }
 
+// TestDeltaZeroNeedsNoLineage: at δ = 0 the empty lineage set reaches
+// δ, so a non-leaf pair with h_v ≥ σ matches even when no candidate of
+// its properties does — as the reference fixpoint says.
+func TestDeltaZeroNeedsNoLineage(t *testing.T) {
+	gd := graph.New()
+	u1 := gd.AddVertex("A")
+	u2 := gd.AddVertex("B")
+	gd.MustAddEdge(u1, u2, "x")
+	g := graph.New()
+	v1 := g.AddVertex("A")
+	v2 := g.AddVertex("C") // no candidate for u2
+	g.MustAddEdge(v1, v2, "x")
+	p := Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0, K: 3}
+	if !pairSet(ReferenceMatch(newMatcher(t, gd, g, p)))[Pair{U: u1, V: v1}] {
+		t.Fatal("reference rejects (u1, v1) at δ = 0")
+	}
+	m := newMatcher(t, gd, g, p)
+	if !m.Match(u1, v1) {
+		t.Error("(u1, v1) rejected at δ = 0")
+	}
+	if w := m.Lineage(u1, v1); len(w) != 0 {
+		t.Errorf("lineage %v, want the empty set", w)
+	}
+}
+
 func TestHrhoNormalization(t *testing.T) {
 	gd := graph.New()
 	a := gd.AddVertex("a")
@@ -352,9 +377,9 @@ func TestPaperExampleAPair(t *testing.T) {
 		}
 	}
 	// Against the reference checker.
+	ref := pairSet(ReferenceMatch(m))
 	for p := range want {
-		ref := ReferenceMatch(m, p.U, p.V)
-		if !ref {
+		if !ref[p] {
 			t.Errorf("reference disagrees on %v", p)
 		}
 	}
@@ -369,8 +394,7 @@ func TestMatchAgreesWithReferenceOnFixture(t *testing.T) {
 	} {
 		m := newMatcher(t, f.gd, f.g, f.params)
 		got := m.Match(pair.U, pair.V)
-		ref := ReferenceMatch(m, pair.U, pair.V)
-		if got != ref {
+		if ref := pairSet(ReferenceMatch(m))[pair]; got != ref {
 			t.Errorf("pair %v: ParaMatch=%v reference=%v", pair, got, ref)
 		}
 	}

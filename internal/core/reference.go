@@ -5,18 +5,17 @@ import (
 )
 
 // ReferenceMatch is a brute-force reference implementation of parametric
-// simulation used to verify ParaMatch in tests. It computes the greatest
-// fixpoint of the simulation conditions over ALL candidate pairs, using
-// an OPTIMAL (max-weight injective assignment) lineage selection instead
-// of ParaMatch's greedy one, so it is a sound upper bound: whenever
-// ParaMatch reports a match, ReferenceMatch must too.
+// simulation used to verify ParaMatch in tests. It returns the whole
+// maximum match Π over G_D × G, sorted: the greatest fixpoint of the
+// simulation conditions over ALL σ-qualifying pairs, with each pair's
+// lineage decided by the maximum-weight injective assignment — the
+// existential S of the definition — rather than ParaMatch's greedy
+// selection. The step is monotone, so the fixpoint is unique and every
+// ParaMatch engine must return exactly its pairs among their candidates.
 //
-// Cost is O(|V_D|·|V|) pairs per iteration with a 2^k assignment DP per
-// pair — exponential in k and intended only for small graphs.
-func ReferenceMatch(m *Matcher, u0, v0 graph.VID) bool {
-	if m.Hv(u0, v0) < m.P.Sigma {
-		return false
-	}
+// Cost is O(|V_D|·|V|) pairs per sweep with an O(k³) assignment per
+// pair, intended only for small graphs.
+func ReferenceMatch(m *Matcher) []Pair {
 	// Start from all σ-qualifying pairs (the coinductive top element).
 	valid := make(map[Pair]bool)
 	for u := 0; u < m.GD.NumVertices(); u++ {
@@ -31,9 +30,6 @@ func ReferenceMatch(m *Matcher, u0, v0 graph.VID) bool {
 	for changed := true; changed; {
 		changed = false
 		for p := range valid {
-			if !valid[p] {
-				continue
-			}
 			if m.GD.IsLeaf(p.U) {
 				continue
 			}
@@ -43,57 +39,35 @@ func ReferenceMatch(m *Matcher, u0, v0 graph.VID) bool {
 			}
 		}
 	}
-	return valid[Pair{U: u0, V: v0}]
+	out := make([]Pair, 0, len(valid))
+	for p := range valid {
+		out = append(out, p)
+	}
+	return SortPairs(out)
 }
 
 // bestLineageScore computes the maximum aggregate h_ρ over partial
 // injective mappings from V_u^k to V_v^k restricted to currently valid
-// pairs, via bitmask DP over the v side.
+// pairs, summed in V_u^k order as ParaMatch sums it.
 func bestLineageScore(m *Matcher, p Pair, valid map[Pair]bool) float64 {
 	vuk := m.RD.TopK(p.U, m.P.K)
 	vvk := m.RG.TopK(p.V, m.P.K)
-	a, b := len(vuk), len(vvk)
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if b > 20 {
-		panic("core: ReferenceMatch requires k ≤ 20")
-	}
 	// w[i][j] = score if (u'_i, v'_j) is currently valid, else -1.
-	w := make([][]float64, a)
+	w := make([][]float64, len(vuk))
 	for i, su := range vuk {
-		w[i] = make([]float64, b)
+		w[i] = make([]float64, len(vvk))
 		for j, sv := range vvk {
 			w[i][j] = -1
-			if m.Hv(su.Desc, sv.Desc) >= m.P.Sigma && valid[Pair{U: su.Desc, V: sv.Desc}] {
+			if valid[Pair{U: su.Desc, V: sv.Desc}] {
 				w[i][j] = m.Hrho(su.Path, sv.Path)
 			}
 		}
 	}
-	size := 1 << b
-	dp := make([]float64, size)
-	for i := 0; i < a; i++ {
-		next := make([]float64, size)
-		copy(next, dp) // leaving property i unmatched is allowed (partial)
-		for mask := 0; mask < size; mask++ {
-			base := dp[mask]
-			for j := 0; j < b; j++ {
-				if mask&(1<<j) != 0 || w[i][j] < 0 {
-					continue
-				}
-				nm := mask | 1<<j
-				if s := base + w[i][j]; s > next[nm] {
-					next[nm] = s
-				}
-			}
-		}
-		dp = next
-	}
-	best := 0.0
-	for _, s := range dp {
-		if s > best {
-			best = s
+	sum := 0.0
+	for i, j := range maxAssignment(w) {
+		if j >= 0 {
+			sum += w[i][j]
 		}
 	}
-	return best
+	return sum
 }

@@ -86,9 +86,10 @@ func TestWitnessSatisfiesDefinition(t *testing.T) {
 	}
 }
 
-// TestMaximumMatchUnion is Proposition 4's machinery: the union of two
-// witnesses (from different query roots over the same graphs) stays
-// inside the unique maximum match computed by the reference fixpoint.
+// TestMaximumMatchUnion is Proposition 4's machinery: ParaMatch confirms
+// exactly the pairs of the unique maximum match computed by the
+// reference fixpoint, and the union of their witnesses (from different
+// query roots over the same graphs) stays inside it.
 func TestMaximumMatchUnion(t *testing.T) {
 	labels := []string{"P", "Q"}
 	edgeLabels := []string{"x"}
@@ -103,18 +104,24 @@ func TestMaximumMatchUnion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m2, _ := NewMatcher(gd, g, ranking.NewRanker(gd, nil, 3), ranking.NewRanker(g, nil, 3), p)
+		ref := pairSet(ReferenceMatch(m2))
 		var union []Pair
 		for u := 0; u < nv; u++ {
 			for v := 0; v < nv; v++ {
-				if m.Match(graph.VID(u), graph.VID(v)) {
-					union = append(union, m.Witness(graph.VID(u), graph.VID(v))...)
+				pr := Pair{U: graph.VID(u), V: graph.VID(v)}
+				got := m.Match(pr.U, pr.V)
+				if got != ref[pr] {
+					t.Fatalf("trial %d: ParaMatch%v = %t, reference %t", trial, pr, got, ref[pr])
+				}
+				if got {
+					union = append(union, m.Witness(pr.U, pr.V)...)
 				}
 			}
 		}
 		// Every witnessed pair must be in the greatest fixpoint.
-		m2, _ := NewMatcher(gd, g, ranking.NewRanker(gd, nil, 3), ranking.NewRanker(g, nil, 3), p)
 		for _, pr := range union {
-			if !ReferenceMatch(m2, pr.U, pr.V) {
+			if !ref[pr] {
 				t.Fatalf("trial %d: witnessed pair %v outside the maximum match", trial, pr)
 			}
 		}

@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,11 +50,29 @@ func (w *Workload) CandidatePairs() ([]core.Pair, error) {
 // its cleanup stage) carried across queries — and reads the final cache
 // state, since a later cleanup may rectify an earlier answer.
 func (w *Workload) SeqParaMatch() ([]core.Pair, error) {
-	m, err := w.NewMatcher()
+	pairs, err := w.CandidatePairs()
 	if err != nil {
 		return nil, err
 	}
+	return w.sharedParaMatch(pairs)
+}
+
+// ReversedParaMatch is SeqParaMatch asking the candidate pairs in
+// reverse order: with one cache shared across queries, any dependence of
+// the verdicts on the order of refutations shows up as a difference.
+func (w *Workload) ReversedParaMatch() ([]core.Pair, error) {
 	pairs, err := w.CandidatePairs()
+	if err != nil {
+		return nil, err
+	}
+	slices.Reverse(pairs)
+	return w.sharedParaMatch(pairs)
+}
+
+// sharedParaMatch decides pairs in order through one matcher and reads
+// the verdicts from its final cache.
+func (w *Workload) sharedParaMatch(pairs []core.Pair) ([]core.Pair, error) {
+	m, err := w.NewMatcher()
 	if err != nil {
 		return nil, err
 	}
@@ -88,6 +107,27 @@ func (w *Workload) FreshParaMatch() ([]core.Pair, error) {
 		}
 	}
 	return SortPairs(matches), nil
+}
+
+// Reference is the maximum match Π of the definition among the
+// workload's candidate pairs: core.ReferenceMatch's greatest fixpoint,
+// restricted to the source vertices.
+func (w *Workload) Reference() ([]core.Pair, error) {
+	m, err := w.NewMatcher()
+	if err != nil {
+		return nil, err
+	}
+	ref := core.ReferenceMatch(m)
+	if w.Sources == nil {
+		return ref, nil
+	}
+	out := ref[:0]
+	for _, p := range ref {
+		if slices.Contains(w.Sources, p.U) {
+			out = append(out, p)
+		}
+	}
+	return out, nil
 }
 
 // VPairUnion computes Π as the union of VParaMatch (Fig. 5) over the

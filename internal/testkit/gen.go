@@ -257,3 +257,48 @@ func GenGraphWorkload(seed int64) (*Workload, error) {
 	}
 	return w, nil
 }
+
+// WidenedDraws is the number of instances GenWidenedWorkloads draws per
+// seed.
+const WidenedDraws = 4
+
+// GenWidenedWorkloads draws WidenedDraws instances from one seeded
+// stream: bsp's TestStressEquality generator with |V| widened to 4–23.
+// Edges fall uniformly, so self-loops and cycles on both sides are
+// common, and the candidate lists of a pair often compete for the same
+// G-side vertex — the instances on which a greedy lineage choice and the
+// best injective one differ. Draw i of seed s is named
+// "widened seed=s draw=i" and is reproduced by that pair alone.
+func GenWidenedWorkloads(seed int64) []*Workload {
+	rng := rand.New(rand.NewSource(seed))
+	labels := []string{"P", "Q", "R", "S"}
+	edgeLabels := []string{"x", "y", "z"}
+	random := func(nv, ne int) *graph.Graph {
+		g := graph.New()
+		for i := 0; i < nv; i++ {
+			g.AddVertex(labels[rng.Intn(len(labels))])
+		}
+		for i := 0; i < ne; i++ {
+			g.MustAddEdge(graph.VID(rng.Intn(nv)), graph.VID(rng.Intn(nv)),
+				edgeLabels[rng.Intn(len(edgeLabels))])
+		}
+		return g
+	}
+	ws := make([]*Workload, WidenedDraws)
+	for i := range ws {
+		nv := 4 + rng.Intn(20)
+		ne := rng.Intn(3 * nv)
+		gd := random(nv, ne)
+		g := random(nv, ne)
+		delta := []float64{0.3, 0.5, 1.0}[rng.Intn(3)]
+		ws[i] = &Workload{
+			Seed:   seed,
+			Name:   fmt.Sprintf("widened seed=%d draw=%d", seed, i),
+			GD:     gd,
+			G:      g,
+			Params: core.Params{Mv: ExactMv, Mrho: ExactMrho, Sigma: 1, Delta: delta, K: 3},
+			MaxLen: 3,
+		}
+	}
+	return ws
+}

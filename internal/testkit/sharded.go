@@ -66,3 +66,23 @@ func (w *Workload) ShardedSPair(n, minShared int, pairs []core.Pair, verdicts ma
 	}
 	return out, nil
 }
+
+// ShardedVPairs asks one sharded engine at n shards, result cache off,
+// for VPair of each vertex of order in turn, so every answer comes from
+// the shard matchers' state as the earlier requests left it.
+func (w *Workload) ShardedVPairs(n int, order []graph.VID) ([][]core.Pair, error) {
+	cfg := NewMutSeq(w, 0).EngineConfig(n)
+	cfg.CacheSize = -1
+	eng, err := shard.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	out := make([][]core.Pair, len(order))
+	for i, u := range order {
+		if out[i], err = eng.VPair(context.Background(), u); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}

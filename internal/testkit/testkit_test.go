@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -59,6 +60,91 @@ func graphWorkloads(t *testing.T) []*Workload {
 		ws = append(ws, w)
 	}
 	return ws
+}
+
+// widenedWorkloads generates the widened class: WidenedDraws instances
+// for each of seedsPerFamily seeds.
+func widenedWorkloads() []*Workload {
+	n := seedsPerFamily()
+	ws := make([]*Workload, 0, n*WidenedDraws)
+	for seed := int64(1); seed <= n; seed++ {
+		ws = append(ws, GenWidenedWorkloads(seed)...)
+	}
+	return ws
+}
+
+// TestExactAgainstReference: Π is defined existentially (DESIGN §3), and
+// its step is monotone, so it is one set — the greatest fixpoint that
+// core.ReferenceMatch computes. Sequential APair, a fresh matcher per
+// pair, one shared matcher asked in reverse order, and the parallel
+// engine in both modes at every worker count must each return exactly
+// that set on the widened class, whose competing candidate lists make
+// greedy lineage choices miss pairs.
+func TestExactAgainstReference(t *testing.T) {
+	for _, w := range widenedWorkloads() {
+		ref, err := w.Reference()
+		if err != nil {
+			t.Fatal(err)
+		}
+		type run struct {
+			name string
+			run  func() ([]core.Pair, error)
+		}
+		runs := []run{
+			{"apair", w.APair},
+			{"paramatch-fresh", w.FreshParaMatch},
+			{"paramatch-reversed", w.ReversedParaMatch},
+		}
+		for _, n := range workerCounts {
+			runs = append(runs,
+				run{fmt.Sprintf("bsp-sync-%d", n), func() ([]core.Pair, error) { return w.Parallel(n, false) }},
+				run{fmt.Sprintf("bsp-async-%d", n), func() ([]core.Pair, error) { return w.Parallel(n, true) }})
+		}
+		for _, r := range runs {
+			got, err := r.run()
+			if err != nil {
+				t.Fatalf("%s on %s: %v", r.name, w.Name, err)
+			}
+			if !EqualPairs(ref, got) {
+				t.Errorf("workload %s: %s differs from the reference:\n%s",
+					w.Name, r.name, DiffPairs("reference", ref, r.name, got))
+			}
+		}
+	}
+}
+
+// TestHistoryIndependence: a shard worker's matcher keeps its state
+// across requests, so with the result cache off every VPair answer
+// depends on what earlier requests decided — and must not. Each vertex
+// of G_D is asked twice, in a random order, and every answer must equal
+// VPair on a fresh matcher.
+func TestHistoryIndependence(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range widenedWorkloads() {
+		nv := w.GD.NumVertices()
+		want := make([][]core.Pair, nv)
+		for u := range want {
+			m, err := w.NewMatcher()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[u] = m.VPair(graph.VID(u), nil)
+		}
+		var order []graph.VID
+		for _, u := range append(rng.Perm(nv), rng.Perm(nv)...) {
+			order = append(order, graph.VID(u))
+		}
+		got, err := w.ShardedVPairs(2, order)
+		if err != nil {
+			t.Fatalf("workload %s: %v", w.Name, err)
+		}
+		for i, u := range order {
+			if !EqualPairs(want[u], got[i]) {
+				t.Errorf("workload %s: request %d, VPair(%d) after %v:\n%s",
+					w.Name, i, u, order[:i], DiffPairs("fresh", want[u], "engine", got[i]))
+			}
+		}
+	}
 }
 
 // TestDifferentialEquivalence is the paper's Theorems restated as a
