@@ -59,7 +59,10 @@ type (
 	PathPair = dataset.PathPair
 	// SchemaMatch maps an attribute to the G path encoding it.
 	SchemaMatch = core.SchemaMatch
-	// ParallelStats reports a parallel APair run.
+	// ParallelStats reports a parallel APair run: the work division
+	// over an edge-cut partition of G (PerWorkerPairs, PerWorkerCalls),
+	// the messages (Requests, and Invalidations — at most one per
+	// refuted pair and subscriber) and the supersteps.
 	ParallelStats = bsp.Stats
 	// Counters reports matcher work.
 	Counters = core.Counters

@@ -15,8 +15,9 @@ import (
 // the same messages, which go through per-worker mailboxes and are
 // handled as they arrive; the run ends when every worker is idle and no
 // message is in flight (quiescence, detected by a pending counter).
-// RunAsync ignores cfg.MaxSupersteps: the matcher's recheck budget
-// bounds how often a pair can flip, and so how many messages are sent.
+// RunAsync ignores cfg.MaxSupersteps: a verdict turns false at most
+// once, so each pair sends at most one request per worker and one
+// invalidation per subscriber, which bounds the messages.
 func (e *Engine) RunAsync(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]core.Pair, Stats, error) {
 	r, err := e.start("async", sources, gen, cfg)
 	if err != nil {

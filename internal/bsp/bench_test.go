@@ -3,6 +3,7 @@ package bsp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"her/internal/core"
@@ -13,7 +14,9 @@ import (
 // benchmarkRun times one scheduler on a fixed seeded instance whose
 // runs send requests and invalidations at every worker count above one.
 // The rankers are shared across iterations, as APairParallel shares the
-// System's, so their ecache is warm after the first run.
+// System's, so their ecache is warm after the first run. It reports
+// max_worker_share, the busiest worker's share of the ParaMatch calls:
+// 1/n is a perfect division of the work among n workers.
 func benchmarkRun(b *testing.B, run func(*Engine, []graph.VID, core.CandidateGen, Config) ([]core.Pair, Stats, error)) {
 	rng := rand.New(rand.NewSource(3))
 	labels, edgeLabels := []string{"P", "Q", "R", "S"}, []string{"x", "y", "z"}
@@ -27,11 +30,14 @@ func benchmarkRun(b *testing.B, run func(*Engine, []graph.VID, core.CandidateGen
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var st Stats
 			for i := 0; i < b.N; i++ {
-				if _, _, err := run(eng, nil, nil, Config{Workers: n}); err != nil {
+				var err error
+				if _, st, err = run(eng, nil, nil, Config{Workers: n}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(slices.Max(st.PerWorkerCalls))/float64(st.Calls), "max_worker_share")
 		})
 	}
 }

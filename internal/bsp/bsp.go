@@ -5,10 +5,11 @@
 // AllParaMatch (PPSim), optimistically assuming that pairs owned by
 // another worker ("border" pairs) are valid; the first assumption of a
 // pair sends its owner an evaluation request, which subscribes the
-// asker. When an owned pair flips true→false (or back), the owner sends
-// an invalidation (or revalidation) to its subscribers, which refine
-// their partial results incrementally (IncPSim, the cleanup stage of
-// ParaMatch applied to the incoming message). Once no message is left,
+// asker. When an owned pair turns false, the owner sends an invalidation
+// to its subscribers, which refine their partial results incrementally
+// (IncPSim, the cleanup stage of ParaMatch applied to the incoming
+// message). The ParaMatch step is monotone, so a false verdict is final
+// and every pair is invalidated at most once. Once no message is left,
 // Π is the union of the per-worker partial results.
 //
 // One worker and one message type serve two schedulers: Run exchanges
@@ -56,7 +57,7 @@ type Stats struct {
 	Workers        int
 	Supersteps     int
 	Requests       int   // evaluation-request messages exchanged
-	Invalidations  int   // invalidation and revalidation messages exchanged
+	Invalidations  int   // invalidation messages: at most one per refuted pair and subscriber
 	CandidatePairs int   // total candidate pairs across workers
 	PerWorkerPairs []int // work division: candidates per worker
 	Calls          int   // total ParaMatch invocations across workers
@@ -94,7 +95,6 @@ func (e *Engine) metrics(mode string) engineMetrics {
 		run:       r.Histogram(`her_bsp_run_seconds{mode="`+mode+`"}`, nil),
 		messages: [kinds]*obs.Counter{
 			invalidation: r.Counter(`her_bsp_messages_total{kind="invalidation"}`),
-			revalidation: r.Counter(`her_bsp_messages_total{kind="revalidation"}`),
 			request:      r.Counter(`her_bsp_messages_total{kind="request"}`),
 		},
 		pairs: r.Counter("her_bsp_candidate_pairs_total"),
@@ -119,7 +119,6 @@ type msgKind int
 
 const (
 	invalidation msgKind = iota // the owner refuted p
-	revalidation                // the owner restored p
 	request                     // evaluate p and subscribe the sender to it
 	kinds
 )
@@ -149,7 +148,7 @@ type run struct {
 type worker struct {
 	id    int
 	r     *run
-	m     *core.Matcher // private, read-tracked, bordered by the fragment
+	m     *core.Matcher // private, bordered by the fragment
 	cands []core.Pair
 	subs  map[core.Pair]map[int]bool // owned pair → subscriber workers
 	sent  [kinds]int
@@ -165,7 +164,7 @@ func (e *Engine) start(mode string, sources []graph.VID, gen core.CandidateGen, 
 	}
 	r := &run{met: e.metrics(mode), began: time.Now()}
 	var err error
-	if r.part, err = graph.PartitionEdgeCutSCC(e.G, n); err != nil {
+	if r.part, err = graph.PartitionEdgeCut(e.G, n); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
@@ -175,11 +174,7 @@ func (e *Engine) start(mode string, sources []graph.VID, gen core.CandidateGen, 
 		}
 		m.SetMetrics(e.Metrics)
 		w := &worker{id: i, r: r, m: m, subs: make(map[core.Pair]map[int]bool)}
-		m.SetBorder(core.Border{
-			Delegate:  w.delegate,
-			OnInvalid: func(p core.Pair) { w.notify(p, invalidation) },
-			OnRevalid: func(p core.Pair) { w.notify(p, revalidation) },
-		})
+		m.SetBorder(core.Border{Delegate: w.delegate, OnInvalid: w.notify})
 		r.workers = append(r.workers, w)
 	}
 
@@ -216,7 +211,7 @@ func (r *run) finish() []core.Pair {
 	st.PerWorkerCalls = make([]int, len(r.workers))
 	for i, w := range r.workers {
 		st.Requests += w.sent[request]
-		st.Invalidations += w.sent[invalidation] + w.sent[revalidation]
+		st.Invalidations += w.sent[invalidation]
 		st.PerWorkerCalls[i] = w.m.Stats().Calls
 		st.Calls += st.PerWorkerCalls[i]
 		for _, p := range w.cands {
@@ -244,15 +239,15 @@ func (w *worker) delegate(p core.Pair) bool {
 	return true
 }
 
-// notify tells the subscribers of an owned pair that it flipped; they
-// are looked up at the flip, so a later subscriber is answered by
-// handle instead.
-func (w *worker) notify(p core.Pair, kind msgKind) {
+// notify tells the subscribers of an owned pair that it turned false;
+// they are looked up then, so a later subscriber is answered by handle
+// instead.
+func (w *worker) notify(p core.Pair) {
 	if w.r.part.Of[p.V] != w.id {
 		return
 	}
 	for sub := range w.subs[p] {
-		w.send(message{p: p, from: w.id, to: sub, kind: kind})
+		w.send(message{p: p, from: w.id, to: sub, kind: invalidation})
 	}
 }
 
@@ -264,16 +259,14 @@ func (w *worker) send(msg message) {
 	w.r.post(msg)
 }
 
-// handle processes one incoming message: invalidations run the IncPSim
-// cleanup, revalidations restore the assumption and re-run its readers,
-// and a request subscribes the asker, then evaluates the pair on demand
-// or, when it is already known invalid, replies at once.
+// handle processes one incoming message: an invalidation runs the
+// IncPSim cleanup, and a request subscribes the asker, then evaluates
+// the pair on demand or, when it is already known invalid, replies at
+// once.
 func (w *worker) handle(msg message) {
 	switch msg.kind {
 	case invalidation:
 		w.m.Invalidate(msg.p)
-	case revalidation:
-		w.m.Revalidate(msg.p)
 	case request:
 		set := w.subs[msg.p]
 		if set == nil {
@@ -303,7 +296,7 @@ func (w *worker) evaluateOwn() {
 // run statistics. In the first superstep every worker evaluates its own
 // candidates; at each barrier the workers' outboxes are routed in worker
 // order, and in the next superstep each worker applies its inbox —
-// invalidations, then revalidations, then requests. The fixpoint is a
+// invalidations, then requests. The fixpoint is a
 // superstep that sends no message; a run still sending at
 // cfg.MaxSupersteps fails with ErrNotConverged.
 func (e *Engine) Run(sources []graph.VID, gen core.CandidateGen, cfg Config) ([]core.Pair, Stats, error) {

@@ -71,9 +71,9 @@ func TestRunRecordsObservability(t *testing.T) {
 				t.Fatal("the instance sends no invalidation: the counter check below would be vacuous")
 			}
 			inv := r.Counter(`her_bsp_messages_total{kind="invalidation"}`).Value()
-			rev := r.Counter(`her_bsp_messages_total{kind="revalidation"}`).Value()
-			if inv+rev != int64(st.Invalidations) {
-				t.Errorf("invalidation %d + revalidation %d messages metric, want %d", inv, rev, st.Invalidations)
+			req := r.Counter(`her_bsp_messages_total{kind="request"}`).Value()
+			if inv+req != int64(st.Invalidations+st.Requests) {
+				t.Errorf("invalidation %d + request %d messages metric, want %d + %d", inv, req, st.Invalidations, st.Requests)
 			}
 			// Worker matchers share the registry: core phase counters populate.
 			if st.Calls > 0 && r.Counter("her_core_paramatch_calls_total").Value() == 0 {

@@ -74,8 +74,8 @@ func mustCheckState(t *testing.T, m *Matcher, format string, args ...any) {
 }
 
 // TestStateUnderBorderSequences drives random instances through the
-// border protocol — delegated pairs assumed valid, then refuted,
-// restored and forgotten in random order — and checks the match state's
+// border protocol — delegated pairs assumed valid, then refuted and
+// forgotten in random order — and checks the match state's
 // invariants after every step.
 func TestStateUnderBorderSequences(t *testing.T) {
 	labels := []string{"P", "Q", "R"}
@@ -105,13 +105,10 @@ func TestStateUnderBorderSequences(t *testing.T) {
 		for step := 0; step < 20; step++ {
 			q := delegated[rng.Intn(len(delegated))]
 			var op string
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1:
 				op = "Invalidate"
 				m.Invalidate(q)
-			case 2:
-				op = "Revalidate"
-				m.Revalidate(q)
 			default:
 				op = "ForgetVertices"
 				m.ForgetVertices(func(v graph.VID) bool { return v == q.V })

@@ -6,7 +6,7 @@
 // engines (Section VI-B, Theorem 3) — so tests can assert they agree on
 // arbitrary seeded inputs rather than a handful of hand-built fixtures.
 //
-// Two workload families are generated:
+// Three workload families are generated:
 //
 //   - Planted workloads (GenWorkload): a random relational schema with
 //     foreign keys and nulls, a random database over it, the canonical
@@ -21,6 +21,11 @@
 //     dependencies, which stress the cache/cleanup interplay of
 //     ParaMatch and the border-assumption refinement of the parallel
 //     engines.
+//
+//   - Widened graph pairs (GenWidenedWorkloads): larger random pairs
+//     whose candidate lists compete for the same G-side vertices, where
+//     every engine must return exactly core.ReferenceMatch's maximum
+//     match (Workload.Reference), not only agree with the others.
 //
 // All generation is driven by a single int64 seed through math/rand, so
 // any failure reproduces from its seed alone.
