@@ -102,8 +102,8 @@ type Matcher struct {
 
 	verdict    map[Pair]bool
 	witness    map[Pair][]Pair
-	dependents map[Pair]map[Pair]bool // p → pairs whose W contains p
-	assumed    map[Pair]bool          // border-node assumptions seeded by the BSP engine
+	dependents map[Pair][]Pair // p → pairs whose W contains p; no empty entry
+	assumed    map[Pair]bool   // border-node assumptions seeded by the BSP engine
 
 	rerunQueue []Pair
 	draining   bool
@@ -136,7 +136,7 @@ func NewMatcher(gd, g *graph.Graph, rd, rg *ranking.Ranker, p Params) (*Matcher,
 func (m *Matcher) resetState() {
 	m.verdict = make(map[Pair]bool)
 	m.witness = make(map[Pair][]Pair)
-	m.dependents = make(map[Pair]map[Pair]bool)
+	m.dependents = make(map[Pair][]Pair)
 	m.assumed = make(map[Pair]bool)
 	m.rerunQueue = nil
 }
@@ -239,11 +239,7 @@ func (m *Matcher) ForgetVertices(affected func(v graph.VID) bool) {
 		if _, ok := m.verdict[p]; !ok {
 			continue
 		}
-		deps := make([]Pair, 0, len(m.dependents[p]))
-		for q := range m.dependents[p] {
-			deps = append(deps, q)
-		}
-		queue = append(queue, SortPairs(deps)...)
+		queue = append(queue, SortPairs(slices.Clone(m.dependents[p]))...)
 		m.unregister(p)
 		delete(m.verdict, p)
 		delete(m.assumed, p)
@@ -280,20 +276,23 @@ func (m *Matcher) setValid(p Pair, w []Pair) {
 		m.witness[p] = append([]Pair(nil), w...)
 	}
 	for _, q := range w {
-		deps := m.dependents[q]
-		if deps == nil {
-			deps = make(map[Pair]bool)
-			m.dependents[q] = deps
-		}
-		deps[p] = true
+		m.dependents[q] = append(m.dependents[q], p)
 	}
 }
 
 // unregister removes p's dependency registrations from its old W, and
-// the W itself.
+// the W itself. A dependents entry that empties is deleted.
 func (m *Matcher) unregister(p Pair) {
 	for _, q := range m.witness[p] {
-		delete(m.dependents[q], p)
+		deps := m.dependents[q]
+		i := slices.Index(deps, p)
+		last := len(deps) - 1
+		deps[i] = deps[last]
+		if last == 0 {
+			delete(m.dependents, q)
+		} else {
+			m.dependents[q] = deps[:last]
+		}
 	}
 	delete(m.witness, p)
 }
@@ -480,9 +479,9 @@ func (m *Matcher) fail(p Pair) bool {
 	m.stats.Cleanups++
 	m.met.cleanups.Inc()
 	m.setInvalid(p)
-	for q := range m.dependents[p] {
-		m.rerunQueue = append(m.rerunQueue, q)
-	}
+	n := len(m.rerunQueue)
+	m.rerunQueue = append(m.rerunQueue, m.dependents[p]...)
+	SortPairs(m.rerunQueue[n:])
 	m.drainReruns()
 	return false
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"her/internal/graph"
@@ -15,8 +16,8 @@ func (m *Matcher) CachedPairs() int { return len(m.verdict) }
 
 // checkState verifies the match state's structural invariants: a pair
 // has a (non-empty) witness entry only while its verdict is true, every
-// q in a W has that pair in dependents[q], and every entry of
-// dependents[q] has q in its W. Keys are visited in sorted order, so the
+// q in a W has that pair in dependents[q], every entry of
+// dependents[q] has q in its W, and no dependents entry is empty. Keys are visited in sorted order, so the
 // error reported is the same on every run.
 func (m *Matcher) checkState() error {
 	keys := make([]Pair, 0, len(m.witness))
@@ -32,7 +33,7 @@ func (m *Matcher) checkState() error {
 			return fmt.Errorf("core: %v has an empty witness entry", p)
 		}
 		for _, q := range w {
-			if !m.dependents[q][p] {
+			if !containsPair(m.dependents[q], p) {
 				return fmt.Errorf("core: %v is in W%v but %v is not in dependents[%v]", q, p, p, q)
 			}
 		}
@@ -42,11 +43,11 @@ func (m *Matcher) checkState() error {
 		qs = append(qs, q)
 	}
 	for _, q := range SortPairs(qs) {
-		ps := make([]Pair, 0, len(m.dependents[q]))
-		for p := range m.dependents[q] {
-			ps = append(ps, p)
+		ps := m.dependents[q]
+		if len(ps) == 0 {
+			return fmt.Errorf("core: dependents[%v] is an empty entry", q)
 		}
-		for _, p := range SortPairs(ps) {
+		for _, p := range SortPairs(slices.Clone(ps)) {
 			if !containsPair(m.witness[p], q) {
 				return fmt.Errorf("core: %v is in dependents[%v] but not in W%v", p, q, p)
 			}

@@ -9,19 +9,34 @@ package embed
 
 import (
 	"hash/fnv"
+	"slices"
+	"strings"
 	"sync"
 
 	"her/internal/text"
 )
 
-// Encoder embeds label strings into unit vectors of dimension Dim.
-// It is safe for concurrent use and caches embeddings.
+// Encoder embeds label strings into unit vectors of dimension Dim and
+// scores label pairs with MvScore. It is safe for concurrent use.
+//
+// Every label is tokenized once, the first time the encoder sees it: one
+// table maps it to its embedding, its raw token count and its sorted,
+// de-duplicated token set, so a later Embed or MvScore of the label is a
+// table lookup and MvScore's containment test a merge of two sorted sets.
+// The table grows with the distinct labels seen and is never evicted.
 type Encoder struct {
 	dim        int
 	gramWeight float64
 
-	mu    sync.RWMutex
-	cache map[string][]float64
+	mu     sync.RWMutex
+	labels map[string]*label
+}
+
+// label is the encoder's per-label entry, immutable once built.
+type label struct {
+	vec []float64 // unit-norm embedding, zero for a label with no tokens
+	n   int       // raw token count, duplicates included
+	set []string  // sorted, de-duplicated tokens
 }
 
 // NewEncoder creates an encoder of the given output dimension. The paper's
@@ -31,7 +46,7 @@ func NewEncoder(dim int) *Encoder {
 	if dim <= 0 {
 		dim = 128
 	}
-	return &Encoder{dim: dim, gramWeight: 0.9, cache: make(map[string][]float64)}
+	return &Encoder{dim: dim, gramWeight: 0.9, labels: make(map[string]*label)}
 }
 
 // Dim returns the embedding dimension.
@@ -58,25 +73,40 @@ func hashSigned(term string, seed uint32, dim int) (int, float64) {
 
 // Embed returns the unit-norm embedding x_s of label s. The zero vector is
 // returned for labels with no tokens.
-func (e *Encoder) Embed(s string) []float64 {
+func (e *Encoder) Embed(s string) []float64 { return e.label(s).vec }
+
+// label returns s's table entry, building it on first sight. Two
+// goroutines that miss on the same label both build it; the entries are
+// equal and the last write wins.
+func (e *Encoder) label(s string) *label {
 	e.mu.RLock()
-	if v, ok := e.cache[s]; ok {
-		e.mu.RUnlock()
-		return v
-	}
+	l, ok := e.labels[s]
 	e.mu.RUnlock()
-
-	v := e.embed(s)
-
+	if ok {
+		return l
+	}
+	tokens := text.Tokenize(s)
+	l = &label{vec: e.embed(tokens), n: len(tokens), set: tokenSet(tokens)}
 	e.mu.Lock()
-	e.cache[s] = v
+	e.labels[s] = l
 	e.mu.Unlock()
-	return v
+	return l
 }
 
-func (e *Encoder) embed(s string) []float64 {
+// tokenSet returns the sorted, de-duplicated tokens.
+func tokenSet(tokens []string) []string {
+	set := slices.Clone(tokens)
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// embed projects a label's tokens: word unigrams, and the character
+// 3-grams of their space-joined form. Those are text.NGrams(s, 3) of the
+// label s they came from, without tokenizing s again. Re-tokenizing the
+// joined form is not the same: "Aϒ" is one token, "aϒ", but ϒ has no
+// lower case, so Tokenize splits "aϒ" at the camelCase boundary.
+func (e *Encoder) embed(tokens []string) []float64 {
 	v := make([]float64, e.dim)
-	tokens := text.Tokenize(s)
 	if len(tokens) == 0 {
 		return v
 	}
@@ -89,8 +119,9 @@ func (e *Encoder) embed(s string) []float64 {
 	}
 	// Character 3-grams: sub-lexical signal so that e.g. "brandCountry"
 	// and "country" share mass; weighted down.
-	for _, g := range text.NGrams(s, 3) {
-		slot, sign := hashSigned(g, 7, e.dim)
+	runes := []rune("##" + strings.Join(tokens, " ") + "##")
+	for i := 0; i+3 <= len(runes); i++ {
+		slot, sign := hashSigned(string(runes[i:i+3]), 7, e.dim)
 		v[slot] += sign * e.gramWeight
 	}
 	return Normalize(v)
@@ -126,35 +157,37 @@ func (e *Encoder) MvScore(a, b string) float64 {
 	if a == b && a != "" {
 		return 1
 	}
-	c := Cosine(e.Embed(a), e.Embed(b))
+	la, lb := e.label(a), e.label(b)
+	c := Cosine(la.vec, lb.vec)
 	if c < 0 {
 		c = 0
 	}
-	if c < 0.9 && tokensContained(a, b) {
+	if c < 0.9 && contained(la, lb) {
 		return 0.9
 	}
 	return c
 }
 
-// tokensContained reports whether the token set of the shorter label is
-// a non-empty subset of the longer one's.
-func tokensContained(a, b string) bool {
-	ta, tb := text.Tokenize(a), text.Tokenize(b)
-	if len(ta) == 0 || len(tb) == 0 {
+// contained reports whether the token set of the shorter label (by raw
+// token count, a on a tie) is a non-empty subset of the longer one's: a
+// merge of the two sorted sets.
+func contained(a, b *label) bool {
+	if a.n == 0 || b.n == 0 {
 		return false
 	}
-	short, long := ta, tb
-	if len(tb) < len(ta) {
-		short, long = tb, ta
+	short, long := a.set, b.set
+	if b.n < a.n {
+		short, long = b.set, a.set
 	}
-	set := make(map[string]bool, len(long))
-	for _, t := range long {
-		set[t] = true
-	}
+	j := 0
 	for _, t := range short {
-		if !set[t] {
+		for j < len(long) && long[j] < t {
+			j++
+		}
+		if j == len(long) || long[j] != t {
 			return false
 		}
+		j++
 	}
 	return true
 }
