@@ -281,7 +281,7 @@ func BenchmarkRankerTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%len(ents) == 0 {
-			r.Reset()
+			r = ranking.NewRanker(st.d.G, nil, 4) // cold selection cache
 		}
 		r.TopK(ents[i%len(ents)], 15)
 	}

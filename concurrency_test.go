@@ -204,6 +204,65 @@ func TestRetrainRaceWithShardedServing(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTrainRaceWithServing pins that published scorers are immutable:
+// TrainPathModel trains a private network and Refine fine-tunes a
+// private clone, each swapped in whole under s.mu, while sharded
+// serving and MrhoScore go on scoring with the scorers they read. Every
+// MrhoScore pair is new, so each call misses the memo and runs the
+// network. Before the fix the network was assigned and fine-tuned in
+// place; run with -race to regress it.
+func TestTrainRaceWithServing(t *testing.T) {
+	sys, src, p1 := concurrencyFixture(t)
+	p2 := sys.AddGraphVertex("product")
+	if err := sys.AddGraphEdge(p2, sys.AddGraphVertex("Comet Road Cruiser"), "productName"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddGraphEdge(p2, sys.AddGraphVertex("blue"), "hasColor"); err != nil {
+		t.Fatal(err)
+	}
+	pairs := []PathPair{
+		{A: []string{"name"}, B: []string{"productName"}, Match: true},
+		{A: []string{"color"}, B: []string{"hasColor"}, Match: true},
+		{A: []string{"name"}, B: []string{"hasColor"}, Match: false},
+		{A: []string{"color"}, B: []string{"productName"}, Match: false},
+	}
+	eng, err := shard.NewEngine(sys.ShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+					// Errors are transients (a request racing a rebuild);
+					// the race detector is the oracle.
+					_, _ = eng.VPair(context.Background(), src)
+					sys.MrhoScore([]string{fmt.Sprintf("w%d_%d", id, n)}, []string{"productName"})
+				}
+			}
+		}(i)
+	}
+	// One FN and one FP pair: Refine fine-tunes only with both polarities.
+	fb := []Feedback{{Pair: Pair{U: src, V: p1}, IsMatch: true}, {Pair: Pair{U: src, V: p2}, IsMatch: false}}
+	for i := 0; i < 3; i++ {
+		if err := sys.TrainPathModel(pairs, 2); err != nil {
+			t.Fatal(err)
+		}
+		sys.Refine(fb)
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestResolveAndLabelTakeNoLock: a tuple the published resolution maps
 // and a vertex in G's published label column are read without s.mu —
 // here held by the test for the whole call. Both go on answering for

@@ -111,7 +111,7 @@ type System struct {
 	Mapping *rdb2rdf.Mapping // the direct view's mapping; nil when built with NewFromGraphs
 	G       *graph.Graph
 
-	sc      *scorers
+	sc      *scorers        // guarded by mu — swapped whole by TrainPathModel, Refine and LoadModels
 	lm      *lstm.Model     // guarded by mu — swapped whole on retrain/load
 	rankerG *ranking.Ranker // guarded by mu — rebuilt with lm
 
@@ -167,7 +167,7 @@ func NewFromGraphs(gd, g *graph.Graph, opts Options) (*System, error) {
 		opts:    o,
 		GD:      gd,
 		G:       g,
-		sc:      newScorers(embed.NewEncoder(o.EmbeddingDim)),
+		sc:      newScorers(embed.NewEncoder(o.EmbeddingDim), nil),
 		rankerG: ranking.NewRanker(g, nil, o.MaxPathLen),
 	}
 	s.direct = &ViewHandle{
@@ -201,7 +201,7 @@ func (s *System) Options() Options {
 // and thresholds. Callers hold s.mu (the thresholds live in s.opts).
 func (s *System) paramsLocked() core.Params {
 	return core.Params{
-		Mv:    s.sc.Mv,
+		Mv:    s.sc.enc.MvScore,
 		Mrho:  s.sc.Mrho,
 		Sigma: s.opts.Sigma,
 		Delta: s.opts.Delta,

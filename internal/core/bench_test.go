@@ -12,7 +12,7 @@ import (
 // The matcher's microbenchmarks (ns/op, B/op, allocs/op) over a testkit
 // workload — a generated schema with planted tuple↔vertex matches —
 // scored by the real scorers of an untrained her.System over it: the
-// hashing encoder's M_v behind the feedback table's RWMutex and the
+// hashing encoder's M_v (Encoder.MvScore, bound directly) and the
 // memoized sequence-cosine M_ρ. "Cold" is the benchmark's meaning
 // (core.match_cold_us, core.vpair_cold_ms): a fresh matcher per call,
 // the system's rankers and scorer memos as they are. check.sh runs

@@ -1,40 +1,6 @@
 package embed
 
-import (
-	"math/rand"
-
-	"her/internal/graph"
-)
-
-// WalkCorpus collects edge-label sentences by randomly walking a graph, as
-// the paper does to build the pre-training corpus C for the BERT model in
-// M_ρ (Section IV). Each walk contributes one "sentence": the sequence of
-// edge labels it traverses. The result is deterministic for a given seed.
-func WalkCorpus(g *graph.Graph, walks, maxLen int, seed int64) [][]string {
-	rng := rand.New(rand.NewSource(seed))
-	nv := g.NumVertices()
-	if nv == 0 || walks <= 0 {
-		return nil
-	}
-	corpus := make([][]string, 0, walks)
-	for w := 0; w < walks; w++ {
-		v := graph.VID(rng.Intn(nv))
-		var sentence []string
-		for step := 0; step < maxLen; step++ {
-			out := g.Out(v)
-			if len(out) == 0 {
-				break
-			}
-			e := out[rng.Intn(len(out))]
-			sentence = append(sentence, e.Label)
-			v = e.To
-		}
-		if len(sentence) > 0 {
-			corpus = append(corpus, sentence)
-		}
-	}
-	return corpus
-}
+import "her/internal/graph"
 
 // LabelVocabulary returns the distinct edge labels of g in first-seen
 // order, the vocabulary for the path language model and metric network.

@@ -139,37 +139,6 @@ func TestEmbedSequence(t *testing.T) {
 	}
 }
 
-func TestWalkCorpus(t *testing.T) {
-	g := graph.New()
-	a := g.AddVertex("a")
-	b := g.AddVertex("b")
-	c := g.AddVertex("c")
-	g.MustAddEdge(a, b, "e1")
-	g.MustAddEdge(b, c, "e2")
-	corpus := WalkCorpus(g, 20, 3, 42)
-	if len(corpus) == 0 {
-		t.Fatal("corpus empty")
-	}
-	for _, sent := range corpus {
-		if len(sent) == 0 || len(sent) > 3 {
-			t.Errorf("bad sentence length: %v", sent)
-		}
-		for _, l := range sent {
-			if l != "e1" && l != "e2" {
-				t.Errorf("unknown label %q", l)
-			}
-		}
-	}
-	// Deterministic for a seed.
-	again := WalkCorpus(g, 20, 3, 42)
-	if len(again) != len(corpus) {
-		t.Error("corpus not deterministic")
-	}
-	if WalkCorpus(graph.New(), 5, 3, 1) != nil {
-		t.Error("empty graph should give nil corpus")
-	}
-}
-
 func TestLabelVocabulary(t *testing.T) {
 	g := graph.New()
 	a := g.AddVertex("a")

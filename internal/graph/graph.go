@@ -5,10 +5,7 @@
 // engine.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VID identifies a vertex within one graph.
 type VID int32
@@ -146,75 +143,3 @@ func (g *Graph) Degree(v VID) int { return len(g.out[v]) + len(g.in[v]) }
 
 // IsLeaf reports whether v has no children.
 func (g *Graph) IsLeaf(v VID) bool { return len(g.out[v]) == 0 }
-
-// Children returns the distinct child vertices of v in first-edge order.
-func (g *Graph) Children(v VID) []VID {
-	seen := make(map[VID]bool, len(g.out[v]))
-	var kids []VID
-	for _, e := range g.out[v] {
-		if !seen[e.To] {
-			seen[e.To] = true
-			kids = append(kids, e.To)
-		}
-	}
-	return kids
-}
-
-// FindEdge returns the label of an edge from → to, if one exists. When
-// multiple parallel edges exist, the first is returned.
-func (g *Graph) FindEdge(from, to VID) (string, bool) {
-	for _, e := range g.out[from] {
-		if e.To == to {
-			return e.Label, true
-		}
-	}
-	return "", false
-}
-
-// Reachable returns the set of vertices reachable from v (excluding v
-// itself unless it lies on a cycle), capped at limit vertices; limit <= 0
-// means unbounded.
-func (g *Graph) Reachable(v VID, limit int) map[VID]bool {
-	seen := make(map[VID]bool)
-	stack := []VID{v}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[cur] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				if limit > 0 && len(seen) >= limit {
-					return seen
-				}
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
-}
-
-// VerticesByLabel builds an exact-label lookup table.
-func (g *Graph) VerticesByLabel() map[string][]VID {
-	m := make(map[string][]VID)
-	for i, l := range g.labels {
-		m[l] = append(m[l], VID(i))
-	}
-	return m
-}
-
-// SortedVertices returns all vertex ids ordered by (total degree, id),
-// the candidate-inspection order used by VParaMatch (Fig. 5, line 4).
-func (g *Graph) SortedVertices() []VID {
-	ids := make([]VID, len(g.labels))
-	for i := range ids {
-		ids[i] = VID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := g.Degree(ids[a]), g.Degree(ids[b])
-		if da != db {
-			return da < db
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
-}

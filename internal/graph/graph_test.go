@@ -39,11 +39,11 @@ func TestBasicAccessors(t *testing.T) {
 	if !g.IsLeaf(d) || !g.IsLeaf(e) || g.IsLeaf(a) {
 		t.Error("leaf detection wrong")
 	}
-	if lbl, ok := g.FindEdge(a, b); !ok || lbl != "ab" {
-		t.Errorf("FindEdge(a,b) = %q,%v", lbl, ok)
+	if out := g.Out(a); len(out) != 2 || out[0] != (Edge{To: b, Label: "ab"}) {
+		t.Errorf("Out(a) = %v", out)
 	}
-	if _, ok := g.FindEdge(b, a); ok {
-		t.Error("FindEdge should respect direction")
+	if in := g.In(b); len(in) != 1 || in[0] != a {
+		t.Errorf("In(b) = %v, want [a]: edges are directed", in)
 	}
 	if err := g.AddEdge(a, VID(99), "x"); err == nil {
 		t.Error("edge to invalid vertex should fail")
@@ -58,60 +58,50 @@ func TestBasicAccessors(t *testing.T) {
 	}
 }
 
+// TestChildrenDistinct: parallel edges between the same two vertices
+// stay distinct edges, each with its own label.
 func TestChildrenDistinct(t *testing.T) {
 	g := New()
 	a := g.AddVertex("a")
 	b := g.AddVertex("b")
 	g.MustAddEdge(a, b, "x")
 	g.MustAddEdge(a, b, "y") // parallel edge
-	kids := g.Children(a)
-	if len(kids) != 1 || kids[0] != b {
-		t.Errorf("Children = %v", kids)
+	want := []Edge{{To: b, Label: "x"}, {To: b, Label: "y"}}
+	if out := g.Out(a); len(out) != 2 || out[0] != want[0] || out[1] != want[1] {
+		t.Errorf("Out(a) = %v, want %v", out, want)
 	}
-	if g.NumEdges() != 2 {
-		t.Errorf("parallel edges should both count: %d", g.NumEdges())
+	if g.NumEdges() != 2 || g.Degree(b) != 2 {
+		t.Errorf("parallel edges should both count: %d edges, in-degree %d", g.NumEdges(), g.Degree(b))
 	}
 }
 
+// TestReachable: SimplePaths reaches exactly the vertices a directed
+// walk from the start reaches, and stops at the length bound.
 func TestReachable(t *testing.T) {
+	ends := func(g *Graph, v VID, maxLen int) map[VID]bool {
+		r := map[VID]bool{}
+		g.SimplePaths(v, maxLen, func(p Path) bool {
+			r[p.End()] = true
+			return true
+		})
+		return r
+	}
 	g, vs := diamond(t)
-	a, d, e := vs[0], vs[3], vs[4]
-	r := g.Reachable(a, 0)
-	if len(r) != 3 || !r[d] || r[e] {
-		t.Errorf("Reachable(a) = %v", r)
+	a, b, c, d, e := vs[0], vs[1], vs[2], vs[3], vs[4]
+	if r := ends(g, a, 4); len(r) != 3 || !r[b] || !r[c] || !r[d] || r[e] {
+		t.Errorf("reachable from a = %v", r)
 	}
-	capped := g.Reachable(a, 2)
-	if len(capped) != 2 {
-		t.Errorf("capped Reachable = %v", capped)
+	if r := ends(g, a, 1); len(r) != 2 || r[d] {
+		t.Errorf("reachable from a in one step = %v", r)
 	}
-	// Cycle: reachable includes the start.
-	c := New()
-	x := c.AddVertex("x")
-	y := c.AddVertex("y")
-	c.MustAddEdge(x, y, "e")
-	c.MustAddEdge(y, x, "e")
-	if r := c.Reachable(x, 0); !r[x] || !r[y] {
-		t.Errorf("cycle Reachable = %v", r)
-	}
-}
-
-func TestVerticesByLabelAndSorted(t *testing.T) {
-	g, vs := diamond(t)
-	byLabel := g.VerticesByLabel()
-	if len(byLabel["a"]) != 1 || byLabel["a"][0] != vs[0] {
-		t.Errorf("byLabel[a] = %v", byLabel["a"])
-	}
-	order := g.SortedVertices()
-	if len(order) != 5 {
-		t.Fatalf("SortedVertices len = %d", len(order))
-	}
-	if order[0] != vs[4] { // e has degree 0
-		t.Errorf("lowest-degree vertex should come first, got %v", order[0])
-	}
-	for i := 1; i < len(order); i++ {
-		if g.Degree(order[i-1]) > g.Degree(order[i]) {
-			t.Errorf("not sorted by degree at %d", i)
-		}
+	// Cycle: a simple path never returns to its start.
+	cy := New()
+	x := cy.AddVertex("x")
+	y := cy.AddVertex("y")
+	cy.MustAddEdge(x, y, "e")
+	cy.MustAddEdge(y, x, "e")
+	if r := ends(cy, x, 4); len(r) != 1 || !r[y] {
+		t.Errorf("reachable on a cycle = %v", r)
 	}
 }
 
@@ -320,4 +310,25 @@ func TestClone(t *testing.T) {
 	if len(g.Out(b)) != 1 { // only the "back" edge added above
 		t.Fatalf("original out-edges of b = %v", g.Out(b))
 	}
+}
+
+// ValidIn checks that p is an actual path of g: every consecutive pair is
+// joined by an edge bearing the recorded label.
+func (p Path) ValidIn(g *Graph) bool {
+	if len(p.Vertices) == 0 || len(p.EdgeLabels) != len(p.Vertices)-1 {
+		return false
+	}
+	for i := 0; i+1 < len(p.Vertices); i++ {
+		found := false
+		for _, e := range g.Out(p.Vertices[i]) {
+			if e.To == p.Vertices[i+1] && e.Label == p.EdgeLabels[i] {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }

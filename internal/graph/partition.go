@@ -110,17 +110,3 @@ func containsVID(s []VID, v VID) bool {
 
 // FragmentOf returns the fragment owning v.
 func (p *Partition) FragmentOf(v VID) int { return p.Of[v] }
-
-// CrossEdges counts edges whose endpoints live in different fragments,
-// the edge-cut cost.
-func (p *Partition) CrossEdges() int {
-	cut := 0
-	for v := 0; v < p.Graph.NumVertices(); v++ {
-		for _, e := range p.Graph.Out(VID(v)) {
-			if p.Of[v] != p.Of[e.To] {
-				cut++
-			}
-		}
-	}
-	return cut
-}

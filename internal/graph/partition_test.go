@@ -143,3 +143,17 @@ func TestPartitionRejectsNonPositive(t *testing.T) {
 		}
 	}
 }
+
+// CrossEdges counts edges whose endpoints live in different fragments,
+// the edge-cut cost.
+func (p *Partition) CrossEdges() int {
+	cut := 0
+	for v := 0; v < p.Graph.NumVertices(); v++ {
+		for _, e := range p.Graph.Out(VID(v)) {
+			if p.Of[v] != p.Of[e.To] {
+				cut++
+			}
+		}
+	}
+	return cut
+}

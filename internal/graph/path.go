@@ -71,27 +71,6 @@ func (p Path) Prefix(n int) Path {
 	return Path{Vertices: p.Vertices[:n+1], EdgeLabels: p.EdgeLabels[:n]}
 }
 
-// ValidIn checks that p is an actual path of g: every consecutive pair is
-// joined by an edge bearing the recorded label.
-func (p Path) ValidIn(g *Graph) bool {
-	if len(p.Vertices) == 0 || len(p.EdgeLabels) != len(p.Vertices)-1 {
-		return false
-	}
-	for i := 0; i+1 < len(p.Vertices); i++ {
-		found := false
-		for _, e := range g.Out(p.Vertices[i]) {
-			if e.To == p.Vertices[i+1] && e.Label == p.EdgeLabels[i] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // SimplePaths enumerates all simple paths from v of length in [1, maxLen],
 // invoking fn for each. fn returning false stops the enumeration early.
 // Exponential in the worst case; used only for training-data preparation

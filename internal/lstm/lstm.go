@@ -210,17 +210,6 @@ func (m *Model) Probs(s State) []float64 {
 	return logits
 }
 
-// NextProbs consumes a full prefix of edge labels from the zero state and
-// returns the next-token distribution; a convenience for callers that do
-// not track states incrementally.
-func (m *Model) NextProbs(prefix []string) []float64 {
-	s := m.Start()
-	for _, l := range prefix {
-		s = m.Step(s, l)
-	}
-	return m.Probs(s)
-}
-
 // Snapshot is the serializable state of a path language model.
 type Snapshot struct {
 	Tokens []string // vocabulary including the special tokens

@@ -172,3 +172,40 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Error("tiny vocabulary accepted")
 	}
 }
+
+// NextProbs consumes a full prefix of edge labels from the zero state and
+// returns the next-token distribution, the tests' probe of a model.
+func (m *Model) NextProbs(prefix []string) []float64 {
+	s := m.Start()
+	for _, l := range prefix {
+		s = m.Step(s, l)
+	}
+	return m.Probs(s)
+}
+
+// Perplexity evaluates exp(mean cross entropy) of the model on sequences.
+func (m *Model) Perplexity(seqs [][]string) float64 {
+	var loss float64
+	var count int
+	for _, seq := range seqs {
+		s := m.Start()
+		tokens := make([]int, len(seq))
+		for i, l := range seq {
+			tokens[i] = m.Vocab.ID(l)
+		}
+		for j := 0; j < len(tokens); j++ {
+			s = m.step(s, tokens[j], nil)
+			target := EOS
+			if j+1 < len(tokens) {
+				target = tokens[j+1]
+			}
+			probs := m.Probs(s)
+			loss += -math.Log(math.Max(probs[target], 1e-12))
+			count++
+		}
+	}
+	if count == 0 {
+		return 1
+	}
+	return math.Exp(loss / float64(count))
+}

@@ -217,30 +217,3 @@ func (m *Model) applySGD(g *gradSet, cfg TrainConfig) {
 	apply(m.wOut, g.wOut)
 	apply(m.bOut, g.bOut)
 }
-
-// Perplexity evaluates exp(mean cross entropy) of the model on sequences.
-func (m *Model) Perplexity(seqs [][]string) float64 {
-	var loss float64
-	var count int
-	for _, seq := range seqs {
-		s := m.Start()
-		tokens := make([]int, len(seq))
-		for i, l := range seq {
-			tokens[i] = m.Vocab.ID(l)
-		}
-		for j := 0; j < len(tokens); j++ {
-			s = m.step(s, tokens[j], nil)
-			target := EOS
-			if j+1 < len(tokens) {
-				target = tokens[j+1]
-			}
-			probs := m.Probs(s)
-			loss += -math.Log(math.Max(probs[target], 1e-12))
-			count++
-		}
-	}
-	if count == 0 {
-		return 1
-	}
-	return math.Exp(loss / float64(count))
-}

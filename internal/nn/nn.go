@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Activation selects the hidden-layer nonlinearity of an MLP.
@@ -63,9 +62,11 @@ func (a Activation) deriv(y float64) float64 {
 
 // MLP is a fully connected network whose final layer is linear; Score
 // applies a sigmoid on top so outputs live in [0, 1]. Inference (Apply,
-// Score) is safe for concurrent use; training methods are not. Each
-// Apply and each Train call allocates its own buffers, so the MLP holds
-// no scratch state.
+// Score, Snapshot) is safe for concurrent use; training is not, and
+// takes no lock. A network other goroutines can score is read-only:
+// train a private one, or fine-tune a Clone, and publish it when done.
+// Each Apply and each Train call allocates its own buffers, so the MLP
+// holds no scratch state.
 type MLP struct {
 	sizes  []int
 	hidden Activation
@@ -74,8 +75,6 @@ type MLP struct {
 	B [][]float64
 
 	opt *adam
-
-	mu sync.RWMutex
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. [256, 64, 1] for
@@ -112,6 +111,25 @@ func MustMLP(sizes []int, hidden Activation, seed int64) *MLP {
 		panic(err)
 	}
 	return m
+}
+
+// Clone returns a deep copy of the network, Adam state included, so
+// training the copy continues exactly as training m would have.
+func (m *MLP) Clone() *MLP {
+	c := &MLP{sizes: append([]int(nil), m.sizes...), hidden: m.hidden, W: cloneRows(m.W), B: cloneRows(m.B)}
+	if a := m.opt; a != nil {
+		c.opt = &adam{mW: cloneRows(a.mW), vW: cloneRows(a.vW), mB: cloneRows(a.mB), vB: cloneRows(a.vB), t: a.t}
+	}
+	return c
+}
+
+// cloneRows deep-copies a per-layer parameter table.
+func cloneRows(rows [][]float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r...)
+	}
+	return out
 }
 
 // InputSize returns the expected input dimension.
@@ -183,10 +201,7 @@ func (m *MLP) forward(x []float64, acts [][]float64) []float64 {
 
 // Apply runs the network on x and returns the linear output layer.
 func (m *MLP) Apply(x []float64) []float64 {
-	acts := m.newActs()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.forward(x, acts)
+	return m.forward(x, m.newActs())
 }
 
 // Score runs the network and squashes the first output with a sigmoid,
@@ -270,10 +285,7 @@ func (m *MLP) step(g *grads, lr float64, batch int) {
 	if m.opt == nil {
 		m.opt = newAdam(m)
 	}
-	inv := 1.0 / float64(batch)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.opt.step(m, g, lr, inv)
+	m.opt.step(m, g, lr, 1.0/float64(batch))
 }
 
 // adam implements the Adam optimizer state.
@@ -326,14 +338,7 @@ type Snapshot struct {
 // Snapshot captures the network's parameters (optimizer state is not
 // persisted; training can resume with a fresh optimizer).
 func (m *MLP) Snapshot() Snapshot {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	s := Snapshot{Sizes: append([]int{}, m.sizes...), Hidden: m.hidden}
-	for l := range m.W {
-		s.W = append(s.W, append([]float64{}, m.W[l]...))
-		s.B = append(s.B, append([]float64{}, m.B[l]...))
-	}
-	return s
+	return Snapshot{Sizes: append([]int{}, m.sizes...), Hidden: m.hidden, W: cloneRows(m.W), B: cloneRows(m.B)}
 }
 
 // FromSnapshot reconstructs an MLP from a snapshot.

@@ -220,3 +220,54 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Error("degenerate sizes accepted")
 	}
 }
+
+// TestCloneContinuesTraining: fine-tuning a Clone lands on exactly the
+// weights fine-tuning the original in place does — the copy carries
+// the Adam moments and step count — and leaves the original untouched.
+func TestCloneContinuesTraining(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	vec := func(c float64) []float64 {
+		return []float64{c + rng.NormFloat64()*0.3, -c + rng.NormFloat64()*0.3, rng.NormFloat64()}
+	}
+	var samples []Sample
+	var triplets []Triplet
+	for i := 0; i < 40; i++ {
+		samples = append(samples, Sample{X: vec(1), Y: 1}, Sample{X: vec(-1), Y: 0})
+		triplets = append(triplets, Triplet{Pos: vec(-1), Neg: vec(1)})
+	}
+	m := MustMLP([]int{3, 8, 1}, ReLU, 7)
+	m.TrainBCE(samples, TrainConfig{Epochs: 10, LearnRate: 0.01, BatchSize: 8, Seed: 1})
+	before := m.Snapshot()
+
+	fine := TrainConfig{Epochs: 5, LearnRate: 0.001, BatchSize: 8, Seed: 2}
+	c := m.Clone()
+	c.TrainTriplet(triplets, 0.5, fine)
+	if !sameWeights(m.Snapshot(), before) {
+		t.Fatal("training a clone changed the original")
+	}
+	if sameWeights(c.Snapshot(), before) {
+		t.Fatal("setup: fine-tuning moved no weight")
+	}
+	m.TrainTriplet(triplets, 0.5, fine)
+	if !sameWeights(c.Snapshot(), m.Snapshot()) {
+		t.Error("fine-tuned clone differs from the original fine-tuned in place")
+	}
+}
+
+// sameWeights reports whether two snapshots hold bit-identical
+// parameters.
+func sameWeights(a, b Snapshot) bool {
+	for l := range a.W {
+		for i := range a.W[l] {
+			if a.W[l][i] != b.W[l][i] {
+				return false
+			}
+		}
+		for i := range a.B[l] {
+			if a.B[l][i] != b.B[l][i] {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -194,3 +194,28 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// Errored reports whether SetError was called (false on nil).
+func (s *Span) Errored() bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.errMsg != ""
+}
+
+// DurationMillis reports the span's wall time in milliseconds — up to
+// now when the span is still open. Returns 0 on nil.
+func (s *Span) DurationMillis() float64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	end := s.end
+	s.mu.Unlock()
+	if end.IsZero() {
+		end = time.Now()
+	}
+	return float64(end.Sub(s.start)) / float64(time.Millisecond)
+}

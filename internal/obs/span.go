@@ -91,16 +91,6 @@ func (s *Span) SetError(err error) {
 	s.mu.Unlock()
 }
 
-// Errored reports whether SetError was called (false on nil).
-func (s *Span) Errored() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errMsg != ""
-}
-
 // End closes the span. Closing twice keeps the first end time. No-op on
 // a nil span.
 func (s *Span) End() {
@@ -112,21 +102,6 @@ func (s *Span) End() {
 		s.end = time.Now()
 	}
 	s.mu.Unlock()
-}
-
-// DurationMillis reports the span's wall time in milliseconds — up to
-// now when the span is still open. Returns 0 on nil.
-func (s *Span) DurationMillis() float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	end := s.end
-	s.mu.Unlock()
-	if end.IsZero() {
-		end = time.Now()
-	}
-	return float64(end.Sub(s.start)) / float64(time.Millisecond)
 }
 
 // spanCtxKey is the context key spans propagate under.

@@ -88,20 +88,6 @@ func (r *Ranker) TopK(v graph.VID, k int) []Selected {
 	return sel
 }
 
-// CacheSize reports how many vertices have cached selections.
-func (r *Ranker) CacheSize() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ecache)
-}
-
-// Reset clears the ecache (used between experiments).
-func (r *Ranker) Reset() {
-	r.mu.Lock()
-	r.ecache = make(map[graph.VID][]Selected)
-	r.mu.Unlock()
-}
-
 // Invalidate drops the cached selection of one vertex (used by
 // incremental graph updates: the vertex's out-edges changed).
 func (r *Ranker) Invalidate(v graph.VID) {

@@ -248,3 +248,17 @@ func TestInvalidateSingleVertex(t *testing.T) {
 		t.Errorf("new edge not selected after invalidate: %+v", sel)
 	}
 }
+
+// CacheSize reports how many vertices have cached selections.
+func (r *Ranker) CacheSize() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.ecache)
+}
+
+// Reset clears the ecache.
+func (r *Ranker) Reset() {
+	r.mu.Lock()
+	r.ecache = make(map[graph.VID][]Selected)
+	r.mu.Unlock()
+}

@@ -54,7 +54,7 @@ func TestMapExample2Shape(t *testing.T) {
 	}
 	// FK edge from item t1 to brand b1 labeled "brand".
 	u2, _ := m.VertexOf("brand", 0)
-	lbl, found := g.FindEdge(u1, u2)
+	lbl, found := findEdge(g, u1, u2)
 	if !found || lbl != "brand" {
 		t.Errorf("FK edge = %q,%v", lbl, found)
 	}
@@ -69,7 +69,7 @@ func TestMapExample2Shape(t *testing.T) {
 	if g.Label(av) != "phylon foam" {
 		t.Errorf("material vertex label = %q", g.Label(av))
 	}
-	if lbl, _ := g.FindEdge(u1, av); lbl != "material" {
+	if lbl, _ := findEdge(g, u1, av); lbl != "material" {
 		t.Errorf("material edge label = %q", lbl)
 	}
 }
@@ -211,4 +211,14 @@ func TestTupleIndexSnapshot(t *testing.T) {
 			t.Errorf("snapshot=%v VertexOf(%s, %d) = %d, %v; want %d, %v", c.snapshot, c.rel, c.id, v, ok, c.v, c.ok)
 		}
 	}
+}
+
+// findEdge returns the label of the first edge from → to, if any.
+func findEdge(g *graph.Graph, from, to graph.VID) (string, bool) {
+	for _, e := range g.Out(from) {
+		if e.To == to {
+			return e.Label, true
+		}
+	}
+	return "", false
 }

@@ -246,7 +246,7 @@ func TestExtendDirectTuple(t *testing.T) {
 		t.Errorf("vertices %d → %d, edges %d → %d, want +3 each", nv, g.NumVertices(), ne, g.NumEdges())
 	}
 	maker, _ := m.VertexOf("maker", 1)
-	if lbl, found := g.FindEdge(ut, maker); !found || lbl != "maker" {
+	if lbl, found := findEdge(g, ut, maker); !found || lbl != "maker" {
 		t.Errorf("FK edge = %q,%v", lbl, found)
 	}
 	if lbl, fk := m.IsForeignKeyEdge(ut, maker); !fk || lbl != "maker" {
@@ -310,7 +310,7 @@ func TestExtendDirectTupleNullAndDanglingFK(t *testing.T) {
 	if !ok {
 		t.Fatal("resolving tuple unmapped")
 	}
-	if lbl, found := g.FindEdge(ut, mv); found {
+	if lbl, found := findEdge(g, ut, mv); found {
 		t.Errorf("old tuple gained edge %q to the resolving tuple", lbl)
 	}
 	if av, ok := m.AttrVertexOf("part", id, "maker"); !ok || av != leaf {
@@ -447,4 +447,14 @@ func TestDirectDefShape(t *testing.T) {
 	if len(d.Edges) != 1 || d.Edges[0].Label != "maker" {
 		t.Fatalf("direct edges: %+v", d.Edges)
 	}
+}
+
+// findEdge returns the label of the first edge from → to, if any.
+func findEdge(g *graph.Graph, from, to graph.VID) (string, bool) {
+	for _, e := range g.Out(from) {
+		if e.To == to {
+			return e.Label, true
+		}
+	}
+	return "", false
 }

@@ -14,7 +14,8 @@ import (
 
 // TrainPathModel trains the M_ρ metric network (the paper's 3-layer
 // similarity model over BERT embeddings, here over hashed sequence
-// embeddings) on annotated path pairs, then resets cached decisions.
+// embeddings) on annotated path pairs, then publishes it as new scorers
+// and resets cached decisions.
 func (s *System) TrainPathModel(pairs []PathPair, epochs int) error {
 	if len(pairs) == 0 {
 		return fmt.Errorf("her: no path pairs to train on")
@@ -22,41 +23,27 @@ func (s *System) TrainPathModel(pairs []PathPair, epochs int) error {
 	if epochs <= 0 {
 		epochs = 60
 	}
-	o := s.Options() // snapshot: SetThresholds may mutate s.opts concurrently
-	in := 4 * o.EmbeddingDim
-	model := nn.MustMLP([]int{in, o.MetricHidden, 1}, nn.ReLU, o.Seed)
-	samples := make([]nn.Sample, 0, len(pairs))
-	for _, p := range pairs {
-		y := 0.0
-		if p.Match {
-			y = 1
-		}
-		samples = append(samples, nn.Sample{X: s.sc.pathFeatures(p.A, p.B), Y: y})
-	}
-	model.TrainBCE(samples, nn.TrainConfig{
+	s.mu.Lock()
+	o, sc := s.opts, s.sc
+	s.mu.Unlock()
+	model := nn.MustMLP([]int{4 * o.EmbeddingDim, o.MetricHidden, 1}, nn.ReLU, o.Seed)
+	model.TrainBCE(sc.samples(pairs), nn.TrainConfig{
 		Epochs: epochs, LearnRate: 0.005, BatchSize: 8, Seed: o.Seed,
 	})
-	s.sc.metric = model
-	s.sc.invalidateRho()
-	s.ResetMatchState()
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sc = newScorers(sc.enc, model)
+	return s.resetMatcherLocked()
 }
 
 // MetricAccuracy evaluates the trained M_ρ on annotated path pairs at a
 // 0.5 decision threshold.
 func (s *System) MetricAccuracy(pairs []PathPair) float64 {
-	if s.sc.metric == nil || len(pairs) == 0 {
+	sc := s.scorersNow()
+	if sc.metric == nil || len(pairs) == 0 {
 		return 0
 	}
-	var samples []nn.Sample
-	for _, p := range pairs {
-		y := 0.0
-		if p.Match {
-			y = 1
-		}
-		samples = append(samples, nn.Sample{X: s.sc.pathFeatures(p.A, p.B), Y: y})
-	}
-	return s.sc.metric.Accuracy(samples)
+	return sc.metric.Accuracy(sc.samples(pairs))
 }
 
 // TrainRanker trains the LSTM path language model M_r on max-PRA paths
@@ -124,8 +111,11 @@ func (s *System) LearnThresholds(val []Annotation, space learn.SearchSpace, tria
 // EvaluateWith scores annotations under trial thresholds using a fresh
 // matcher (shared rankers and scorers), without touching system state.
 func (s *System) EvaluateWith(th Thresholds, anns []Annotation) learn.Eval {
-	p := core.Params{Mv: s.sc.Mv, Mrho: s.sc.Mrho, Sigma: th.Sigma, Delta: th.Delta, K: th.K}
-	m, err := core.NewMatcher(s.GD, s.G, s.RankerD(), s.RankerG(), p)
+	s.mu.Lock()
+	sc, rd, rg := s.sc, s.direct.rankerD, s.rankerG
+	s.mu.Unlock()
+	p := core.Params{Mv: sc.enc.MvScore, Mrho: sc.Mrho, Sigma: th.Sigma, Delta: th.Delta, K: th.K}
+	m, err := core.NewMatcher(s.GD, s.G, rd, rg, p)
 	if err != nil {
 		return learn.Eval{}
 	}
@@ -143,14 +133,16 @@ func (s *System) Evaluate(anns []Annotation) learn.Eval {
 // Refine applies one round of user feedback (Section IV, Exp-4): voted
 // verdicts become verified overrides, and the M_ρ metric network is
 // fine-tuned with a triplet (margin ranking) loss built from the
-// feedback pairs' aligned path features.
+// feedback pairs' aligned path features. The fine-tune trains a private
+// clone, published as new scorers when done; concurrent trainers each
+// publish whole, and the last to publish wins.
 func (s *System) Refine(fb []Feedback) {
 	if len(fb) == 0 {
 		return
 	}
 	var pos, neg [][]float64 // path features from FN / FP pairs
 	s.mu.Lock()
-	seed := s.opts.Seed // captured here: the fine-tune below runs unlocked
+	seed, sc := s.opts.Seed, s.sc // captured here: the fine-tune below runs unlocked
 	for _, f := range fb {
 		s.direct.overrides[f.Pair] = f.IsMatch
 		feats := s.alignedPathFeaturesLocked(f.Pair)
@@ -162,17 +154,24 @@ func (s *System) Refine(fb []Feedback) {
 	}
 	s.mu.Unlock()
 
-	if s.sc.metric != nil && len(pos) > 0 && len(neg) > 0 {
+	var tuned *scorers
+	if sc.metric != nil && len(pos) > 0 && len(neg) > 0 {
 		var triplets []nn.Triplet
 		for i, p := range pos {
 			triplets = append(triplets, nn.Triplet{Pos: p, Neg: neg[i%len(neg)]})
 		}
-		s.sc.metric.TrainTriplet(triplets, 0.5, nn.TrainConfig{
+		metric := sc.metric.Clone()
+		metric.TrainTriplet(triplets, 0.5, nn.TrainConfig{
 			Epochs: 5, LearnRate: 0.001, BatchSize: 8, Seed: seed,
 		})
-		s.sc.invalidateRho()
+		tuned = newScorers(sc.enc, metric)
 	}
-	s.ResetMatchState()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tuned != nil {
+		s.sc = tuned
+	}
+	_ = s.resetMatcherLocked() // Refine reports no error, like ResetMatchState
 }
 
 // alignedPathFeaturesLocked pairs the top-k selected paths of a
@@ -201,4 +200,4 @@ func (s *System) Overrides() int {
 }
 
 // MrhoScore exposes the raw M_ρ score for diagnostics and examples.
-func (s *System) MrhoScore(a, b []string) float64 { return s.sc.Mrho(a, b) }
+func (s *System) MrhoScore(a, b []string) float64 { return s.scorersNow().Mrho(a, b) }

@@ -2,6 +2,7 @@ package her
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,26 @@ func TestLoadModelsErrors(t *testing.T) {
 	sys, _ := incrementalFixture(t)
 	if err := sys.LoadModels(strings.NewReader("garbage")); err == nil {
 		t.Error("garbage input should fail")
+	}
+	// A version-2 file, the last to carry an M_v label-pair table, is
+	// refused and leaves the system as it was.
+	type mvEntry struct {
+		A, B  string
+		Score float64
+	}
+	var v2 bytes.Buffer
+	if err := gob.NewEncoder(&v2).Encode(struct {
+		Version int
+		MvTable []mvEntry
+	}{Version: 2, MvTable: []mvEntry{{A: "alpha", B: "omega", Score: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	gen := sys.Generation()
+	if err := sys.LoadModels(&v2); err == nil || !strings.Contains(err.Error(), "unsupported model file version 2") {
+		t.Errorf("version-2 file: err = %v", err)
+	}
+	if sys.Generation() != gen {
+		t.Error("a refused model file reset the system")
 	}
 	// Dimension mismatch: save from a 128-dim system, load into 32-dim...
 	var buf bytes.Buffer

@@ -91,6 +91,10 @@ stage "go test -race -short" go test -race -short ./...
 # generation rebuilds), so it gets a full (non-short) race pass on top
 # of the module-wide one.
 stage "go test -race shard/server" go test -race ./internal/shard ./internal/server
+# Published scorers are immutable: TrainPathModel and Refine build new
+# ones and swap them whole while sharded serving and MrhoScore score.
+# Repeated, so that swaps land on more interleavings of memo misses.
+stage "go test -race train/serve" go test -race -count=10 -run '^TestTrainRaceWithServing$' .
 
 # Tier-2: differential correctness and fuzz smokes. The differential
 # suite re-runs internal/testkit with a widened seed sweep (the default
