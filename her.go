@@ -177,7 +177,7 @@ func NewFromGraphs(gd, g *graph.Graph, opts Options) (*System, error) {
 		gd:        gd,
 		rankerD:   ranking.NewRanker(gd, nil, o.MaxPathLen),
 		overrides: make(map[core.Pair]bool),
-		deltas:    shard.NewDeltaLog(0),
+		deltas:    new(shard.DeltaLog),
 	}
 	s.hosted = []*ViewHandle{s.direct}
 	s.direct.publishLocked()

@@ -72,7 +72,7 @@ func (s *System) AddGraphEdge(from, to VertexID, label string) error {
 	if err := s.G.AddEdge(from, to, label); err != nil {
 		return err
 	}
-	affected := s.reverseRegion(from, s.opts.MaxPathLen)
+	affected := s.G.ReverseRegion(from, s.opts.MaxPathLen)
 	for v := range affected {
 		s.rankerG.Invalidate(v)
 	}
@@ -85,24 +85,4 @@ func (s *System) AddGraphEdge(from, to VertexID, label string) error {
 		h.recordLocked(shard.Delta{Kind: shard.DeltaGraphEdge, From: from, To: to, Label: label})
 	}
 	return nil
-}
-
-// reverseRegion collects v and every vertex that reaches v within the
-// given number of hops (following edges backwards).
-func (s *System) reverseRegion(v VertexID, hops int) map[graph.VID]bool {
-	affected := map[graph.VID]bool{v: true}
-	frontier := []graph.VID{v}
-	for d := 0; d < hops; d++ {
-		var next []graph.VID
-		for _, x := range frontier {
-			for _, in := range s.G.In(x) {
-				if !affected[in] {
-					affected[in] = true
-					next = append(next, in)
-				}
-			}
-		}
-		frontier = next
-	}
-	return affected
 }

@@ -96,7 +96,7 @@ func TestRunWithIndex(t *testing.T) {
 	gd := randomGraph(rng, 8, 12, labels, []string{"x", "y"})
 	g := randomGraph(rng, 8, 12, labels, []string{"x", "y"})
 	p := core.Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0.4, K: 3}
-	gen := indexGen(gd, index.Build(g, nil))
+	gen := indexGen(gd, index.BuildDocs(g, nil, nil))
 	want := sequentialAPair(t, gd, g, p, gen, 3)
 	eng, err := NewEngine(gd, g, ranking.NewRanker(gd, nil, 3), ranking.NewRanker(g, nil, 3), p)
 	if err != nil {

@@ -508,7 +508,6 @@ func (m *Matcher) drainReruns() {
 		m.unregister(q)
 		delete(m.verdict, q)
 		m.stats.Rechecks++
-		m.met.rechecks.Inc()
 		m.match(q) // a false conclusion inside re-enqueues via fail
 	}
 }

@@ -14,7 +14,6 @@ type coreMetrics struct {
 	calls     *obs.Counter // her_core_paramatch_calls_total
 	cacheHits *obs.Counter // her_core_cache_hits_total
 	cleanups  *obs.Counter // her_core_cleanups_total
-	rechecks  *obs.Counter // her_core_rechecks_total
 
 	candidates *obs.Counter // her_core_candidates_total
 
@@ -25,9 +24,9 @@ type coreMetrics struct {
 // SetMetrics points the matcher at a registry (nil disables
 // instrumentation). The phase breakdown mirrors Fig. 4: top-level
 // ParaMatch latency, candidate generation latency, and the
-// cache-hit/cleanup/recheck counters of the matching and cleanup
-// stages. Safe to call on a live matcher; existing Counters are
-// unaffected.
+// cache-hit and cleanup counters of the matching and cleanup stages
+// (rechecks are counted in Counters only). Safe to call on a live
+// matcher; existing Counters are unaffected.
 func (m *Matcher) SetMetrics(r *obs.Registry) {
 	if r == nil {
 		m.met = coreMetrics{}
@@ -37,7 +36,6 @@ func (m *Matcher) SetMetrics(r *obs.Registry) {
 		calls:          r.Counter("her_core_paramatch_calls_total"),
 		cacheHits:      r.Counter("her_core_cache_hits_total"),
 		cleanups:       r.Counter("her_core_cleanups_total"),
-		rechecks:       r.Counter("her_core_rechecks_total"),
 		candidates:     r.Counter("her_core_candidates_total"),
 		matchSeconds:   r.Histogram("her_core_paramatch_seconds", nil),
 		candGenSeconds: r.Histogram("her_core_candgen_seconds", nil),

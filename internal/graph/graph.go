@@ -143,3 +143,25 @@ func (g *Graph) Degree(v VID) int { return len(g.out[v]) + len(g.in[v]) }
 
 // IsLeaf reports whether v has no children.
 func (g *Graph) IsLeaf(v VID) bool { return len(g.out[v]) == 0 }
+
+// ReverseRegion returns v and every vertex that reaches v within hops
+// edges, followed backwards; hops < 0 means any number of edges. The
+// vertices whose bounded neighbourhoods can see an edge out of v are
+// exactly these.
+func (g *Graph) ReverseRegion(v VID, hops int) map[VID]bool {
+	region := map[VID]bool{v: true}
+	frontier := []VID{v}
+	for d := 0; len(frontier) > 0 && (hops < 0 || d < hops); d++ {
+		next := make([]VID, 0, len(frontier))
+		for _, x := range frontier {
+			for _, in := range g.in[x] {
+				if !region[in] {
+					region[in] = true
+					next = append(next, in)
+				}
+			}
+		}
+		frontier = next
+	}
+	return region
+}

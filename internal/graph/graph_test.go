@@ -212,14 +212,6 @@ func TestPartitionEdgeCut(t *testing.T) {
 				t.Errorf("vertex %d owned %d times", v, c)
 			}
 		}
-		// Border nodes are exactly the cross-edge targets not owned locally.
-		for _, f := range p.Fragments {
-			for _, b := range f.Border {
-				if f.Owner[b] {
-					t.Errorf("border node %d is owned by its own fragment", b)
-				}
-			}
-		}
 	}
 	if _, err := PartitionEdgeCut(g, 0); err == nil {
 		t.Error("n=0 should fail")
@@ -232,11 +224,8 @@ func TestPartitionSingleFragmentNoCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CrossEdges() != 0 {
-		t.Errorf("single fragment has %d cross edges", p.CrossEdges())
-	}
-	if len(p.Fragments[0].Border) != 0 {
-		t.Errorf("single fragment has border nodes: %v", p.Fragments[0].Border)
+	if c := crossEdges(g, p); c != 0 {
+		t.Errorf("single fragment has %d cross edges", c)
 	}
 }
 
@@ -331,4 +320,56 @@ func (p Path) ValidIn(g *Graph) bool {
 		}
 	}
 	return true
+}
+
+// TestReverseRegion pins the backward BFS the incremental paths scope
+// invalidation with, on a chain 0→1→2→3, the diamond (a→b, a→c, b→d,
+// c→d, leaf e) and a cycle 0→1→2→0, each from its last vertex, at 0
+// hops, 1 hop and full closure (-1).
+func TestReverseRegion(t *testing.T) {
+	chain := New()
+	for i := 0; i < 4; i++ {
+		chain.AddVertex("v")
+	}
+	for i := 0; i < 3; i++ {
+		chain.MustAddEdge(VID(i), VID(i+1), "e")
+	}
+	dia, _ := diamond(t)
+	cycle := New()
+	for i := 0; i < 3; i++ {
+		cycle.AddVertex("v")
+	}
+	for i := 0; i < 3; i++ {
+		cycle.MustAddEdge(VID(i), VID((i+1)%3), "e")
+	}
+	cases := []struct {
+		name string
+		g    *Graph
+		v    VID
+		hops int
+		want []VID
+	}{
+		{"chain/0", chain, 3, 0, []VID{3}},
+		{"chain/1", chain, 3, 1, []VID{2, 3}},
+		{"chain/-1", chain, 3, -1, []VID{0, 1, 2, 3}},
+		{"diamond/0", dia, 3, 0, []VID{3}},
+		{"diamond/1", dia, 3, 1, []VID{1, 2, 3}},
+		{"diamond/-1", dia, 3, -1, []VID{0, 1, 2, 3}},
+		{"cycle/0", cycle, 2, 0, []VID{2}},
+		{"cycle/1", cycle, 2, 1, []VID{1, 2}},
+		{"cycle/-1", cycle, 2, -1, []VID{0, 1, 2}},
+	}
+	for _, c := range cases {
+		got := c.g.ReverseRegion(c.v, c.hops)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: region %v, want %v", c.name, got, c.want)
+			continue
+		}
+		for _, v := range c.want {
+			if !got[v] {
+				t.Errorf("%s: region %v, want %v", c.name, got, c.want)
+				break
+			}
+		}
+	}
 }

@@ -2,19 +2,15 @@ package graph
 
 import "fmt"
 
-// Fragment describes one edge-cut fragment F_i = (V_i ∪ O_i, E_i, L_i) of
-// Section VI-B: V_i is the set of owned vertices, O_i the border nodes —
-// vertices owned elsewhere that have incoming edges from V_i.
+// Fragment is one edge-cut fragment of Section VI-B, by its owned
+// vertex set V_i.
 type Fragment struct {
-	ID     int
-	Owned  []VID        // V_i
-	Border []VID        // O_i
-	Owner  map[VID]bool // membership test for Owned
+	ID    int
+	Owned []VID // V_i, ascending
 }
 
 // Partition is an edge-cut partition of a graph into n fragments.
 type Partition struct {
-	Graph     *Graph
 	Fragments []Fragment
 	Of        []int // vertex → fragment id
 }
@@ -26,9 +22,8 @@ type Partition struct {
 //
 // The partition is total and disjoint: every vertex is owned by exactly
 // one fragment, and exactly n fragments are returned in id order even
-// when n exceeds |V| — the surplus fragments are simply empty (Owned,
-// Border and Owner all empty), which is a valid fragment consumers must
-// tolerate. Callers that spread work one fragment per worker
+// when n exceeds |V| — the surplus fragments simply own nothing, which
+// is a valid fragment consumers must tolerate. Callers that spread work one fragment per worker
 // (internal/shard, the BSP engine) rely on both properties: a vertex is
 // matched by exactly one worker, and repeated runs over the same graph
 // produce the same fragment list — no map iteration or randomness is
@@ -75,38 +70,13 @@ func PartitionEdgeCut(g *Graph, n int) (*Partition, error) {
 		}
 		of[v] = f
 	}
-	p := &Partition{Graph: g, Of: of, Fragments: make([]Fragment, n)}
+	p := &Partition{Of: of, Fragments: make([]Fragment, n)}
 	for i := range p.Fragments {
-		p.Fragments[i] = Fragment{ID: i, Owner: make(map[VID]bool)}
+		p.Fragments[i].ID = i
 	}
 	for v := 0; v < nv; v++ {
 		f := of[v]
 		p.Fragments[f].Owned = append(p.Fragments[f].Owned, VID(v))
-		p.Fragments[f].Owner[VID(v)] = true
-	}
-	// Border nodes: targets of cross-fragment edges.
-	for v := 0; v < nv; v++ {
-		f := of[v]
-		for _, e := range g.Out(VID(v)) {
-			if of[e.To] != f {
-				frag := &p.Fragments[f]
-				if !frag.Owner[e.To] && !containsVID(frag.Border, e.To) {
-					frag.Border = append(frag.Border, e.To)
-				}
-			}
-		}
 	}
 	return p, nil
 }
-
-func containsVID(s []VID, v VID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// FragmentOf returns the fragment owning v.
-func (p *Partition) FragmentOf(v VID) int { return p.Of[v] }

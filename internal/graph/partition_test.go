@@ -23,8 +23,7 @@ func randomGraph(seed int64, nv int) *Graph {
 
 // checkPartition asserts the PartitionEdgeCut contract on one (g, n)
 // input: exactly n fragments in id order, every vertex owned exactly
-// once, Of consistent with Owned, borders correct, empty fragments
-// well-formed.
+// once, Owned ascending and consistent with Of.
 func checkPartition(t *testing.T, g *Graph, n int) *Partition {
 	t.Helper()
 	p, err := PartitionEdgeCut(g, n)
@@ -39,21 +38,16 @@ func checkPartition(t *testing.T, g *Graph, n int) *Partition {
 		if f.ID != i {
 			t.Fatalf("fragment %d carries id %d: not in id order", i, f.ID)
 		}
-		for _, v := range f.Owned {
+		for j, v := range f.Owned {
+			if j > 0 && v <= f.Owned[j-1] {
+				t.Fatalf("fragment %d: Owned not ascending at %d", i, j)
+			}
 			if prev, dup := seen[v]; dup {
 				t.Fatalf("vertex %d owned by fragments %d and %d", v, prev, i)
 			}
 			seen[v] = i
 			if p.Of[v] != i {
 				t.Fatalf("Of[%d] = %d, fragment %d claims it", v, p.Of[v], i)
-			}
-			if !f.Owner[v] {
-				t.Fatalf("fragment %d: Owned vertex %d missing from Owner set", i, v)
-			}
-		}
-		for _, b := range f.Border {
-			if f.Owner[b] {
-				t.Fatalf("fragment %d: border vertex %d is owned locally", i, b)
 			}
 		}
 	}
@@ -66,7 +60,7 @@ func checkPartition(t *testing.T, g *Graph, n int) *Partition {
 // TestPartitionContractSweep sweeps seeded random graphs across
 // fragment counts from 1 up to beyond |V|, asserting the full contract
 // everywhere — in particular that n > |V| yields exactly n fragments
-// with the surplus ones valid and empty. (TestPartitionProperty in
+// with the surplus ones empty. (TestPartitionProperty in
 // graph_test.go quick-checks ownership totality on a different input
 // distribution; this sweep pins the rest of the documented contract.)
 func TestPartitionContractSweep(t *testing.T) {
@@ -80,9 +74,6 @@ func TestPartitionContractSweep(t *testing.T) {
 				for _, f := range p.Fragments {
 					if len(f.Owned) == 0 {
 						empty++
-						if len(f.Border) != 0 || len(f.Owner) != 0 {
-							t.Fatalf("empty fragment %d has border/owner residue", f.ID)
-						}
 					}
 				}
 				if empty != n-nv {
@@ -95,7 +86,7 @@ func TestPartitionContractSweep(t *testing.T) {
 }
 
 // TestPartitionDeterministic: the same graph partitions identically on
-// every call — fragment order, owned order and border order included.
+// every call — fragment order and owned order included.
 func TestPartitionDeterministic(t *testing.T) {
 	g := randomGraph(42, 60)
 	a, err := PartitionEdgeCut(g, 7)
@@ -109,17 +100,12 @@ func TestPartitionDeterministic(t *testing.T) {
 		}
 		for i := range a.Fragments {
 			fa, fb := a.Fragments[i], b.Fragments[i]
-			if len(fa.Owned) != len(fb.Owned) || len(fa.Border) != len(fb.Border) {
+			if len(fa.Owned) != len(fb.Owned) {
 				t.Fatalf("fragment %d shape differs across runs", i)
 			}
 			for j := range fa.Owned {
 				if fa.Owned[j] != fb.Owned[j] {
 					t.Fatalf("fragment %d owned order differs at %d", i, j)
-				}
-			}
-			for j := range fa.Border {
-				if fa.Border[j] != fb.Border[j] {
-					t.Fatalf("fragment %d border order differs at %d", i, j)
 				}
 			}
 		}
@@ -129,8 +115,8 @@ func TestPartitionDeterministic(t *testing.T) {
 // TestPartitionEmptyGraph: zero vertices still yields n valid (empty)
 // fragments.
 func TestPartitionEmptyGraph(t *testing.T) {
-	p := checkPartition(t, New(), 4)
-	if p.CrossEdges() != 0 {
+	g := New()
+	if p := checkPartition(t, g, 4); crossEdges(g, p) != 0 {
 		t.Fatal("empty graph has cross edges")
 	}
 }
@@ -144,12 +130,12 @@ func TestPartitionRejectsNonPositive(t *testing.T) {
 	}
 }
 
-// CrossEdges counts edges whose endpoints live in different fragments,
-// the edge-cut cost.
-func (p *Partition) CrossEdges() int {
+// crossEdges counts the edges of g whose endpoints live in different
+// fragments of p, the edge-cut cost.
+func crossEdges(g *Graph, p *Partition) int {
 	cut := 0
-	for v := 0; v < p.Graph.NumVertices(); v++ {
-		for _, e := range p.Graph.Out(VID(v)) {
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, e := range g.Out(VID(v)) {
 			if p.Of[v] != p.Of[e.To] {
 				cut++
 			}

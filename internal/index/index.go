@@ -17,13 +17,8 @@ type Inverted struct {
 	postings map[string][]graph.VID
 }
 
-// Build indexes every vertex of g whose id satisfies the filter (nil
-// means all vertices), using the vertex label as its document.
-func Build(g *graph.Graph, filter func(graph.VID) bool) *Inverted {
-	return BuildDocs(g, filter, nil)
-}
-
-// BuildDocs indexes vertices with a custom document function — e.g. the
+// BuildDocs indexes every vertex of g whose id satisfies the filter (nil
+// means all vertices) under the tokens of its document — e.g. the
 // vertex label plus its 1-hop neighbor labels, the paper's "critical
 // information" blocking. A nil docFn means the vertex label alone.
 func BuildDocs(g *graph.Graph, filter func(graph.VID) bool, docFn func(graph.VID) string) *Inverted {
@@ -103,9 +98,4 @@ func (ix *Inverted) Lookup(label string, minShared int) []graph.VID {
 		return out[a] < out[b]
 	})
 	return out
-}
-
-// Postings returns the vertices indexed under a single token.
-func (ix *Inverted) Postings(token string) []graph.VID {
-	return ix.postings[token]
 }

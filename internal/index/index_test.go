@@ -18,7 +18,7 @@ func buildGraph() (*graph.Graph, []graph.VID) {
 
 func TestLookupSharedTokens(t *testing.T) {
 	g, vs := buildGraph()
-	ix := Build(g, nil)
+	ix := BuildDocs(g, nil, nil)
 	got := ix.Lookup("Dame Basketball Shoes D7", 1)
 	// v0 shares 3 tokens, v1 shares 1 ("shoes"), v3 shares 1 ("dame").
 	if len(got) != 3 {
@@ -39,7 +39,7 @@ func TestLookupSharedTokens(t *testing.T) {
 
 func TestBuildFilter(t *testing.T) {
 	g, vs := buildGraph()
-	ix := Build(g, func(v graph.VID) bool { return v == vs[2] })
+	ix := BuildDocs(g, func(v graph.VID) bool { return v == vs[2] }, nil)
 	if hits := ix.Lookup("Germany", 1); len(hits) != 1 || hits[0] != vs[2] {
 		t.Errorf("filtered lookup = %v", hits)
 	}
@@ -54,9 +54,9 @@ func TestBuildFilter(t *testing.T) {
 func TestDuplicateTokensCountOnce(t *testing.T) {
 	g := graph.New()
 	v := g.AddVertex("red red red")
-	ix := Build(g, nil)
-	if p := ix.Postings("red"); len(p) != 1 || p[0] != v {
-		t.Errorf("Postings(red) = %v", p)
+	ix := BuildDocs(g, nil, nil)
+	if p := ix.postings["red"]; len(p) != 1 || p[0] != v {
+		t.Errorf("postings[red] = %v", p)
 	}
 	// Query with repeated token should not inflate overlap.
 	if hits := ix.Lookup("red red", 2); hits != nil {
@@ -68,7 +68,7 @@ func TestLookupDeterministicOrder(t *testing.T) {
 	g := graph.New()
 	a := g.AddVertex("alpha common")
 	b := g.AddVertex("beta common")
-	ix := Build(g, nil)
+	ix := BuildDocs(g, nil, nil)
 	h1 := ix.Lookup("common", 1)
 	h2 := ix.Lookup("common", 1)
 	if len(h1) != 2 || h1[0] != h2[0] || h1[1] != h2[1] {
@@ -130,7 +130,7 @@ func TestNeighborhoodDocExactFormat(t *testing.T) {
 // regressed this once; callers distinguish "no candidates" by == nil.
 func TestLookupNoMatchNil(t *testing.T) {
 	g, _ := buildGraph()
-	ix := Build(g, nil)
+	ix := BuildDocs(g, nil, nil)
 	if got := ix.Lookup("zzz qqq", 1); got != nil {
 		t.Errorf("Lookup(no shared tokens) = %#v, want nil", got)
 	}

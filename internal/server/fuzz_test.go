@@ -31,7 +31,7 @@ func fuzzServer() (*Server, error) {
 			fuzzErr = err
 			return
 		}
-		fuzzSrv = New(sys)
+		fuzzSrv, fuzzErr = NewSharded(sys, 1)
 	})
 	return fuzzSrv, fuzzErr
 }

@@ -164,7 +164,7 @@ func BenchmarkServeVPairHitStages(b *testing.B) {
 	w := &sink{h: make(http.Header)}
 	x.ResponseWriter, x.ep = w, srv.routes["/vpair"]
 	q := parseQuery(req.URL.RawQuery)
-	vh, err := srv.view(x, &q)
+	vh, err := srv.sys.View(q.view)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func BenchmarkServeVPairHitStages(b *testing.B) {
 				cancel()
 			}
 		}},
-		{"view", func() { _, _ = srv.view(x, &q) }},
+		{"view", func() { _, _ = srv.sys.View(q.view) }},
 		{"resolve", func() { _, _, _ = vh.Resolve("product", 0) }},
 		{"engine", func() { _, _ = srv.engine(vh); _, _ = eng.VPair(ctx, u) }},
 		{"render", func() {

@@ -19,10 +19,10 @@
 // /spair, /vpair and /apair resolve the view's handle and ask its
 // internal/shard engine — partitioned G, halo-replicated fragments,
 // per-shard workers with bounded queues and, for /vpair and /apair, a
-// generation-stamped result cache. New serves from one shard per view,
-// NewSharded from as many as it is given; nothing else differs. The
-// sequential library API (System.SPair/VPair/APair) is the oracle the
-// tests compare the served answers against, not a second way to serve.
+// generation-stamped result cache, at the shard count NewSharded is
+// given. The sequential library API (System.SPair/VPair/APair) is the
+// oracle the tests compare the served answers against, not a second way
+// to serve.
 //
 // The matching endpoints honor a server-level Deadline plus an optional
 // timeout_ms query parameter (the smaller wins) and answer 503 when the
@@ -83,21 +83,18 @@ type Server struct {
 
 	extract extractCache // memoized GET /extract rendering (views.go)
 	// routes is the exact-path table; a path outside it is other's.
-	// Filled by New, read-only afterwards.
+	// Filled by NewSharded, read-only afterwards.
 	routes map[string]*endpoint
 	other  *endpoint
 	reg    *obs.Registry
-	// MaxAPairMatches caps the matches returned inline by /apair
-	// (default 1000); the full count is always reported.
-	MaxAPairMatches int
 	// Deadline bounds the matching work of one request (0 = unbounded).
 	// The timeout_ms query parameter can only tighten it. Expired
 	// requests answer 503.
 	Deadline time.Duration
 	// Recorder is the always-on flight recorder: every request gets an
 	// ID and a root span, and the finished trace is retained when it is
-	// among the op's slowest or it errored. New installs one with the
-	// default capacities; set nil before serving to disable tracing
+	// among the op's slowest or it errored. NewSharded installs one with
+	// the default capacities; set nil before serving to disable tracing
 	// entirely (requests then pay only nil checks). Serve the retained
 	// traces at GET /debug/requests.
 	Recorder *obs.FlightRecorder
@@ -109,19 +106,36 @@ type Server struct {
 	reqSeq atomic.Uint64 // request-ID sequence
 }
 
-// New builds the handler around a trained system, serving each hosted
-// view from a one-shard engine built at the view's first request. HTTP
-// metrics land in the system's registry when it has one, so core, shard
-// and serving metrics share one /metrics page; otherwise a
-// server-private registry still captures the HTTP side. Call Close to
-// stop the shard workers.
-func New(sys *her.System) *Server {
+// maxAPairMatches caps the matches /apair returns inline; the full
+// count is always reported.
+const maxAPairMatches = 1000
+
+// NewSharded builds the handler around a trained system, serving each
+// hosted view from an engine of the given number of shards. The engine
+// of every view hosted now is built before it returns, so a bad shard
+// count fails here and no request pays for a build; a view installed
+// later gets its engine at its first request. HTTP metrics land in the
+// system's registry when it has one, so core, shard and serving metrics
+// share one /metrics page; otherwise a server-private registry still
+// captures the HTTP side. Call Close to stop the shard workers.
+//
+// Read-your-writes semantics: a request that starts after a mutation
+// returns never observes pre-mutation results. Each engine keys its
+// cache on its view's generation counter and, before reading the
+// cache, replays the view's typed delta log against its private
+// snapshots — incremental writes (AddTuple, AddGraphVertex,
+// AddGraphEdge) update only the fragments whose halo regions contain
+// the touched vertices and evict only the cached entries whose key
+// vertices fall inside an affected halo; non-incremental changes
+// (feedback, retraining, thresholds) poison the log and force a full
+// rebuild. Either way no stale entry survives a write it depends on,
+// while unaffected entries keep serving without recomputation.
+func NewSharded(sys *her.System, shards int) (*Server, error) {
 	reg := sys.Metrics()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Server{sys: sys, shards: 1, reg: reg, MaxAPairMatches: 1000,
-		Recorder: obs.NewFlightRecorder(0, 0)}
+	s := &Server{sys: sys, shards: shards, reg: reg, Recorder: obs.NewFlightRecorder(0, 0)}
 	s.routes = map[string]*endpoint{
 		"/healthz":        {handle: s.handleHealth},
 		"/spair":          {handle: s.handleSPair},
@@ -139,27 +153,6 @@ func New(sys *her.System) *Server {
 		ep.op = path
 	}
 	s.other = &endpoint{op: "other", handle: func(x *exchange, r *http.Request) { unrouted.ServeHTTP(x, r) }}
-	return s
-}
-
-// NewSharded is New with the given number of shards per view, and with
-// the engine of every view hosted now built before it returns, so a
-// bad shard count fails here and no request pays for a build.
-//
-// Read-your-writes semantics: a request that starts after a mutation
-// returns never observes pre-mutation results. Each engine keys its
-// cache on its view's generation counter and, before reading the
-// cache, replays the view's typed delta log against its private
-// snapshots — incremental writes (AddTuple, AddGraphVertex,
-// AddGraphEdge) update only the fragments whose halo regions contain
-// the touched vertices and evict only the cached entries whose key
-// vertices fall inside an affected halo; non-incremental changes
-// (feedback, retraining, thresholds) poison the log and force a full
-// rebuild. Either way no stale entry survives a write it depends on,
-// while unaffected entries keep serving without recomputation.
-func NewSharded(sys *her.System, shards int) (*Server, error) {
-	s := New(sys)
-	s.shards = shards
 	for _, name := range sys.ViewNames() {
 		vh, err := sys.View(name)
 		if err != nil {
@@ -175,7 +168,8 @@ func NewSharded(sys *her.System, shards int) (*Server, error) {
 
 // engine returns the shard engine serving vh, over the view's
 // ShardConfig — its own snapshots, generation anchor and delta log —
-// building it when this is the first request for the view.
+// building it when this is the first request for a view installed
+// after NewSharded.
 func (s *Server) engine(vh *her.ViewHandle) (*shard.Engine, error) {
 	if eng, ok := s.engs.Load(vh); ok {
 		return eng.(*shard.Engine), nil
@@ -349,8 +343,7 @@ func (t *handles[K, V]) lookup(k K, register func() V) V {
 type endpoint struct {
 	op     string
 	handle func(*exchange, *http.Request)
-	codes  handles[int, codeMetrics]     // by status code
-	views  handles[string, *obs.Counter] // her_view_requests_total, by view name
+	codes  handles[int, codeMetrics] // by status code
 }
 
 // codeMetrics are the two per-request series of one (op, code).
@@ -642,7 +635,7 @@ func (s *Server) handleSPair(x *exchange, r *http.Request) {
 		x.writeErr(http.StatusBadRequest, err)
 		return
 	}
-	vh, err := s.view(x, &q)
+	vh, err := s.sys.View(q.view)
 	if err != nil {
 		x.writeErr(http.StatusNotFound, err)
 		return
@@ -713,7 +706,7 @@ func (s *Server) handleVPair(x *exchange, r *http.Request) {
 		x.writeErr(http.StatusBadRequest, err)
 		return
 	}
-	vh, err := s.view(x, &q)
+	vh, err := s.sys.View(q.view)
 	if err != nil {
 		x.writeErr(http.StatusNotFound, err)
 		return
@@ -794,7 +787,7 @@ func appendJSONString(b []byte, str string) []byte {
 
 func (s *Server) handleAPair(x *exchange, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
-	vh, err := s.view(x, &q)
+	vh, err := s.sys.View(q.view)
 	if err != nil {
 		x.writeErr(http.StatusNotFound, err)
 		return
@@ -817,8 +810,8 @@ func (s *Server) handleAPair(x *exchange, r *http.Request) {
 	}
 	info := eng.Snapshot()
 	shown := matches
-	if len(shown) > s.MaxAPairMatches {
-		shown = shown[:s.MaxAPairMatches]
+	if len(shown) > maxAPairMatches {
+		shown = shown[:maxAPairMatches]
 	}
 	out := make([]pairJSON, 0, len(shown))
 	buf := make([]byte, 0, 64) // reused per row instead of Sprintf allocating twice
@@ -846,7 +839,7 @@ func (s *Server) handleExplain(x *exchange, r *http.Request) {
 		x.writeErr(http.StatusBadRequest, err)
 		return
 	}
-	vh, err := s.view(x, &q)
+	vh, err := s.sys.View(q.view)
 	if err != nil {
 		x.writeErr(http.StatusNotFound, err)
 		return
@@ -935,6 +928,6 @@ func (s *Server) handleStats(x *exchange, _ *http.Request) {
 	if eng := s.Engine(); eng != nil {
 		out["shard"] = eng.Snapshot()
 	}
-	out["views"] = s.viewStats()
+	out["views"] = s.viewInfos()
 	x.writeJSON(http.StatusOK, out)
 }

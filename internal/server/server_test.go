@@ -127,11 +127,14 @@ func trainedSystemWithOpts(t *testing.T, opts her.Options) (*her.System, her.Ver
 	return sys, p1, p2
 }
 
-// newServer builds the default server over sys and stops its shard
+// newServer builds a one-shard server over sys and stops its shard
 // workers when the test ends.
 func newServer(t testing.TB, sys *her.System) *Server {
 	t.Helper()
-	srv := New(sys)
+	srv, err := NewSharded(sys, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(srv.Close)
 	return srv
 }

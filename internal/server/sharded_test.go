@@ -125,10 +125,11 @@ func TestWriteMatchErr(t *testing.T) {
 	}
 }
 
-// TestServingEquivalence: New is the one-shard case of NewSharded, and
-// both serve what the library's sequential matcher computes. Over one
-// system hosting a rule view beside direct, the servers built by New
-// and by NewSharded at 1, 2, 4 and more shards than G has vertices
+// TestServingEquivalence: every shard count serves what the library's
+// sequential matcher computes. Over one system hosting a rule view
+// beside direct, a one-shard server whose rule-view engine was built at
+// its first request and the servers NewSharded built at 1, 2, 4 and
+// more shards than G has vertices
 // answer every /spair, /vpair and /apair with byte-identical bodies (up
 // to /apair's shard-layout stats, which name the shard count), and
 // those answers are the ViewHandle oracle's.
@@ -156,15 +157,15 @@ func TestServingEquivalence(t *testing.T) {
 			if body = cut(body); i == 0 {
 				first = body
 			} else if body != first {
-				t.Errorf("%s at %d shards diverges from New:\n%s\n%s", url, srv.shards, body, first)
+				t.Errorf("%s at %d shards diverges from one shard:\n%s\n%s", url, srv.shards, body, first)
 			}
 		}
 		return first
 	}
 	whole := func(body string) string { return body }
-	// /stats reports the one-shard layout for New like for NewSharded(1).
+	// /stats reports the one-shard layout.
 	if _, stats := get(t, def, "/stats"); stats["shard"].(map[string]interface{})["shards"] != float64(1) {
-		t.Errorf("New's /stats shard section = %v", stats["shard"])
+		t.Errorf("one-shard /stats shard section = %v", stats["shard"])
 	}
 
 	for _, name := range sys.ViewNames() {
@@ -264,8 +265,8 @@ func TestLateViewServed(t *testing.T) {
 }
 
 // TestCloseStopsWorkers: every server owns shard workers, and Close
-// returns the process to the goroutine count it had before New — for
-// the engines NewSharded built up front and the ones requests built.
+// returns the process to the goroutine count it had before NewSharded —
+// for the engines NewSharded built up front and the ones requests built.
 func TestCloseStopsWorkers(t *testing.T) {
 	_, sys, _ := viewServer(t, 0)
 	// Servers closed by earlier tests may still have workers on their way
@@ -277,30 +278,61 @@ func TestCloseStopsWorkers(t *testing.T) {
 			base, quiet = n, 0
 		}
 	}
-	lazy := New(sys)
-	get(t, lazy, "/vpair?rel=product&tuple=0")
-	get(t, lazy, "/apair?view=mirror")
-	eager, err := NewSharded(sys, 3)
+	one, err := NewSharded(sys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	get(t, eager, "/vpair?rel=product&tuple=0&view=mirror")
+	get(t, one, "/vpair?rel=product&tuple=0")
+	get(t, one, "/apair?view=mirror")
+	three, err := NewSharded(sys, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get(t, three, "/vpair?rel=product&tuple=0&view=mirror")
 	if n := runtime.NumGoroutine(); n != base+2+6 {
 		t.Errorf("%d goroutines serving, want %d + one worker per shard per view (2 + 6)", n, base)
 	}
-	lazy.Close()
-	eager.Close()
+	// A view installed now gets its engine at its first request.
+	def := her.NewViewDef("late")
+	for _, rel := range sys.DB.RelationNames() {
+		def.Vertex(rel).ProjectAll()
+	}
+	if err := sys.AddViewDef(def); err != nil {
+		t.Fatal(err)
+	}
+	get(t, three, "/vpair?rel=product&tuple=0&view=late")
+	if n := runtime.NumGoroutine(); n != base+2+9 {
+		t.Errorf("%d goroutines serving after a late view's first request, want %d + 2 + 9", n, base)
+	}
+	one.Close()
+	three.Close()
 	// Workers exit on their own schedule once their queues close.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+	settle := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Close, %d before NewSharded", runtime.NumGoroutine(), base)
+			}
 		}
 	}
-	// A closed server builds no engine to answer with.
-	idle := New(sys)
+	settle()
+	// A closed server builds no engine to answer with, not even for a
+	// view it has not served yet.
+	idle, err := NewSharded(sys, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	idle.Close()
-	if code, _ := get(t, idle, "/vpair?rel=product&tuple=0"); code == http.StatusOK || runtime.NumGoroutine() > base {
-		t.Errorf("request after Close = %d, %d goroutines (%d before New)", code, runtime.NumGoroutine(), base)
+	settle()
+	late := her.NewViewDef("later")
+	for _, rel := range sys.DB.RelationNames() {
+		late.Vertex(rel).ProjectAll()
+	}
+	if err := sys.AddViewDef(late); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := get(t, idle, "/vpair?rel=product&tuple=0&view=later"); code == http.StatusOK || runtime.NumGoroutine() > base {
+		t.Errorf("request after Close = %d, %d goroutines (%d before NewSharded)", code, runtime.NumGoroutine(), base)
 	}
 }
 

@@ -2,12 +2,10 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"sync"
 
 	"her"
-	"her/internal/obs"
 )
 
 // This file addresses requests at the hosted graph views
@@ -23,21 +21,6 @@ import (
 // server was built — is served by its own shard.Engine over the view's
 // ShardConfig, anchored to the view's generation counter and delta log
 // (Server.engine).
-
-// view resolves the request's view= parameter to a handle; the empty
-// value names the direct view. The her_view_requests_total counter
-// attributes the request to the resolved view.
-func (s *Server) view(x *exchange, q *query) (*her.ViewHandle, error) {
-	vh, err := s.sys.View(q.view)
-	if err != nil {
-		return nil, err
-	}
-	ep, name := x.ep, vh.Name()
-	ep.views.lookup(name, func() *obs.Counter {
-		return s.reg.Counter(fmt.Sprintf(`her_view_requests_total{view=%q,op=%q}`, name, ep.op))
-	}).Inc()
-	return vh, nil
-}
 
 // extractReq is the extract cache's key: everything that determines the
 // response bytes. The view name can never be elided — two views at the
@@ -58,8 +41,9 @@ type extractCache struct {
 	data []byte
 }
 
-// handleViews lists the hosted views.
-func (s *Server) handleViews(x *exchange, _ *http.Request) {
+// viewInfos is a row per hosted view, direct first: what /views lists
+// and /stats embeds.
+func (s *Server) viewInfos() []her.ViewInfo {
 	names := s.sys.ViewNames()
 	infos := make([]her.ViewInfo, 0, len(names))
 	for _, name := range names {
@@ -69,6 +53,12 @@ func (s *Server) handleViews(x *exchange, _ *http.Request) {
 		}
 		infos = append(infos, vh.Info())
 	}
+	return infos
+}
+
+// handleViews lists the hosted views.
+func (s *Server) handleViews(x *exchange, _ *http.Request) {
+	infos := s.viewInfos()
 	x.writeJSON(http.StatusOK, map[string]interface{}{
 		"count": len(infos),
 		"views": infos,
@@ -79,7 +69,7 @@ func (s *Server) handleViews(x *exchange, _ *http.Request) {
 // (view, generation) so repeated polls of an unchanged view render once.
 func (s *Server) handleExtract(x *exchange, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
-	vh, err := s.view(x, &q)
+	vh, err := s.sys.View(q.view)
 	if err != nil {
 		x.writeErr(http.StatusNotFound, err)
 		return
@@ -108,27 +98,4 @@ func (s *Server) handleExtract(x *exchange, r *http.Request) {
 func writeTSV(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
 	_, _ = w.Write(data)
-}
-
-// viewStats assembles the per-view /stats section.
-func (s *Server) viewStats() []map[string]interface{} {
-	names := s.sys.ViewNames()
-	out := make([]map[string]interface{}, 0, len(names))
-	for _, name := range names {
-		vh, err := s.sys.View(name)
-		if err != nil {
-			continue
-		}
-		info := vh.Info()
-		entry := map[string]interface{}{
-			"name":       info.Name,
-			"rules":      info.Rules,
-			"vertices":   info.Vertices,
-			"edges":      info.Edges,
-			"tuples":     info.Tuples,
-			"generation": info.Generation,
-		}
-		out = append(out, entry)
-	}
-	return out
 }

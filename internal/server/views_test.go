@@ -11,21 +11,27 @@ import (
 )
 
 // viewServer builds the catalog system hosting a direct-shaped "mirror"
-// rule view beside the direct view, served by New (shards = 0) or by
-// NewSharded.
+// rule view beside the direct view, served by NewSharded at the given
+// shard count; shards = 0 serves one shard and installs the mirror after
+// the server was built, so its engine is built at its first request.
 func viewServer(t *testing.T, shards int) (*Server, *her.System, her.VertexID) {
 	t.Helper()
 	sys, p1, _ := trainedSystem(t)
-	def := her.NewViewDef("mirror")
-	for _, rel := range sys.DB.RelationNames() {
-		def.Vertex(rel).ProjectAll()
-	}
-	if err := sys.AddViewDef(def); err != nil {
-		t.Fatal(err)
+	addMirror := func() {
+		def := her.NewViewDef("mirror")
+		for _, rel := range sys.DB.RelationNames() {
+			def.Vertex(rel).ProjectAll()
+		}
+		if err := sys.AddViewDef(def); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if shards == 0 {
-		return newServer(t, sys), sys, p1
+		srv := newServer(t, sys)
+		addMirror()
+		return srv, sys, p1
 	}
+	addMirror()
 	srv, err := NewSharded(sys, shards)
 	if err != nil {
 		t.Fatal(err)

@@ -71,29 +71,24 @@ type Delta struct {
 // DeltaLog is a bounded ring of recorded deltas, dense in generations:
 // every generation bump records exactly one delta, so the log covers a
 // contiguous suffix of history. Owners record under their mutation
-// lock; the engine reads concurrently through Since.
+// lock; the engine reads concurrently through Since. The zero value is
+// an empty log.
 type DeltaLog struct {
 	mu  sync.Mutex
-	cap int
-	buf []Delta // guarded by mu — ascending Gen; oldest dropped when past capacity
+	buf []Delta // guarded by mu — ascending Gen; the oldest dropped past deltaLogCap
 }
 
-// NewDeltaLog creates a log retaining the most recent capacity deltas
-// (<= 0 picks the default of 1024).
-func NewDeltaLog(capacity int) *DeltaLog {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &DeltaLog{cap: capacity}
-}
+// deltaLogCap is how many of the most recent deltas a log retains. An
+// engine further behind than that rebuilds in full.
+const deltaLogCap = 1024
 
 // Record appends d. Callers must record deltas with strictly increasing
 // Gen (the owner's mutation lock serializes them).
 func (l *DeltaLog) Record(d Delta) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.buf) >= l.cap {
-		n := copy(l.buf, l.buf[len(l.buf)-l.cap+1:])
+	if len(l.buf) >= deltaLogCap {
+		n := copy(l.buf, l.buf[len(l.buf)-deltaLogCap+1:])
 		l.buf = l.buf[:n]
 	}
 	l.buf = append(l.buf, d)
@@ -256,12 +251,14 @@ func (e *Engine) applyVertexDelta(st *shardState, d *Delta) error {
 	if st.g.AddVertex(d.Label) != d.V {
 		return errDeltaRebuild // mirror diverged from the log
 	}
-	w := st.shards[0]
-	for _, cand := range st.shards[1:] {
-		if len(cand.owned) < len(w.owned) {
-			w = cand
+	i := 0
+	for j, cand := range st.shards {
+		if len(cand.owned) < len(st.shards[i].owned) {
+			i = j
 		}
 	}
+	st.owner = append(st.owner, i)
+	w := st.shards[i]
 	lv := w.g.AddVertex(d.Label)
 	w.setLocal(d.V, lv)
 	w.toGlobal = append(w.toGlobal, d.V)
@@ -300,7 +297,7 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 	if maxLen <= 0 {
 		maxLen = 4
 	}
-	forget := reverseRegion(st.g, d.From, maxLen)
+	forget := st.g.ReverseRegion(d.From, maxLen)
 
 	touched := make([]*shardWorker, 0, len(st.shards))
 	for i, w := range st.shards {
@@ -343,7 +340,7 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 	// matcher never reads G beyond that); candidate sets themselves only
 	// grow under edge addition, and any gained candidate is the source
 	// itself, so probing the post-update blocking index is sound.
-	evict := reverseRegion(st.g, d.From, st.radius)
+	evict := st.g.ReverseRegion(d.From, st.radius)
 	e.sweepCache(st, d.Gen, func(r request) bool {
 		if !st.blocking() {
 			return true // candidates are all owned vertices: always in range
@@ -505,25 +502,4 @@ func (w *shardWorker) rebuildIndex() {
 	w.ix = index.BuildDocs(sg,
 		func(v graph.VID) bool { return isOwned[v] && !sg.IsLeaf(v) },
 		index.NeighborhoodDoc(sg))
-}
-
-// reverseRegion collects v and every vertex reaching v within hops
-// reverse steps (hops < 0 means full reverse reachability — the cyclic
-// G_D case, where the halo is the full forward closure).
-func reverseRegion(g *graph.Graph, v graph.VID, hops int) map[graph.VID]bool {
-	region := map[graph.VID]bool{v: true}
-	frontier := []graph.VID{v}
-	for d := 0; len(frontier) > 0 && (hops < 0 || d < hops); d++ {
-		next := make([]graph.VID, 0, len(frontier))
-		for _, x := range frontier {
-			for _, in := range g.In(x) {
-				if !region[in] {
-					region[in] = true
-					next = append(next, in)
-				}
-			}
-		}
-		frontier = next
-	}
-	return region
 }

@@ -28,7 +28,7 @@ type deltaHarness struct {
 
 func newDeltaHarness(gd, g *graph.Graph, maxLen, minShared int, params core.Params) *deltaHarness {
 	return &deltaHarness{gd: gd, g: g, maxLen: maxLen, minShared: minShared,
-		params: params, log: NewDeltaLog(0)}
+		params: params, log: new(DeltaLog)}
 }
 
 func (h *deltaHarness) config(shards int) Config {
@@ -323,5 +323,53 @@ func TestDeltaTupleZeroFragments(t *testing.T) {
 	if len(nvp) != len(vp) {
 		t.Fatalf("new region's leaf has %d matches, want %d (same pattern as old leaf); the grown G_D mirror is not being served",
 			len(nvp), len(vp))
+	}
+}
+
+// TestDeltaLogSince pins the three answers Since gives: an empty range
+// is covered, a retained range comes back whole and in order, and a
+// range reaching below what the ring still holds is a gap (ok=false),
+// which the engine answers with a full rebuild.
+func TestDeltaLogSince(t *testing.T) {
+	var l DeltaLog
+	for _, r := range [][2]uint64{{0, 0}, {3, 3}, {5, 2}} {
+		if d, ok := l.Since(r[0], r[1]); !ok || d != nil {
+			t.Errorf("Since(%d, %d) on an empty range = %v, %v; want nil, true", r[0], r[1], d, ok)
+		}
+	}
+	if _, ok := l.Since(0, 1); ok {
+		t.Error("Since(0, 1) on an empty log reported covered")
+	}
+	for g := uint64(1); g <= 10; g++ {
+		l.Record(Delta{Gen: g, Kind: DeltaGraphVertex})
+	}
+	got, ok := l.Since(3, 7)
+	if !ok || len(got) != 4 {
+		t.Fatalf("Since(3, 7) = %d deltas, %v; want 4, true", len(got), ok)
+	}
+	for i, d := range got {
+		if d.Gen != uint64(4+i) {
+			t.Fatalf("Since(3, 7)[%d].Gen = %d, want %d", i, d.Gen, 4+i)
+		}
+	}
+	if _, ok := l.Since(5, 11); ok {
+		t.Error("Since(5, 11) past the newest delta reported covered")
+	}
+	// Fill the ring past its capacity: generation 1 and the rest of the
+	// oldest ones are dropped.
+	last := uint64(deltaLogCap + 10)
+	for g := uint64(11); g <= last; g++ {
+		l.Record(Delta{Gen: g, Kind: DeltaGraphVertex})
+	}
+	oldest := last - deltaLogCap + 1
+	if _, ok := l.Since(0, last); ok {
+		t.Errorf("Since(0, %d) after the ring dropped generations below %d reported covered", last, oldest)
+	}
+	if _, ok := l.Since(oldest-2, oldest); ok {
+		t.Errorf("Since(%d, %d) reaching one dropped generation reported covered", oldest-2, oldest)
+	}
+	if got, ok := l.Since(oldest-1, last); !ok || len(got) != deltaLogCap || got[0].Gen != oldest {
+		t.Errorf("Since(%d, %d) over the whole ring = %d deltas, %v; want %d from %d",
+			oldest-1, last, len(got), ok, deltaLogCap, oldest)
 	}
 }

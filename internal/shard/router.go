@@ -55,8 +55,6 @@ type Engine struct {
 // engineMetrics resolves the engine's obs handles once; all of them are
 // nil (no-op) without a registry.
 type engineMetrics struct {
-	vpairRequests *obs.Counter
-	apairRequests *obs.Counter
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	sfWaits       *obs.Counter
@@ -92,8 +90,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cache: newResultCache(cfg.CacheSize),
 		sf:    newInflight(),
 		met: engineMetrics{
-			vpairRequests: cfg.Metrics.Counter(`her_shard_requests_total{op="vpair"}`),
-			apairRequests: cfg.Metrics.Counter(`her_shard_requests_total{op="apair"}`),
 			cacheHits:     cfg.Metrics.Counter(`her_shard_cache_hits_total`),
 			cacheMisses:   cfg.Metrics.Counter(`her_shard_cache_misses_total`),
 			sfWaits:       cfg.Metrics.Counter(`her_shard_singleflight_waits_total`),
@@ -159,7 +155,6 @@ func (w *shardWorker) run() {
 			t.reply <- taskResult{}
 			continue
 		}
-		w.depth.Add(-1)
 		if t.ctx.Err() != nil {
 			t.reply <- taskResult{err: t.ctx.Err()}
 			continue
@@ -212,14 +207,12 @@ func (w *shardWorker) compute(r request) []core.Pair {
 // by AddTuple becomes addressable as soon as the generation bump has
 // triggered a rebuild.
 func (e *Engine) VPair(ctx context.Context, u graph.VID) ([]core.Pair, error) {
-	e.met.vpairRequests.Inc()
 	return e.serve(ctx, vpairRequest(u))
 }
 
 // APair computes all matches for the given G_D source vertices (nil
 // means every vertex of G_D) across the shards.
 func (e *Engine) APair(ctx context.Context, sources []graph.VID) ([]core.Pair, error) {
-	e.met.apairRequests.Inc()
 	return e.serve(ctx, apairRequest(sources))
 }
 
@@ -245,7 +238,7 @@ func (e *Engine) SPair(ctx context.Context, u, v graph.VID) (bool, error) {
 	}
 	req := spairRequest(u, v)
 	t := &task{ctx: ctx, req: req, reply: make(chan taskResult, 1)}
-	if !e.enqueue(st.ownerOf(v), t) {
+	if !e.enqueue(st.shards[st.owner[v]], t) {
 		return false, ErrOverloaded
 	}
 	select {
@@ -268,17 +261,6 @@ func (e *Engine) SPair(ctx context.Context, u, v graph.VID) (bool, error) {
 	}
 }
 
-// ownerOf returns the worker whose fragment owns G vertex v — the
-// fragments partition the state's G, so a valid v has exactly one.
-func (st *shardState) ownerOf(v graph.VID) *shardWorker {
-	for _, w := range st.shards {
-		if lv, ok := w.localOf(v); ok && w.isOwned[lv] {
-			return w
-		}
-	}
-	panic(fmt.Sprintf("shard: G vertex %d has no owning shard", v))
-}
-
 // enqueue admits t to w's queue, or counts it shed when the queue is
 // full.
 func (e *Engine) enqueue(w *shardWorker, t *task) bool {
@@ -287,7 +269,6 @@ func (e *Engine) enqueue(w *shardWorker, t *task) bool {
 	}
 	select {
 	case w.queue <- t:
-		w.depth.Add(1)
 		return true
 	default:
 		e.met.shed.Inc()

@@ -82,9 +82,6 @@ type Config struct {
 	Source func() Inputs
 	// Shards is the number of fragments (>= 1).
 	Shards int
-	// QueueDepth bounds each shard's request queue (default 64); a full
-	// queue sheds the request with ErrOverloaded.
-	QueueDepth int
 	// CacheSize is the result-cache capacity in entries (default 1024;
 	// negative disables the cache).
 	CacheSize int
@@ -107,10 +104,11 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// queueDepth bounds each shard's request queue; a full queue sheds the
+// request with ErrOverloaded.
+const queueDepth = 64
+
 func (c Config) normalized() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
@@ -143,7 +141,8 @@ type shardState struct {
 	rankerD *ranking.Ranker // h_r over gd, shared by all workers (its ecache is concurrency-safe)
 	radius  int             // halo radius used (-1 = full forward closure)
 	docD    func(graph.VID) string
-	shards  []*shardWorker
+	shards  []*shardWorker // shards[i] owns fragment i
+	owner   []int          // G vertex → index in shards of the fragment owning it
 }
 
 // shardWorker owns one fragment: its halo-closed subgraph (local vertex
@@ -167,7 +166,6 @@ type shardWorker struct {
 	matcher     *core.Matcher
 	gen         core.CandidateGen // candidate generator over owned vertices
 	queue       chan *task
-	depth       *obs.Gauge
 	// waitSeconds/computeSeconds attribute each task's enqueue→dequeue
 	// and dequeue→done intervals per shard; nil (no registry) skips the
 	// worker's clock reads unless the request itself is traced.
@@ -192,6 +190,7 @@ func newState(cfg Config) (*shardState, error) {
 		rankerD: ranking.NewRanker(gd, in.LM, in.MaxPathLen),
 		radius:  core.HaloRadius(gd, in.MaxPathLen),
 		docD:    index.NeighborhoodDoc(gd),
+		owner:   part.Of,
 	}
 	for i := range part.Fragments {
 		w, err := st.buildWorker(&part.Fragments[i])
@@ -211,7 +210,6 @@ func newState(cfg Config) (*shardState, error) {
 // registry memoizes by name, so a rebuilt fragment reuses its series)
 // and starts its drain goroutine.
 func wireWorker(cfg Config, w *shardWorker) {
-	w.depth = cfg.Metrics.Gauge(`her_shard_queue_depth{shard="` + strconv.Itoa(w.id) + `"}`)
 	w.waitSeconds = cfg.Metrics.Histogram(
 		`her_shard_queue_wait_seconds{shard="`+strconv.Itoa(w.id)+`"}`, obs.TimeBuckets)
 	w.computeSeconds = cfg.Metrics.Histogram(
@@ -316,7 +314,7 @@ func (st *shardState) buildWorker(frag *graph.Fragment) (*shardWorker, error) {
 		minShared:   st.in.MinSharedTokens,
 		rankerG:     rankerG,
 		matcher:     m,
-		queue:       make(chan *task, st.cfg.QueueDepth),
+		queue:       make(chan *task, queueDepth),
 	}
 	// The candidate generators read the worker's fields, not captured
 	// copies, so an in-place delta (grown owned set, rebuilt blocking

@@ -348,7 +348,6 @@ func TestInflightDedup(t *testing.T) {
 // queues; the next request must be shed with ErrOverloaded, not block.
 func TestAdmissionShed(t *testing.T) {
 	cfg := fixtureConfig(2)
-	cfg.QueueDepth = 1
 	cfg.Metrics = obs.NewRegistry()
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -362,10 +361,12 @@ func TestAdmissionShed(t *testing.T) {
 		blocker.reply <- taskResult{} // worker will block re-sending
 		w.queue <- blocker            // worker picks this up and wedges
 		wedged = append(wedged, blocker)
-		fill := &task{ctx: context.Background(), req: vpairRequest(0),
-			reply: make(chan taskResult, 1)}
-		w.queue <- fill // sits in the queue: full from now on
-		filler = append(filler, fill)
+		for i := 0; i < queueDepth; i++ {
+			fill := &task{ctx: context.Background(), req: vpairRequest(0),
+				reply: make(chan taskResult, 1)}
+			w.queue <- fill // sits in the queue: full once all are in
+			filler = append(filler, fill)
+		}
 	}
 	if _, err := e.VPair(context.Background(), 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("VPair on full queues = %v, want ErrOverloaded", err)
@@ -377,10 +378,12 @@ func TestAdmissionShed(t *testing.T) {
 		t.Fatalf("shed counter = %d after two shed requests", got)
 	}
 	// Unwedge so Close's workers can drain.
-	for i, b := range wedged {
+	for _, b := range wedged {
 		<-b.reply
 		<-b.reply
-		<-filler[i].reply
+	}
+	for _, f := range filler {
+		<-f.reply
 	}
 }
 
@@ -590,7 +593,6 @@ func TestVPairUnknownVertex(t *testing.T) {
 // with healthy budgets; a follower re-elects itself and computes.
 func TestLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
 	cfg := fixtureConfig(1)
-	cfg.QueueDepth = 8
 	cfg.Metrics = obs.NewRegistry()
 	e, err := NewEngine(cfg)
 	if err != nil {

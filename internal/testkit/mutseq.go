@@ -48,7 +48,7 @@ func NewMutSeq(w *Workload, minShared int) *MutSeq {
 		Params:    w.Params,
 		MaxLen:    w.MaxLen,
 		MinShared: minShared,
-		deltas:    shard.NewDeltaLog(0),
+		deltas:    new(shard.DeltaLog),
 	}
 }
 

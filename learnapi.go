@@ -26,7 +26,7 @@ func (s *System) TrainPathModel(pairs []PathPair, epochs int) error {
 	s.mu.Lock()
 	o, sc := s.opts, s.sc
 	s.mu.Unlock()
-	model := nn.MustMLP([]int{4 * o.EmbeddingDim, o.MetricHidden, 1}, nn.ReLU, o.Seed)
+	model := nn.MustMLP([]int{4 * o.EmbeddingDim, metricHidden, 1}, nn.ReLU, o.Seed)
 	model.TrainBCE(sc.samples(pairs), nn.TrainConfig{
 		Epochs: epochs, LearnRate: 0.005, BatchSize: 8, Seed: o.Seed,
 	})
@@ -74,7 +74,7 @@ func (s *System) TrainRanker(sampleVertices, epochs int) error {
 		return fmt.Errorf("her: empty ranker training corpus")
 	}
 	vocab := lstm.NewVocab(append(embed.LabelVocabulary(s.GD), embed.LabelVocabulary(s.G)...))
-	lm := lstm.New(vocab, o.LSTMEmbed, o.LSTMHidden, o.Seed)
+	lm := lstm.New(vocab, lstmEmbed, lstmHidden, o.Seed)
 	lm.Train(corpus, lstm.TrainConfig{
 		Epochs: epochs, LearnRate: 0.05, Clip: 5, Seed: o.Seed,
 	})

@@ -20,24 +20,8 @@ type Options struct {
 	// (default 4 edges, the paper's training-path cap).
 	MaxPathLen int
 
-	// MetricHidden is the hidden width of the M_ρ metric network
-	// (default 64; the paper uses a 3-layer net of widths 1536/256/1,
-	// scaled here with the embeddings).
-	MetricHidden int
-
-	// LSTMEmbed and LSTMHidden size the path language model M_r
-	// (defaults 16 and 32; the paper uses 650 hidden units for a 195K
-	// label vocabulary).
-	LSTMEmbed  int
-	LSTMHidden int
-
 	// Seed drives all model initialization and training shuffles.
 	Seed int64
-
-	// MinSharedTokens is the blocking selectivity of the candidate
-	// inverted index (default 2: a candidate entity must share at least
-	// two tokens of "critical information" with the tuple).
-	MinSharedTokens int
 
 	// Metrics, when non-nil, instruments the system: the sequential
 	// matcher, the BSP engine's workers and supersteps, the sharded
@@ -52,6 +36,21 @@ type Options struct {
 	// FlightRecorder, traced or not.
 	Metrics *MetricsRegistry
 }
+
+// The model sizes and the blocking selectivity are fixed, not options.
+const (
+	// metricHidden is the hidden width of the M_ρ metric network (the
+	// paper uses a 3-layer net of widths 1536/256/1, scaled here with
+	// the embeddings).
+	metricHidden = 64
+	// lstmEmbed and lstmHidden size the path language model M_r (the
+	// paper uses 650 hidden units for a 195K label vocabulary).
+	lstmEmbed, lstmHidden = 16, 32
+	// minSharedTokens is the blocking selectivity of the candidate
+	// inverted index: a candidate entity must share at least two tokens
+	// of "critical information" with the tuple.
+	minSharedTokens = 2
+)
 
 // Normalize returns a copy with defaults filled in.
 func (o Options) Normalize() Options {
@@ -70,20 +69,8 @@ func (o Options) Normalize() Options {
 	if o.MaxPathLen <= 0 {
 		o.MaxPathLen = 4
 	}
-	if o.MetricHidden <= 0 {
-		o.MetricHidden = 64
-	}
-	if o.LSTMEmbed <= 0 {
-		o.LSTMEmbed = 16
-	}
-	if o.LSTMHidden <= 0 {
-		o.LSTMHidden = 32
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MinSharedTokens <= 0 {
-		o.MinSharedTokens = 2
 	}
 	return o
 }

@@ -3,8 +3,12 @@ package her
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
+
+	"her/internal/lstm"
+	"her/internal/nn"
 )
 
 // TestSaveLoadModels: a freshly built system loaded with saved models
@@ -52,6 +56,70 @@ func TestSaveLoadModels(t *testing.T) {
 	th := fresh.Thresholds()
 	if th != sys.Thresholds() {
 		t.Errorf("thresholds %+v vs %+v", th, sys.Thresholds())
+	}
+}
+
+// TestLoadModelsWithRetiredOptions: a version-3 file written when
+// Options still carried MetricHidden, LSTMEmbed, LSTMHidden and
+// MinSharedTokens loads, its trained models intact — gob skips fields
+// the decoding type no longer has, and the constants that replaced
+// those fields equal their old defaults.
+func TestLoadModelsWithRetiredOptions(t *testing.T) {
+	sys, pairs := incrementalFixture(t)
+	u, _ := sys.Mapping.VertexOf("product", 0)
+	want := sys.VPairVertex(u)
+	var buf bytes.Buffer
+	if err := sys.SaveModels(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f modelFile
+	if err := gob.NewDecoder(&buf).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	type options struct {
+		EmbeddingDim                        int
+		Sigma, Delta                        float64
+		K, MaxPathLen                       int
+		MetricHidden, LSTMEmbed, LSTMHidden int
+		Seed                                int64
+		MinSharedTokens                     int
+	}
+	old := struct {
+		Version   int
+		Options   options
+		HasMetric bool
+		Metric    nn.Snapshot
+		HasLM     bool
+		LM        lstm.Snapshot
+		Overrides []overrideEntry
+	}{
+		Version: f.Version,
+		Options: options{
+			EmbeddingDim: f.Options.EmbeddingDim, Sigma: f.Options.Sigma, Delta: f.Options.Delta,
+			K: f.Options.K, MaxPathLen: f.Options.MaxPathLen,
+			MetricHidden: 64, LSTMEmbed: 16, LSTMHidden: 32,
+			Seed: f.Options.Seed, MinSharedTokens: 2,
+		},
+		HasMetric: f.HasMetric, Metric: f.Metric,
+		HasLM: f.HasLM, LM: f.LM,
+		Overrides: f.Overrides,
+	}
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(sys.DB, sys.G, Options{Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadModels(&legacy); err != nil {
+		t.Fatalf("a file with the retired options does not load: %v", err)
+	}
+	if got := fresh.VPairVertex(u); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("loaded system answers %v, the trained one %v", got, want)
+	}
+	if a, b := fresh.MrhoScore(pairs[0].A, pairs[0].B), sys.MrhoScore(pairs[0].A, pairs[0].B); a != b {
+		t.Fatalf("metric score %f after load, %f trained", a, b)
 	}
 }
 

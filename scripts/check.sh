@@ -74,12 +74,15 @@ stage "benchmark module" benchmark_module
 # direct engine; vpair_cold: the open phase keeps up), so a change that
 # makes a workload incorrect would first be seen when the benchmark
 # rejects it. Run each workload briefly at its real size; the last line
-# a run prints is its JSON result. Set CHECK_BENCH=0 to skip.
+# a run prints is its JSON result, which must say "correct":true and
+# "failed":0 — a run with failed operations is rejected like an incorrect
+# one. Set CHECK_BENCH=0 to skip.
 benchmark_correct() {
-    local w
+    local w last
     for w in vpair_cold vpair_hot apair_batch vpair_rw; do
-        bash benchmark/run.sh --workload "$w" --seed 1 --seconds 4 --trace 0 | tail -n 1 |
-            grep -q '"correct":true' || { echo "benchmark workload $w is not correct" >&2; return 1; }
+        last=$(bash benchmark/run.sh --workload "$w" --seed 1 --seconds 4 --trace 0 | tail -n 1)
+        grep -q '"correct":true' <<<"$last" || { echo "benchmark workload $w is not correct" >&2; return 1; }
+        grep -q '"failed":0[,}]' <<<"$last" || { echo "benchmark workload $w failed operations: $last" >&2; return 1; }
     done
 }
 if [ "${CHECK_BENCH:-1}" != "0" ]; then

@@ -41,7 +41,7 @@ func (h *ViewHandle) ShardConfig(shards int) shard.Config {
 				LM:              s.lm,
 				Params:          s.paramsLocked(),
 				MaxPathLen:      s.opts.MaxPathLen,
-				MinSharedTokens: s.opts.MinSharedTokens,
+				MinSharedTokens: minSharedTokens,
 				Gen:             h.Generation(),
 			}
 		},

@@ -151,6 +151,103 @@ func TestEngineReplaysWritesSinceSnapshot(t *testing.T) {
 	}
 }
 
+// TestEngineRebuildsPastDeltaLog: when more writes land between two
+// requests than the view's delta log retains (1024), the log answers
+// the gap with ok=false and the engine rebuilds in full — once — from a
+// fresh Source, answering as the System does.
+func TestEngineRebuildsPastDeltaLog(t *testing.T) {
+	sys, _ := incrementalFixture(t)
+	eng, err := shard.NewEngine(sys.ShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	u0, err := sys.TupleVertex("product", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.VPair(context.Background(), u0); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Snapshot()
+
+	// A second product like the first, then enough isolated vertices to
+	// push the product's deltas out of the log.
+	p2 := sys.AddGraphVertex("product")
+	for _, e := range [][2]string{{"Aurora Trail Runner", "productName"}, {"red", "hasColor"}} {
+		if err := sys.AddGraphEdge(p2, sys.AddGraphVertex(e[0]), e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1100; i++ {
+		sys.AddGraphVertex(fmt.Sprintf("filler %d", i))
+	}
+	got, err := eng.VPair(context.Background(), u0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.VPair("product", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("VPair after the gap = %v, System.VPair %v", got, want)
+	}
+	after := eng.Snapshot()
+	if after.FullRebuilds != before.FullRebuilds+1 || after.DeltasApplied != before.DeltasApplied {
+		t.Fatalf("full rebuilds %d → %d, deltas applied %d → %d; want one rebuild and no replay",
+			before.FullRebuilds, after.FullRebuilds, before.DeltasApplied, after.DeltasApplied)
+	}
+	if after.Generation != sys.Generation() {
+		t.Fatalf("engine at generation %d, System at %d", after.Generation, sys.Generation())
+	}
+}
+
+// TestEngineSPairOnAddedVertex: a vertex added by a replayed delta is
+// owned by exactly one shard, the one SPair asks, and its verdict is
+// the System's.
+func TestEngineSPairOnAddedVertex(t *testing.T) {
+	sys, _ := incrementalFixture(t)
+	eng, err := shard.NewEngine(sys.ShardConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	u0, err := sys.TupleVertex("product", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := sys.AddGraphVertex("product")
+	for _, e := range [][2]string{{"Aurora Trail Runner", "productName"}, {"red", "hasColor"}} {
+		if err := sys.AddGraphEdge(p2, sys.AddGraphVertex(e[0]), e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sys.SPairVertices(u0, p2) {
+		t.Fatal("fixture: the added product does not match the tuple")
+	}
+	for v := VertexID(0); int(v) < sys.G.NumVertices(); v++ {
+		got, err := eng.SPair(context.Background(), u0, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sys.SPairVertices(u0, v); got != want {
+			t.Errorf("SPair(%d, %d) = %t, System %t", u0, v, got, want)
+		}
+	}
+	info := eng.Snapshot()
+	if info.FullRebuilds != 0 || info.DeltasApplied != 5 {
+		t.Fatalf("full rebuilds %d, deltas applied %d; want the 5 writes replayed in place", info.FullRebuilds, info.DeltasApplied)
+	}
+	owned := 0
+	for _, f := range info.Fragments {
+		owned += f.Owned
+	}
+	if owned != sys.G.NumVertices() {
+		t.Fatalf("fragments own %d vertices, G has %d", owned, sys.G.NumVertices())
+	}
+}
+
 // TestConcurrentMutateWhileServing is the mutate-while-serving race
 // regression (meaningful under -race): shard requests hammer the engine
 // while incremental updates extend G_D and G through the system lock.

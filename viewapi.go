@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"her/internal/bsp"
 	"her/internal/core"
@@ -128,18 +127,6 @@ func (h *ViewHandle) recordLocked(d shard.Delta) {
 	d.Gen = h.generation.Load() + 1
 	h.deltas.Record(d)
 	h.generation.Add(1)
-	h.publishMetricsLocked()
-}
-
-// publishMetricsLocked refreshes the view's her_view_* gauges.
-func (h *ViewHandle) publishMetricsLocked() {
-	reg := h.sys.opts.Metrics
-	if reg == nil {
-		return
-	}
-	reg.Gauge(fmt.Sprintf("her_view_vertices{view=%q}", h.name)).Set(float64(h.gd.NumVertices()))
-	reg.Gauge(fmt.Sprintf("her_view_edges{view=%q}", h.name)).Set(float64(h.gd.NumEdges()))
-	reg.Gauge(fmt.Sprintf("her_view_generation{view=%q}", h.name)).Set(float64(h.generation.Load()))
 }
 
 // rebuildGenLocked derives the view's candidate generator from the
@@ -147,10 +134,10 @@ func (h *ViewHandle) publishMetricsLocked() {
 // docs. The closure captures the index it was built over, so a fetched
 // generator stays valid across later index rebuilds.
 func (h *ViewHandle) rebuildGenLocked() {
-	ix, min := h.sys.ix, h.sys.opts.MinSharedTokens
+	ix := h.sys.ix
 	docD := index.NeighborhoodDoc(h.gd)
 	h.gen = func(u graph.VID) []graph.VID {
-		return ix.Lookup(docD(u), min)
+		return ix.Lookup(docD(u), minSharedTokens)
 	}
 }
 
@@ -171,7 +158,6 @@ func (h *ViewHandle) rebuildMatcherLocked() error {
 // ranker, candidate generator and matcher around the new graph.
 func (h *ViewHandle) compileLocked() error {
 	s := h.sys
-	t0 := time.Now()
 	gd, mapping, err := view.Compile(h.def, s.DB)
 	if err != nil {
 		return err
@@ -179,14 +165,7 @@ func (h *ViewHandle) compileLocked() error {
 	h.gd, h.mapping = gd, mapping
 	h.rankerD = ranking.NewRanker(gd, s.lm, s.opts.MaxPathLen)
 	h.rebuildGenLocked()
-	if err := h.rebuildMatcherLocked(); err != nil {
-		return err
-	}
-	if reg := s.opts.Metrics; reg != nil {
-		reg.Histogram(fmt.Sprintf("her_view_extract_seconds{view=%q}", h.name),
-			nil).ObserveSince(t0)
-	}
-	return nil
+	return h.rebuildMatcherLocked()
 }
 
 // extendTupleLocked maintains the view after tuple (rel, id) was
@@ -213,9 +192,6 @@ func (h *ViewHandle) extendTupleLocked(rel string, id int) error {
 		if err := h.compileLocked(); err != nil {
 			return err
 		}
-		if reg := s.opts.Metrics; reg != nil {
-			reg.Counter(fmt.Sprintf("her_view_resets_total{view=%q}", h.name)).Inc()
-		}
 		h.recompiles++
 		h.recordLocked(shard.Delta{Kind: shard.DeltaReset})
 		h.publishLocked()
@@ -234,9 +210,6 @@ func (h *ViewHandle) extendTupleLocked(rel string, id int) error {
 		for _, e := range h.gd.Out(graph.VID(v)) {
 			d.GDEdges = append(d.GDEdges, shard.GDEdge{From: graph.VID(v), To: e.To, Label: e.Label})
 		}
-	}
-	if reg := s.opts.Metrics; reg != nil {
-		reg.Counter(fmt.Sprintf("her_view_delta_tuples_total{view=%q}", h.name)).Inc()
 	}
 	h.recordLocked(d)
 	h.publishLocked()
@@ -269,7 +242,7 @@ func (s *System) AddViewDef(def *ViewDef) error {
 		errp:   fmt.Sprintf("her: view %s: ", def.Name),
 		def:    def,
 		rules:  def.RuleCount(),
-		deltas: shard.NewDeltaLog(0),
+		deltas: new(shard.DeltaLog),
 	}
 	if err := h.compileLocked(); err != nil {
 		return err
@@ -278,7 +251,6 @@ func (s *System) AddViewDef(def *ViewDef) error {
 	s.hosted = append(s.hosted, h)
 	named := s.hosted[1:] // direct stays first; the rest sort by name
 	sort.Slice(named, func(i, j int) bool { return named[i].name < named[j].name })
-	h.publishMetricsLocked()
 	return nil
 }
 
