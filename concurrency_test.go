@@ -3,7 +3,9 @@ package her
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,10 +40,9 @@ func concurrencyFixture(t *testing.T) (*System, VertexID, VertexID) {
 }
 
 // TestCandidatesRaceWithAddGraphEdge pins the lock discipline of
-// System.Candidates: the candidate generator is swapped whole by
-// AddGraphEdge's index rebuild (under s.mu), so Candidates must fetch
-// it under the same lock. Before the fix, this read raced with the
-// rebuild; run with -race to regress it.
+// System.Candidates: AddGraphEdge rebuilds the blocking index under
+// s.mu, so Candidates reads it under the same lock. Before the fix, this
+// read raced with the rebuild; run with -race to regress it.
 func TestCandidatesRaceWithAddGraphEdge(t *testing.T) {
 	sys, src, p1 := concurrencyFixture(t)
 
@@ -69,6 +70,110 @@ func TestCandidatesRaceWithAddGraphEdge(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// raceReadsWithWrites runs read on two goroutines and, once a read has
+// finished, writes from the test goroutine until two more reads have
+// finished (at least 20 writes, at most 200), so that writes land
+// while reads are in flight. The readers of the live graphs must be
+// ordered with the writes by s.mu or by a copy taken under it, or the
+// race detector reports them.
+func raceReadsWithWrites(t *testing.T, read func(), write func(i int) error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+					reads.Add(1)
+				}
+			}
+		}()
+	}
+	for reads.Load() == 0 {
+		runtime.Gosched()
+	}
+	for i, until := 0, reads.Load()+2; i < 20 || (i < 200 && reads.Load() < until); i++ {
+		if err := write(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tupleAndEdgeWrites appends a product tuple and an edge out of p1 per
+// write: AddTuple extends the database and G_D, AddGraphEdge grows G.
+func tupleAndEdgeWrites(sys *System, p1 VertexID) func(int) error {
+	return func(i int) error {
+		if _, err := sys.AddTuple("product", fmt.Sprintf("Comet Road Cruiser %d", i), "blue"); err != nil {
+			return err
+		}
+		return sys.AddGraphEdge(p1, sys.AddGraphVertex("accessory"), "relatedTo")
+	}
+}
+
+// TestCandidatesRaceWithAddTuple: Candidates reads the tuple vertex's
+// neighborhood document in the live G_D, which AddTuple extends, so it
+// runs under s.mu. Run with -race to regress it.
+func TestCandidatesRaceWithAddTuple(t *testing.T) {
+	sys, src, _ := concurrencyFixture(t)
+	raceReadsWithWrites(t, func() { sys.Candidates(src) }, func(i int) error {
+		_, err := sys.AddTuple("product", fmt.Sprintf("Comet Road Cruiser %d", i), "blue")
+		return err
+	})
+}
+
+// TestEvaluateWithRaceWithWrites: EvaluateWith (and LearnThresholds
+// through it) matches over copies of G_D and G taken under s.mu, not
+// over the live graphs the writes extend. Run with -race to regress it.
+func TestEvaluateWithRaceWithWrites(t *testing.T) {
+	sys, src, p1 := concurrencyFixture(t)
+	anns := []Annotation{{Pair: Pair{U: src, V: p1}, Match: true}}
+	raceReadsWithWrites(t, func() {
+		sys.EvaluateWith(Thresholds{Sigma: 0.5, Delta: 0.5, K: 3}, anns)
+	}, tupleAndEdgeWrites(sys, p1))
+}
+
+// TestTrainRankerRaceWithWrites: TrainRanker collects its corpus and
+// vocabulary from copies of G_D and G taken under s.mu. Run with -race
+// to regress it.
+func TestTrainRankerRaceWithWrites(t *testing.T) {
+	sys, _, p1 := concurrencyFixture(t)
+	raceReadsWithWrites(t, func() {
+		if err := sys.TrainRanker(10, 1); err != nil {
+			t.Error(err)
+		}
+	}, tupleAndEdgeWrites(sys, p1))
+}
+
+// TestSemanticJoinRaceWithWrites: SemanticJoin reads the relation's
+// tuples and each matched vertex's properties in G under s.mu. The
+// thresholds are lowered so that every candidate matches and the
+// properties are read. Run with -race to regress it.
+func TestSemanticJoinRaceWithWrites(t *testing.T) {
+	sys, _, p1 := concurrencyFixture(t)
+	if err := sys.SetThresholds(Thresholds{Sigma: 0, Delta: 0, K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := sys.SemanticJoin("product"); err != nil || len(rows) == 0 {
+		t.Fatalf("SemanticJoin = %d rows, %v; want rows to read properties from", len(rows), err)
+	}
+	raceReadsWithWrites(t, func() {
+		if _, err := sys.SemanticJoin("product"); err != nil {
+			t.Error(err)
+		}
+	}, tupleAndEdgeWrites(sys, p1))
 }
 
 // TestThresholdsRaceWithParallelAPair pins the snapshot discipline of

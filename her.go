@@ -116,7 +116,7 @@ type System struct {
 	rankerG *ranking.Ranker // guarded by mu — rebuilt with lm
 
 	mu sync.Mutex      // serializes matching and mutation
-	ix *index.Inverted // guarded by mu — the G-side blocking index, shared by all views
+	ix *index.Inverted // guarded by mu — G's blocking index, shared by all views; rebuilt by AddGraphEdge
 
 	// hosted is the table of graphs over D the system links against G:
 	// the direct view first, then the named views in sorted order — the
@@ -169,6 +169,7 @@ func NewFromGraphs(gd, g *graph.Graph, opts Options) (*System, error) {
 		G:       g,
 		sc:      newScorers(embed.NewEncoder(o.EmbeddingDim), nil),
 		rankerG: ranking.NewRanker(g, nil, o.MaxPathLen),
+		ix:      index.Blocking(g, minSharedTokens),
 	}
 	s.direct = &ViewHandle{
 		sys:       s,
@@ -182,7 +183,6 @@ func NewFromGraphs(gd, g *graph.Graph, opts Options) (*System, error) {
 	s.hosted = []*ViewHandle{s.direct}
 	s.direct.publishLocked()
 	s.publishLabelsLocked()
-	s.buildCandidateGenLocked()
 	if err := s.resetMatcherLocked(); err != nil {
 		return nil, err
 	}
@@ -206,22 +206,6 @@ func (s *System) paramsLocked() core.Params {
 		Sigma: s.opts.Sigma,
 		Delta: s.opts.Delta,
 		K:     s.opts.K,
-	}
-}
-
-// buildCandidateGenLocked constructs the blocking inverted index:
-// non-leaf vertices of G indexed by their own label plus 1-hop neighbor
-// labels ("critical information"), queried with the tuple vertex's
-// label plus its attribute values. The index is over G only, so every
-// hosted view shares it — each view pairs it with neighborhood docs
-// over its own G_D-side graph. Callers hold s.mu (construction-time
-// calls own the System exclusively).
-func (s *System) buildCandidateGenLocked() {
-	s.ix = index.BuildDocs(s.G,
-		func(v graph.VID) bool { return !s.G.IsLeaf(v) },
-		index.NeighborhoodDoc(s.G))
-	for _, h := range s.hosted {
-		h.rebuildGenLocked()
 	}
 }
 
@@ -286,13 +270,22 @@ func (s *System) Thresholds() Thresholds {
 
 // SetThresholds installs new thresholds and resets cached decisions.
 func (s *System) SetThresholds(th Thresholds) error {
-	if th.Sigma < 0 || th.Sigma > 1 || th.Delta < 0 || th.K <= 0 {
-		return fmt.Errorf("her: invalid thresholds %+v", th)
+	if err := checkThresholds(th); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.opts.Sigma, s.opts.Delta, s.opts.K = th.Sigma, th.Delta, th.K
 	return s.resetMatcherLocked()
+}
+
+// checkThresholds is the rule every installed (σ, δ, k) obeys: σ in
+// [0, 1], δ ≥ 0, k ≥ 1.
+func checkThresholds(th Thresholds) error {
+	if th.Sigma < 0 || th.Sigma > 1 || th.Delta < 0 || th.K <= 0 {
+		return fmt.Errorf("her: invalid thresholds %+v", th)
+	}
+	return nil
 }
 
 // GraphValid reports whether v is a vertex of G, under the system lock —
@@ -405,14 +398,13 @@ func (s *System) Explain(u, v VertexID) (*Explanation, error) { return s.direct.
 
 // Candidates exposes the blocking candidate generator: the G vertices
 // considered for a G_D vertex before the σ filter. Baselines reuse it so
-// efficiency comparisons share the same blocking. The generator is
-// fetched under the system lock (AddGraphEdge swaps it on index
-// rebuilds) and invoked outside it — generators are immutable closures.
+// efficiency comparisons share the same blocking. It runs under the
+// system lock: it reads the live G_D and the index AddGraphEdge
+// rebuilds.
 func (s *System) Candidates(u VertexID) []VertexID {
 	s.mu.Lock()
-	gen := s.direct.gen
-	s.mu.Unlock()
-	return gen(u)
+	defer s.mu.Unlock()
+	return s.direct.candidatesLocked(u)
 }
 
 // RankerD exposes the G_D-side ranking function h_r (for harnesses that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"her/internal/graph"
+	"her/internal/index"
 	"her/internal/shard"
 )
 
@@ -76,10 +77,9 @@ func (s *System) AddGraphEdge(from, to VertexID, label string) error {
 	for v := range affected {
 		s.rankerG.Invalidate(v)
 	}
-	// buildCandidateGenLocked refreshes the shared index and every view's
-	// generator with it; the affected set is G-side, so it applies
-	// verbatim to every view's cached decisions.
-	s.buildCandidateGenLocked()
+	// The index is shared by every view, and the affected set is G-side,
+	// so it applies verbatim to every view's cached decisions.
+	s.ix = index.Blocking(s.G, minSharedTokens)
 	for _, h := range s.hosted {
 		h.matcher.ForgetVertices(func(v graph.VID) bool { return affected[v] })
 		h.recordLocked(shard.Delta{Kind: shard.DeltaGraphEdge, From: from, To: to, Label: label})

@@ -96,7 +96,8 @@ func TestRunWithIndex(t *testing.T) {
 	gd := randomGraph(rng, 8, 12, labels, []string{"x", "y"})
 	g := randomGraph(rng, 8, 12, labels, []string{"x", "y"})
 	p := core.Params{Mv: exactMv, Mrho: exactMrho, Sigma: 1, Delta: 0.4, K: 3}
-	gen := indexGen(gd, index.BuildDocs(g, nil, nil))
+	ix := index.Blocking(g, 1)
+	gen := func(u graph.VID) []graph.VID { return ix.Candidates(gd, u, nil) }
 	want := sequentialAPair(t, gd, g, p, gen, 3)
 	eng, err := NewEngine(gd, g, ranking.NewRanker(gd, nil, 3), ranking.NewRanker(g, nil, 3), p)
 	if err != nil {
@@ -231,14 +232,5 @@ func TestSuperstepBound(t *testing.T) {
 	}
 	if got, _, err := run(2); err != nil || !pairsEqual(got, want) {
 		t.Errorf("MaxSupersteps 2: %v, err %v; want %v", got, err, want)
-	}
-}
-
-// indexGen builds a CandidateGen from a token inverted index over G's
-// vertex labels: candidates for u are vertices sharing at least one
-// token with u's label.
-func indexGen(gd *graph.Graph, ix *index.Inverted) core.CandidateGen {
-	return func(u graph.VID) []graph.VID {
-		return ix.Lookup(gd.Label(u), 1)
 	}
 }

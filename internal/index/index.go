@@ -2,6 +2,7 @@
 // generation ("blocking"; Sections VI and VII): vertex labels are indexed
 // by word token, and candidate vertices for a query label are those
 // sharing at least one token, optionally ranked by shared-token count.
+// Blocking and Candidates are the blocking rule every matcher uses.
 package index
 
 import (
@@ -14,7 +15,8 @@ import (
 
 // Inverted is a token → vertices index over a graph's vertex labels.
 type Inverted struct {
-	postings map[string][]graph.VID
+	postings  map[string][]graph.VID
+	minShared int // Candidates' selectivity; set by Blocking
 }
 
 // BuildDocs indexes every vertex of g whose id satisfies the filter (nil
@@ -46,6 +48,25 @@ func BuildDocs(g *graph.Graph, filter func(graph.VID) bool, docFn func(graph.VID
 	return ix
 }
 
+// Blocking builds the blocking index over G: its non-leaf vertices
+// indexed by their neighborhood documents (NeighborhoodDoc), queried
+// through Candidates, which keeps the vertices sharing at least
+// minShared tokens with the query.
+func Blocking(g *graph.Graph, minShared int) *Inverted {
+	ix := BuildDocs(g, func(v graph.VID) bool { return !g.IsLeaf(v) }, NeighborhoodDoc(g))
+	ix.minShared = minShared
+	return ix
+}
+
+// Candidates returns the blocking candidates of G_D vertex u: the
+// indexed vertices sharing at least the index's minShared tokens with
+// u's neighborhood document in gd, ordered by descending shared-token
+// count (ties by id). keep, when non-nil, restricts the lookup to the
+// vertices it accepts; the others are skipped before counting.
+func (ix *Inverted) Candidates(gd *graph.Graph, u graph.VID, keep func(graph.VID) bool) []graph.VID {
+	return ix.lookup(NeighborhoodDoc(gd)(u), ix.minShared, keep)
+}
+
 // NeighborhoodDoc returns a document function that concatenates a
 // vertex's own label with the labels of its out-neighbors.
 func NeighborhoodDoc(g *graph.Graph) func(graph.VID) string {
@@ -63,10 +84,10 @@ func NeighborhoodDoc(g *graph.Graph) func(graph.VID) string {
 // NumTokens returns the number of distinct indexed tokens.
 func (ix *Inverted) NumTokens() int { return len(ix.postings) }
 
-// Lookup returns vertices sharing at least minShared tokens with the
-// query label, ordered by descending shared-token count (ties by id).
-// minShared < 1 is treated as 1.
-func (ix *Inverted) Lookup(label string, minShared int) []graph.VID {
+// lookup returns the vertices keep accepts (nil keeps all) that share at
+// least minShared tokens with the query label, ordered by descending
+// shared-token count (ties by id). minShared < 1 is treated as 1.
+func (ix *Inverted) lookup(label string, minShared int, keep func(graph.VID) bool) []graph.VID {
 	if minShared < 1 {
 		minShared = 1
 	}
@@ -78,7 +99,9 @@ func (ix *Inverted) Lookup(label string, minShared int) []graph.VID {
 		}
 		seen[tok] = true
 		for _, v := range ix.postings[tok] {
-			counts[v]++
+			if keep == nil || keep(v) {
+				counts[v]++
+			}
 		}
 	}
 	out := make([]graph.VID, 0, len(counts))

@@ -19,7 +19,7 @@ func buildGraph() (*graph.Graph, []graph.VID) {
 func TestLookupSharedTokens(t *testing.T) {
 	g, vs := buildGraph()
 	ix := BuildDocs(g, nil, nil)
-	got := ix.Lookup("Dame Basketball Shoes D7", 1)
+	got := ix.lookup("Dame Basketball Shoes D7", 1, nil)
 	// v0 shares 3 tokens, v1 shares 1 ("shoes"), v3 shares 1 ("dame").
 	if len(got) != 3 {
 		t.Fatalf("Lookup = %v", got)
@@ -28,11 +28,11 @@ func TestLookupSharedTokens(t *testing.T) {
 		t.Errorf("highest-overlap vertex should come first, got %v", got)
 	}
 	// minShared=2 keeps only v0.
-	got2 := ix.Lookup("Dame Basketball Shoes D7", 2)
+	got2 := ix.lookup("Dame Basketball Shoes D7", 2, nil)
 	if len(got2) != 1 || got2[0] != vs[0] {
 		t.Errorf("minShared=2 Lookup = %v", got2)
 	}
-	if hits := ix.Lookup("nonexistent tokens", 1); hits != nil {
+	if hits := ix.lookup("nonexistent tokens", 1, nil); hits != nil {
 		t.Errorf("no-match lookup = %v", hits)
 	}
 }
@@ -40,10 +40,10 @@ func TestLookupSharedTokens(t *testing.T) {
 func TestBuildFilter(t *testing.T) {
 	g, vs := buildGraph()
 	ix := BuildDocs(g, func(v graph.VID) bool { return v == vs[2] }, nil)
-	if hits := ix.Lookup("Germany", 1); len(hits) != 1 || hits[0] != vs[2] {
+	if hits := ix.lookup("Germany", 1, nil); len(hits) != 1 || hits[0] != vs[2] {
 		t.Errorf("filtered lookup = %v", hits)
 	}
-	if hits := ix.Lookup("Shoes", 1); hits != nil {
+	if hits := ix.lookup("Shoes", 1, nil); hits != nil {
 		t.Errorf("filtered-out vertex returned: %v", hits)
 	}
 	if ix.NumTokens() != 1 {
@@ -59,7 +59,7 @@ func TestDuplicateTokensCountOnce(t *testing.T) {
 		t.Errorf("postings[red] = %v", p)
 	}
 	// Query with repeated token should not inflate overlap.
-	if hits := ix.Lookup("red red", 2); hits != nil {
+	if hits := ix.lookup("red red", 2, nil); hits != nil {
 		t.Errorf("repeated query token inflated overlap: %v", hits)
 	}
 }
@@ -69,8 +69,8 @@ func TestLookupDeterministicOrder(t *testing.T) {
 	a := g.AddVertex("alpha common")
 	b := g.AddVertex("beta common")
 	ix := BuildDocs(g, nil, nil)
-	h1 := ix.Lookup("common", 1)
-	h2 := ix.Lookup("common", 1)
+	h1 := ix.lookup("common", 1, nil)
+	h2 := ix.lookup("common", 1, nil)
 	if len(h1) != 2 || h1[0] != h2[0] || h1[1] != h2[1] {
 		t.Errorf("order not deterministic: %v vs %v", h1, h2)
 	}
@@ -94,7 +94,7 @@ func TestNeighborhoodDoc(t *testing.T) {
 	}
 	// Indexing with the neighborhood doc finds the entity by its values.
 	ix := BuildDocs(g, func(v graph.VID) bool { return !g.IsLeaf(v) }, NeighborhoodDoc(g))
-	hits := ix.Lookup("red dame", 2)
+	hits := ix.lookup("red dame", 2, nil)
 	if len(hits) != 1 || hits[0] != e {
 		t.Errorf("neighborhood lookup = %v", hits)
 	}
@@ -131,10 +131,43 @@ func TestNeighborhoodDocExactFormat(t *testing.T) {
 func TestLookupNoMatchNil(t *testing.T) {
 	g, _ := buildGraph()
 	ix := BuildDocs(g, nil, nil)
-	if got := ix.Lookup("zzz qqq", 1); got != nil {
+	if got := ix.lookup("zzz qqq", 1, nil); got != nil {
 		t.Errorf("Lookup(no shared tokens) = %#v, want nil", got)
 	}
-	if got := ix.Lookup("dame", 5); got != nil {
+	if got := ix.lookup("dame", 5, nil); got != nil {
 		t.Errorf("Lookup(minShared unreachable) = %#v, want nil", got)
+	}
+}
+
+// TestBlockingCandidates pins the blocking rule: only non-leaf vertices
+// are indexed, each under its neighborhood document; a G_D vertex is
+// queried by its own neighborhood document at the index's minShared;
+// keep drops vertices before counting; and the order is shared tokens
+// descending, then id ascending.
+func TestBlockingCandidates(t *testing.T) {
+	g := graph.New()
+	a := g.AddVertex("shoe")
+	g.MustAddEdge(a, g.AddVertex("Dame Seven"), "name")
+	g.MustAddEdge(a, g.AddVertex("red"), "color")
+	b := g.AddVertex("shoe")
+	g.MustAddEdge(b, g.AddVertex("Dame Six"), "name")
+	g.AddVertex("shoe red dame") // a leaf: not indexed
+
+	gd := graph.New()
+	u := gd.AddVertex("shoe")
+	gd.MustAddEdge(u, gd.AddVertex("Dame red"), "name")
+
+	ix := Blocking(g, 2)
+	if got := ix.Candidates(gd, u, nil); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Errorf("Candidates = %v, want [%d %d] (a shares 3 tokens, b 2; the leaf is not indexed)", got, a, b)
+	}
+	if got := ix.Candidates(gd, u, func(v graph.VID) bool { return v != a }); len(got) != 1 || got[0] != b {
+		t.Errorf("Candidates keeping all but %d = %v, want [%d]", a, got, b)
+	}
+	if got := Blocking(g, 4).Candidates(gd, u, nil); got != nil {
+		t.Errorf("Candidates at minShared 4 = %v, want nil", got)
+	}
+	if got := Blocking(g, 1).Candidates(gd, 1, nil); len(got) != 2 {
+		t.Errorf("Candidates of a G_D leaf = %v, want both entities (its doc is its label)", got)
 	}
 }

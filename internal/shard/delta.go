@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"her/internal/core"
@@ -265,10 +266,7 @@ func (e *Engine) applyVertexDelta(st *shardState, d *Delta) error {
 	w.depthOf = append(w.depthOf, 0)
 	w.owned = append(w.owned, lv)
 	w.ownedGlobal = append(w.ownedGlobal, d.V)
-	w.isOwned = append(w.isOwned, true)
-	e.sweepCache(st, d.Gen, func(r request) bool {
-		return !st.blocking()
-	})
+	e.sweepCache(st, d.Gen, func(request) bool { return st.ix == nil })
 	return nil
 }
 
@@ -284,8 +282,10 @@ func (e *Engine) applyVertexDelta(st *shardState, d *Delta) error {
 // mirrors — still no global re-clone. In-place fragments then drop the
 // ranker entries and cached decisions of every vertex within MaxPathLen
 // reverse hops of the source (plus transitive dependants), mirroring
-// System.AddGraphEdge's IncPSim rule, and rebuild their blocking index
-// (neighborhood docs of the source changed).
+// System.AddGraphEdge's IncPSim rule. The state's blocking index is
+// rebuilt once (the source's neighborhood doc changed), and the shard
+// owning the source counts as touched for the cache sweep even when the
+// halo rule routes it nothing: its candidate sets may have changed.
 func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 	if !st.g.Valid(d.From) || !st.g.Valid(d.To) {
 		return errDeltaRebuild
@@ -299,10 +299,10 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 	}
 	forget := st.g.ReverseRegion(d.From, maxLen)
 
-	touched := make([]*shardWorker, 0, len(st.shards))
+	touched := make([]bool, len(st.shards)) // by shard index
 	for i, w := range st.shards {
 		lfrom, ok := w.localOf(d.From)
-		if !ok || !expandEdges(int(w.depthOf[lfrom]), st.radius, w.blocking && w.isOwned[lfrom]) {
+		if !ok || !expandEdges(int(w.depthOf[lfrom]), st.radius) {
 			continue
 		}
 		if w.applyEdgeInPlace(st, d, lfrom) {
@@ -311,9 +311,6 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 				w.rankerG.Invalidate(lv)
 			}
 			w.matcher.ForgetVertices(func(v graph.VID) bool { return region[v] })
-			if w.blocking {
-				w.rebuildIndex()
-			}
 		} else {
 			nw, err := st.rebuildWorker(w)
 			if err != nil {
@@ -321,14 +318,17 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 			}
 			close(w.queue)
 			st.shards[i] = nw
-			w = nw
 			e.fragRebuilds.Add(1)
 			e.met.fragRebuilds.Inc()
 		}
-		touched = append(touched, w)
+		touched[i] = true
+	}
+	if st.ix != nil {
+		st.ix = index.Blocking(st.g, st.in.MinSharedTokens)
+		touched[st.owner[d.From]] = true
 	}
 
-	if len(touched) == 0 {
+	if !slices.Contains(touched, true) {
 		// The source is at most a halo-frontier vertex everywhere: its
 		// out-edges are never inspected, no verdict or candidate set can
 		// change, so every cache entry survives untouched.
@@ -337,30 +337,21 @@ func (e *Engine) applyEdgeDelta(st *shardState, d *Delta) error {
 	}
 	// Cache scoping: a cached result can change only if one of its
 	// candidates reaches the edge's source within the halo radius (the
-	// matcher never reads G beyond that); candidate sets themselves only
-	// grow under edge addition, and any gained candidate is the source
-	// itself, so probing the post-update blocking index is sound.
+	// matcher never reads G beyond that) and is owned by a touched shard;
+	// candidate sets themselves only grow under edge addition, and any
+	// gained candidate is the source itself, so probing the post-update
+	// blocking index is sound.
 	evict := st.g.ReverseRegion(d.From, st.radius)
+	affected := func(v graph.VID) bool { return evict[v] && touched[st.owner[v]] }
 	e.sweepCache(st, d.Gen, func(r request) bool {
-		if !st.blocking() {
+		if st.ix == nil {
 			return true // candidates are all owned vertices: always in range
 		}
 		if r.op == opAPair && r.all {
 			return true
 		}
 		probe := func(u graph.VID) bool {
-			if !st.gd.Valid(u) {
-				return true
-			}
-			doc := st.docD(u)
-			for _, w := range touched {
-				for _, lv := range w.ix.Lookup(doc, w.minShared) {
-					if evict[w.toGlobal[lv]] {
-						return true
-					}
-				}
-			}
-			return false
+			return !st.gd.Valid(u) || st.ix.Candidates(st.gd, u, affected) != nil
 		}
 		if r.op == opVPair {
 			return probe(r.u)
@@ -407,10 +398,9 @@ func (w *shardWorker) applyEdgeInPlace(st *shardState, d *Delta, lfrom graph.VID
 		w.setLocal(p.to, lto)
 		w.toGlobal = append(w.toGlobal, p.to)
 		w.depthOf = append(w.depthOf, p.depth)
-		w.isOwned = append(w.isOwned, false)
 		w.haloLen++
 		w.g.MustAddEdge(p.lfrom, lto, p.label)
-		if expandEdges(int(p.depth), st.radius, false) {
+		if expandEdges(int(p.depth), st.radius) {
 			for _, ge := range st.g.Out(p.to) {
 				queue = append(queue, pend{lfrom: lto, to: ge.To, label: ge.Label, depth: p.depth + 1})
 			}
@@ -460,10 +450,6 @@ func (st *shardState) quiesce() {
 	}
 }
 
-// blocking reports whether this state runs with per-shard blocking
-// indices (MinSharedTokens > 0 in its inputs).
-func (st *shardState) blocking() bool { return st.in.MinSharedTokens > 0 }
-
 // localOf resolves a global vertex id to the worker's local id.
 func (w *shardWorker) localOf(gv graph.VID) (graph.VID, bool) {
 	if int(gv) >= len(w.toLocal) || w.toLocal[gv] == graph.NoVertex {
@@ -491,15 +477,4 @@ func (w *shardWorker) localRegion(global map[graph.VID]bool) map[graph.VID]bool 
 		}
 	}
 	return out
-}
-
-// rebuildIndex recomputes the worker's blocking index over its grown
-// subgraph. Neighborhood docs are 1-hop, so a full per-fragment rebuild
-// is O(|fragment|) — the price of exactness without doc diffing.
-func (w *shardWorker) rebuildIndex() {
-	sg := w.g
-	isOwned := w.isOwned
-	w.ix = index.BuildDocs(sg,
-		func(v graph.VID) bool { return isOwned[v] && !sg.IsLeaf(v) },
-		index.NeighborhoodDoc(sg))
 }

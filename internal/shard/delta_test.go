@@ -195,6 +195,61 @@ func TestDeltaOnHaloBoundary(t *testing.T) {
 	}
 }
 
+// TestDeltaRadiusZeroBlocking: with a leaf-only G_D the halo radius is
+// 0, so no fragment expands any out-edge and the halo rule routes an
+// edge delta to no shard. With blocking on, the new edge still changes
+// the source's neighborhood document — here it turns a leaf, which the
+// index skips, into a candidate — so the shard owning the source must
+// count as touched and the cached empty VPair must go.
+func TestDeltaRadiusZeroBlocking(t *testing.T) {
+	for _, shards := range []int{1, 2, 3} {
+		gd := graph.New()
+		u := gd.AddVertex("alpha")
+		g := graph.New()
+		leaf := g.AddVertex("alpha")
+		other := g.AddVertex("beta")
+
+		h := newDeltaHarness(gd, g, 0, 1, testParams())
+		e, err := NewEngine(h.config(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if r := e.Snapshot().HaloRadius; r != 0 {
+			t.Fatalf("%d shards: halo radius %d, want 0", shards, r)
+		}
+		if got, err := e.VPair(ctx, u); err != nil || len(got) != 0 {
+			t.Fatalf("%d shards: VPair before the edge = %v, %v; want [] (a leaf is no candidate)", shards, got, err)
+		}
+
+		h.addGraphEdge(t, leaf, other, "next")
+		got, err := e.VPair(ctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewEngine(h.config(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.VPair(ctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 1 || want[0] != (core.Pair{U: u, V: leaf}) {
+			t.Fatalf("%d shards: fresh VPair = %v, want [(%d, %d)]", shards, want, u, leaf)
+		}
+		if len(got) != 1 || got[0] != want[0] {
+			t.Errorf("%d shards: delta-maintained VPair = %v, fresh engine %v", shards, got, want)
+		}
+		if info := e.Snapshot(); info.DeltasApplied != 1 || info.FullRebuilds != 0 {
+			t.Errorf("%d shards: deltasApplied=%d fullRebuilds=%d, want 1 and 0",
+				shards, info.DeltasApplied, info.FullRebuilds)
+		}
+		e.Close()
+		fresh.Close()
+	}
+}
+
 // TestDeltaCyclicGDFullClosure: a cyclic G_D forces radius -1 (full
 // forward closure). Delta maintenance must keep working — every
 // fragment materializing the edge source is affected, grafts follow the

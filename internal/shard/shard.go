@@ -63,8 +63,8 @@ type Inputs struct {
 	// MaxPathLen caps ranker paths on both sides (0 means the ranker
 	// default of 4); the halo radius derives from it.
 	MaxPathLen int
-	// MinSharedTokens > 0 enables the blocking inverted index per shard
-	// (the System's candidate generation); 0 scans every owned vertex
+	// MinSharedTokens > 0 enables the blocking index (index.Blocking,
+	// the System's candidate generation); 0 scans every owned vertex
 	// (the testkit differential mode, mirroring a nil CandidateGen).
 	MinSharedTokens int
 	// Gen is the generation the copies were taken at. It anchors delta
@@ -140,9 +140,9 @@ type shardState struct {
 	g       *graph.Graph    // private G (delta replay + fragment rebuilds)
 	rankerD *ranking.Ranker // h_r over gd, shared by all workers (its ecache is concurrency-safe)
 	radius  int             // halo radius used (-1 = full forward closure)
-	docD    func(graph.VID) string
-	shards  []*shardWorker // shards[i] owns fragment i
-	owner   []int          // G vertex → index in shards of the fragment owning it
+	ix      *index.Inverted // blocking index over g (nil: blocking off); rebuilt per edge delta
+	shards  []*shardWorker  // shards[i] owns fragment i
+	owner   []int           // G vertex → index in shards of the fragment owning it
 }
 
 // shardWorker owns one fragment: its halo-closed subgraph (local vertex
@@ -151,17 +151,13 @@ type shardState struct {
 // and a bounded request queue drained by a single goroutine.
 type shardWorker struct {
 	id          int
-	g           *graph.Graph // fragment + halo, local ids
-	toGlobal    []graph.VID  // local id → global id (strictly increasing)
-	toLocal     []graph.VID  // global id → local id (NoVertex = not here)
-	depthOf     []int32      // local id → BFS depth from the owned set
-	owned       []graph.VID  // local ids of owned vertices (candidates)
-	ownedGlobal []graph.VID  // global ids of owned vertices (the fragment)
-	isOwned     []bool       // local id → owned here
-	haloLen     int          // replicated (non-owned) vertex count
-	blocking    bool
-	minShared   int
-	ix          *index.Inverted // per-shard blocking index (nil: blocking off)
+	g           *graph.Graph    // fragment + halo, local ids
+	toGlobal    []graph.VID     // local id → global id (strictly increasing)
+	toLocal     []graph.VID     // global id → local id (NoVertex = not here)
+	depthOf     []int32         // local id → BFS depth from the owned set
+	owned       []graph.VID     // local ids of owned vertices (candidates)
+	ownedGlobal []graph.VID     // global ids of owned vertices (the fragment)
+	haloLen     int             // replicated (non-owned) vertex count
 	rankerG     *ranking.Ranker // this fragment's G-side ranker
 	matcher     *core.Matcher
 	gen         core.CandidateGen // candidate generator over owned vertices
@@ -189,8 +185,10 @@ func newState(cfg Config) (*shardState, error) {
 		cfg: cfg, in: in, gen: in.Gen, gd: gd, g: g,
 		rankerD: ranking.NewRanker(gd, in.LM, in.MaxPathLen),
 		radius:  core.HaloRadius(gd, in.MaxPathLen),
-		docD:    index.NeighborhoodDoc(gd),
 		owner:   part.Of,
+	}
+	if in.MinSharedTokens > 0 {
+		st.ix = index.Blocking(g, in.MinSharedTokens)
 	}
 	for i := range part.Fragments {
 		w, err := st.buildWorker(&part.Fragments[i])
@@ -219,12 +217,9 @@ func wireWorker(cfg Config, w *shardWorker) {
 
 // expandEdges reports whether the out-edges of a vertex discovered at
 // BFS depth d must be materialized: everything strictly inside the halo
-// radius (or everything, when the radius is unbounded), plus the owned
-// vertices themselves when blocking is on — the neighborhood-doc index
-// reads their 1-hop out-neighbor labels even when matching itself never
-// would (a depth-0 G_D needs no recursion but still needs blocking docs).
-func expandEdges(d, radius int, blocking bool) bool {
-	return radius < 0 || d < radius || (blocking && d == 0)
+// radius, or everything when the radius is unbounded.
+func expandEdges(d, radius int) bool {
+	return radius < 0 || d < radius
 }
 
 // buildWorker materializes one fragment: BFS forward from the owned set
@@ -233,8 +228,7 @@ func expandEdges(d, radius int, blocking bool) bool {
 // copy the eligible out-edges in their original order, and assemble the
 // worker's matcher and candidate generator.
 func (st *shardState) buildWorker(frag *graph.Fragment) (*shardWorker, error) {
-	g, radius, docD := st.g, st.radius, st.docD
-	blocking := st.blocking()
+	g, radius := st.g, st.radius
 	n := g.NumVertices()
 	depthOf := make([]int32, n)
 	for i := range depthOf {
@@ -246,7 +240,7 @@ func (st *shardState) buildWorker(frag *graph.Fragment) (*shardWorker, error) {
 		members = append(members, gv)
 	}
 	frontier := frag.Owned
-	for d := 0; len(frontier) > 0 && expandEdges(d, radius, blocking); d++ {
+	for d := 0; len(frontier) > 0 && expandEdges(d, radius); d++ {
 		next := make([]graph.VID, 0, len(frontier))
 		for _, gv := range frontier {
 			for _, e := range g.Out(gv) {
@@ -274,7 +268,7 @@ func (st *shardState) buildWorker(frag *graph.Fragment) (*shardWorker, error) {
 		ldepth = append(ldepth, depthOf[gv])
 	}
 	for _, gv := range members {
-		if !expandEdges(int(depthOf[gv]), radius, blocking) {
+		if !expandEdges(int(depthOf[gv]), radius) {
 			continue
 		}
 		for _, e := range g.Out(gv) {
@@ -284,10 +278,8 @@ func (st *shardState) buildWorker(frag *graph.Fragment) (*shardWorker, error) {
 
 	owned := make([]graph.VID, 0, len(frag.Owned))
 	ownedGlobal := make([]graph.VID, 0, len(frag.Owned))
-	isOwned := make([]bool, len(members))
 	for _, gv := range frag.Owned {
 		owned = append(owned, toLocal[gv])
-		isOwned[toLocal[gv]] = true
 	}
 	sort.Slice(owned, func(a, b int) bool { return owned[a] < owned[b] })
 	for _, lv := range owned {
@@ -308,28 +300,28 @@ func (st *shardState) buildWorker(frag *graph.Fragment) (*shardWorker, error) {
 		depthOf:     ldepth,
 		owned:       owned,
 		ownedGlobal: ownedGlobal,
-		isOwned:     isOwned,
 		haloLen:     len(members) - len(frag.Owned),
-		blocking:    blocking,
-		minShared:   st.in.MinSharedTokens,
 		rankerG:     rankerG,
 		matcher:     m,
 		queue:       make(chan *task, queueDepth),
 	}
-	// The candidate generators read the worker's fields, not captured
-	// copies, so an in-place delta (grown owned set, rebuilt blocking
+	// The candidate generators read the state's and the worker's fields,
+	// not captured copies, so an in-place delta (grown owned set, rebuilt
 	// index) is picked up without rebuilding the closure.
-	if blocking {
-		// The per-shard blocking index mirrors System.buildCandidateGen
-		// restricted to owned vertices: halo closure guarantees each
-		// owned vertex's neighborhood doc (own label + out-neighbor
-		// labels) is byte-identical to the whole-graph doc, so the
-		// per-shard lookup returns exactly the global candidates that
-		// live here.
-		w.rebuildIndex()
-		w.gen = func(u graph.VID) []graph.VID { return w.ix.Lookup(docD(u), w.minShared) }
-	} else {
+	if st.ix == nil {
 		w.gen = func(graph.VID) []graph.VID { return w.owned }
+		return w, nil
+	}
+	// The state's index lookup, kept to the vertices this shard owns, is
+	// exactly the whole-graph candidate list restricted to them. Local
+	// ids ascend in global id, so mapping keeps its order.
+	ownedHere := func(v graph.VID) bool { return st.owner[v] == w.id }
+	w.gen = func(u graph.VID) []graph.VID {
+		cands := st.ix.Candidates(st.gd, u, ownedHere)
+		for i, v := range cands {
+			cands[i] = w.toLocal[v]
+		}
+		return cands
 	}
 	return w, nil
 }

@@ -91,20 +91,16 @@ func configOver(gd, g *graph.Graph, minShared, shards int) Config {
 func TestExpandEdges(t *testing.T) {
 	for _, tc := range []struct {
 		d, radius int
-		blocking  bool
 		want      bool
 	}{
-		{d: 0, radius: 0, blocking: false, want: false},
-		{d: 0, radius: 0, blocking: true, want: true}, // blocking docs read 1-hop labels
-		{d: 0, radius: 3, blocking: false, want: true},
-		{d: 2, radius: 3, blocking: false, want: true},
-		{d: 3, radius: 3, blocking: false, want: false}, // frontier: labels only
-		{d: 3, radius: 3, blocking: true, want: false},
-		{d: 7, radius: -1, blocking: false, want: true}, // unbounded: everything expands
+		{d: 0, radius: 0, want: false}, // radius 0: labels only, blocking or not
+		{d: 0, radius: 3, want: true},
+		{d: 2, radius: 3, want: true},
+		{d: 3, radius: 3, want: false}, // frontier: labels only
+		{d: 7, radius: -1, want: true}, // unbounded: everything expands
 	} {
-		if got := expandEdges(tc.d, tc.radius, tc.blocking); got != tc.want {
-			t.Errorf("expandEdges(%d, %d, %v) = %v, want %v",
-				tc.d, tc.radius, tc.blocking, got, tc.want)
+		if got := expandEdges(tc.d, tc.radius); got != tc.want {
+			t.Errorf("expandEdges(%d, %d) = %v, want %v", tc.d, tc.radius, got, tc.want)
 		}
 	}
 }
@@ -158,13 +154,11 @@ func checkWorkerClosure(t *testing.T, st *shardState, w *shardWorker, radius int
 		toLocal[gv] = graph.VID(lv)
 	}
 
-	blocking := st.blocking()
 	for gv := 0; gv < g.NumVertices(); gv++ {
 		d := depth[gv]
-		// Presence: everything within the radius, plus — when the
-		// blocking index is on — the owned vertices' 1-hop out-neighbors,
-		// whose labels the neighborhood docs read.
-		inHalo := d >= 0 && (radius < 0 || d <= radius || (blocking && d <= 1))
+		// Presence: exactly everything within the radius, blocking or not
+		// (the blocking index is the state's, over its whole G).
+		inHalo := d >= 0 && (radius < 0 || d <= radius)
 		lv, present := toLocal[graph.VID(gv)]
 		if inHalo != present {
 			t.Fatalf("shard %d: vertex %d depth %d (radius %d): present=%v, want %v",
@@ -177,7 +171,7 @@ func checkWorkerClosure(t *testing.T, st *shardState, w *shardWorker, radius int
 			t.Fatalf("shard %d: vertex %d label %q, want %q",
 				w.id, gv, w.g.Label(lv), g.Label(graph.VID(gv)))
 		}
-		if expandEdges(d, radius, blocking) {
+		if expandEdges(d, radius) {
 			gout := g.Out(graph.VID(gv))
 			lout := w.g.Out(lv)
 			if len(lout) != len(gout) {
@@ -243,9 +237,10 @@ func TestHaloClosureCyclicGD(t *testing.T) {
 	stopWorkers(st.shards)
 }
 
-// TestHaloClosureBlocking: with the blocking index on, owned vertices
-// keep their out-edges even at radius 0 (a leaf-only G_D) because the
-// neighborhood docs read 1-hop out-neighbor labels.
+// TestHaloClosureBlocking: turning the blocking index on adds nothing
+// to a halo, even at radius 0 (a leaf-only G_D), where owned vertices
+// keep no out-edges: the neighborhood documents are read from the
+// state's index over its whole G, not from the fragment.
 func TestHaloClosureBlocking(t *testing.T) {
 	gd := graph.New()
 	gd.AddVertex("alice") // single leaf: HaloRadius 0

@@ -155,21 +155,15 @@ func (m *MutSeq) NewEngine(shards int) (*shard.Engine, error) {
 }
 
 // seqGen builds the candidate generator a fresh sequential run uses:
-// the same blocking inverted index as System.buildCandidateGen when
-// MinShared > 0, nil (exhaustive candidates) otherwise — matching the
-// engine's owned-vertices pool with blocking off.
+// the System's blocking rule (index.Blocking) when MinShared > 0, nil
+// (exhaustive candidates) otherwise — matching the engine's
+// owned-vertices pool with blocking off.
 func (m *MutSeq) seqGen() core.CandidateGen {
 	if m.MinShared <= 0 {
 		return nil
 	}
-	ix := index.BuildDocs(m.G,
-		func(v graph.VID) bool { return !m.G.IsLeaf(v) },
-		index.NeighborhoodDoc(m.G))
-	docD := index.NeighborhoodDoc(m.GD)
-	min := m.MinShared
-	return func(u graph.VID) []graph.VID {
-		return ix.Lookup(docD(u), min)
-	}
+	ix := index.Blocking(m.G, m.MinShared)
+	return func(u graph.VID) []graph.VID { return ix.Candidates(m.GD, u, nil) }
 }
 
 // newMatcher builds a cold sequential matcher over the live graphs.

@@ -67,13 +67,16 @@ func (s *System) TrainRanker(sampleVertices, epochs int) error {
 		}
 		return out
 	}
-	o := s.Options() // snapshot: SetThresholds may mutate s.opts concurrently
-	corpus := ranking.TrainingPaths(s.GD, starts(s.GD), o.MaxPathLen, ranking.RejectPassThrough(s.GD))
-	corpus = append(corpus, ranking.TrainingPaths(s.G, starts(s.G), o.MaxPathLen, ranking.RejectPassThrough(s.G))...)
+	// The model trains unlocked, over copies the writes do not extend.
+	s.mu.Lock()
+	o, gd, g := s.opts, s.GD.Copy().Graph(), s.G.Copy().Graph()
+	s.mu.Unlock()
+	corpus := ranking.TrainingPaths(gd, starts(gd), o.MaxPathLen, ranking.RejectPassThrough(gd))
+	corpus = append(corpus, ranking.TrainingPaths(g, starts(g), o.MaxPathLen, ranking.RejectPassThrough(g))...)
 	if len(corpus) == 0 {
 		return fmt.Errorf("her: empty ranker training corpus")
 	}
-	vocab := lstm.NewVocab(append(embed.LabelVocabulary(s.GD), embed.LabelVocabulary(s.G)...))
+	vocab := lstm.NewVocab(append(embed.LabelVocabulary(gd), embed.LabelVocabulary(g)...))
 	lm := lstm.New(vocab, lstmEmbed, lstmHidden, o.Seed)
 	lm.Train(corpus, lstm.TrainConfig{
 		Epochs: epochs, LearnRate: 0.05, Clip: 5, Seed: o.Seed,
@@ -96,8 +99,9 @@ func (s *System) LearnThresholds(val []Annotation, space learn.SearchSpace, tria
 	if trials <= 0 {
 		trials = 30
 	}
+	eval := s.evaluator()
 	best, score, err := learn.RandomSearch(space, trials, s.Options().Seed, func(th Thresholds) float64 {
-		return s.EvaluateWith(th, val).F1()
+		return eval(th, val).F1()
 	})
 	if err != nil {
 		return Thresholds{}, 0, err
@@ -109,19 +113,29 @@ func (s *System) LearnThresholds(val []Annotation, space learn.SearchSpace, tria
 }
 
 // EvaluateWith scores annotations under trial thresholds using a fresh
-// matcher (shared rankers and scorers), without touching system state.
+// matcher, without touching system state.
 func (s *System) EvaluateWith(th Thresholds, anns []Annotation) learn.Eval {
+	return s.evaluator()(th, anns)
+}
+
+// evaluator returns EvaluateWith over copies of G_D and G taken under
+// the lock, rankers over them and the published scorers: it matches
+// without the lock, which the serving engines' Overrides hook takes on
+// every miss, and serves every trial of a threshold search.
+func (s *System) evaluator() func(Thresholds, []Annotation) learn.Eval {
 	s.mu.Lock()
-	sc, rd, rg := s.sc, s.direct.rankerD, s.rankerG
+	gd, g := s.GD.Copy().Graph(), s.G.Copy().Graph()
+	lm, maxLen, sc := s.lm, s.opts.MaxPathLen, s.sc
 	s.mu.Unlock()
-	p := core.Params{Mv: sc.enc.MvScore, Mrho: sc.Mrho, Sigma: th.Sigma, Delta: th.Delta, K: th.K}
-	m, err := core.NewMatcher(s.GD, s.G, rd, rg, p)
-	if err != nil {
-		return learn.Eval{}
+	rd, rg := ranking.NewRanker(gd, lm, maxLen), ranking.NewRanker(g, lm, maxLen)
+	return func(th Thresholds, anns []Annotation) learn.Eval {
+		p := core.Params{Mv: sc.enc.MvScore, Mrho: sc.Mrho, Sigma: th.Sigma, Delta: th.Delta, K: th.K}
+		m, err := core.NewMatcher(gd, g, rd, rg, p)
+		if err != nil {
+			return learn.Eval{}
+		}
+		return learn.Evaluate(func(pair core.Pair) bool { return m.Match(pair.U, pair.V) }, anns)
 	}
-	return learn.Evaluate(func(pair core.Pair) bool {
-		return m.Match(pair.U, pair.V)
-	}, anns)
 }
 
 // Evaluate scores annotations under the current system state (including

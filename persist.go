@@ -91,7 +91,15 @@ func (s *System) LoadModels(r io.Reader) error {
 	if f.Version != modelFileVersion {
 		return fmt.Errorf("her: unsupported model file version %d", f.Version)
 	}
+	// Normalize fills the options the file does not set, but σ = 0 and
+	// δ = 0 are thresholds SetThresholds accepts, not unset ones: the
+	// saved (σ, δ, k) are restored as they were.
+	th := Thresholds{Sigma: f.Options.Sigma, Delta: f.Options.Delta, K: f.Options.K}
+	if err := checkThresholds(th); err != nil {
+		return err
+	}
 	opts := f.Options.Normalize()
+	opts.Sigma, opts.Delta, opts.K = th.Sigma, th.Delta, th.K
 	var (
 		metric *nn.MLP
 		lm     *lstm.Model

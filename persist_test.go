@@ -123,6 +123,46 @@ func TestLoadModelsWithRetiredOptions(t *testing.T) {
 	}
 }
 
+// TestLoadModelsKeepsThresholds: thresholds that Normalize would treat
+// as unset (σ = 0, δ = 0) load as they were saved, and the loaded
+// System saves the same bytes again.
+func TestLoadModelsKeepsThresholds(t *testing.T) {
+	sys, _, _ := concurrencyFixture(t)
+	want := Thresholds{Sigma: 0, Delta: 0, K: 5}
+	if err := sys.SetThresholds(want); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := sys.SaveModels(&saved); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, _ := concurrencyFixture(t)
+	if err := fresh.LoadModels(bytes.NewReader(saved.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Thresholds(); got != want {
+		t.Errorf("loaded thresholds %+v, saved %+v", got, want)
+	}
+	var again bytes.Buffer
+	if err := fresh.SaveModels(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Errorf("second save differs from the loaded file (%d vs %d bytes)", again.Len(), saved.Len())
+	}
+	// Saved thresholds SetThresholds would refuse are refused on load.
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(modelFile{Version: modelFileVersion, Options: Options{Sigma: 2, K: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadModels(&bad); err == nil || !strings.Contains(err.Error(), "invalid thresholds") {
+		t.Errorf("σ = 2 in a model file: err = %v", err)
+	}
+	if got := fresh.Thresholds(); got != want {
+		t.Errorf("a refused model file changed the thresholds to %+v", got)
+	}
+}
+
 // TestSaveModelsByteDeterministic pins the reproducibility contract on
 // the model file: saving identical learned state repeatedly must
 // produce byte-identical output (gob-encoded maps would not — their

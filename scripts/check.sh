@@ -94,10 +94,14 @@ stage "go test -race -short" go test -race -short ./...
 # generation rebuilds), so it gets a full (non-short) race pass on top
 # of the module-wide one.
 stage "go test -race shard/server" go test -race ./internal/shard ./internal/server
-# Published scorers are immutable: TrainPathModel and Refine build new
-# ones and swap them whole while sharded serving and MrhoScore score.
-# Repeated, so that swaps land on more interleavings of memo misses.
-stage "go test -race train/serve" go test -race -count=10 -run '^TestTrainRaceWithServing$' .
+# Readers against writers, repeated so that writes land on more
+# interleavings: published scorers are immutable (TrainPathModel and
+# Refine swap them whole while sharded serving and MrhoScore score), and
+# every reader of the live graphs — Candidates, EvaluateWith,
+# TrainRanker, SemanticJoin — is ordered with AddTuple and AddGraphEdge
+# by the system lock or by a copy taken under it.
+stage "go test -race readers/writers" go test -race -count=10 \
+    -run '^Test(TrainRaceWithServing|CandidatesRaceWith(AddGraphEdge|AddTuple)|(EvaluateWith|TrainRanker|SemanticJoin)RaceWithWrites)$' .
 
 # Tier-2: differential correctness and fuzz smokes. The differential
 # suite re-runs internal/testkit with a widened seed sweep (the default

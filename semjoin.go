@@ -33,8 +33,11 @@ func (s *System) SemanticJoin(rel string) ([]JoinedRow, error) {
 	if r == nil {
 		return nil, fmt.Errorf("her: unknown relation %s", rel)
 	}
+	s.mu.Lock() // AddTuple appends under it; the rows already there never change
+	tuples := r.Tuples
+	s.mu.Unlock()
 	var rows []JoinedRow
-	for _, t := range r.Tuples {
+	for _, t := range tuples {
 		matches, err := s.VPair(rel, t.ID)
 		if err != nil {
 			return nil, err
@@ -52,7 +55,9 @@ func (s *System) SemanticJoin(rel string) ([]JoinedRow, error) {
 					row.Attrs[a] = v
 				}
 			}
-			s.collectProps(m.V, row.Props)
+			s.mu.Lock()
+			s.collectPropsLocked(m.V, row.Props)
+			s.mu.Unlock()
 			if ex, err := s.Explain(m.U, m.V); err == nil {
 				for _, sm := range ex.SchemaMatches {
 					row.Aligned[sm.Attr] = sm.Rho.LabelString()
@@ -70,10 +75,10 @@ func (s *System) SemanticJoin(rel string) ([]JoinedRow, error) {
 	return rows, nil
 }
 
-// collectProps gathers the direct properties of v: each edge label maps
-// to its target's label (the value for leaves, the entity label for
-// links to other entities).
-func (s *System) collectProps(v graph.VID, out map[string]string) {
+// collectPropsLocked gathers the direct properties of v: each edge label
+// maps to its target's label (the value for leaves, the entity label for
+// links to other entities). Callers hold s.mu, under which G grows.
+func (s *System) collectPropsLocked(v graph.VID, out map[string]string) {
 	for _, e := range s.G.Out(v) {
 		out[e.Label] = s.G.Label(e.To)
 	}

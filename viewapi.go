@@ -9,7 +9,6 @@ import (
 	"her/internal/bsp"
 	"her/internal/core"
 	"her/internal/graph"
-	"her/internal/index"
 	"her/internal/ranking"
 	"her/internal/rdb2rdf"
 	"her/internal/shard"
@@ -18,9 +17,9 @@ import (
 
 // This file is the hosted-graph state and its one query method set.
 // Every graph over D the System links against G is a hosted view: its
-// own G_D-side graph, tuple↔vertex mapping, ranker, matcher, candidate
-// generator, overrides, generation counter and delta log, maintained by
-// one loop per write path over System.hosted. Every view, the reserved
+// own G_D-side graph, tuple↔vertex mapping, ranker, matcher, overrides,
+// generation counter and delta log, maintained by one loop per write
+// path over System.hosted. Every view, the reserved
 // "direct" first entry of that table included, is compiled from its
 // rules by view.Compile (direct's rules are view.Direct) and extended by
 // view.ExtendTuple; rdb2rdf.Map is only the reference
@@ -73,7 +72,6 @@ type ViewHandle struct {
 	mapping *rdb2rdf.Mapping // nil without a relational database (NewFromGraphs)
 	rankerD *ranking.Ranker
 	matcher *core.Matcher
-	gen     core.CandidateGen
 	// overrides holds the user-verified pairs (Section IV refinement) in
 	// this view's vertex space. Feedback addresses the direct view, so
 	// it stays empty on every other one.
@@ -129,16 +127,11 @@ func (h *ViewHandle) recordLocked(d shard.Delta) {
 	h.generation.Add(1)
 }
 
-// rebuildGenLocked derives the view's candidate generator from the
-// shared G-side inverted index and the view's own G_D-side neighborhood
-// docs. The closure captures the index it was built over, so a fetched
-// generator stays valid across later index rebuilds.
-func (h *ViewHandle) rebuildGenLocked() {
-	ix := h.sys.ix
-	docD := index.NeighborhoodDoc(h.gd)
-	h.gen = func(u graph.VID) []graph.VID {
-		return ix.Lookup(docD(u), minSharedTokens)
-	}
+// candidatesLocked is the view's candidate generator: the System's
+// blocking index over G, queried with u's neighborhood document in the
+// view's own graph. It reads both live, so callers hold s.mu.
+func (h *ViewHandle) candidatesLocked(u graph.VID) []graph.VID {
+	return h.sys.ix.Candidates(h.gd, u, nil)
 }
 
 // rebuildMatcherLocked builds a fresh matcher (no cached decisions)
@@ -155,7 +148,7 @@ func (h *ViewHandle) rebuildMatcherLocked() error {
 }
 
 // compileLocked extracts a rule view from scratch and rebuilds its
-// ranker, candidate generator and matcher around the new graph.
+// ranker and matcher around the new graph.
 func (h *ViewHandle) compileLocked() error {
 	s := h.sys
 	gd, mapping, err := view.Compile(h.def, s.DB)
@@ -164,7 +157,6 @@ func (h *ViewHandle) compileLocked() error {
 	}
 	h.gd, h.mapping = gd, mapping
 	h.rankerD = ranking.NewRanker(gd, s.lm, s.opts.MaxPathLen)
-	h.rebuildGenLocked()
 	return h.rebuildMatcherLocked()
 }
 
@@ -414,7 +406,7 @@ func (h *ViewHandle) VPair(rel string, tupleID int) ([]Pair, error) {
 func (h *ViewHandle) vpairVertex(u VertexID) []Pair {
 	h.sys.mu.Lock()
 	defer h.sys.mu.Unlock()
-	return h.applyOverridesLocked(h.matcher.VPair(u, h.gen), u)
+	return h.applyOverridesLocked(h.matcher.VPair(u, h.candidatesLocked), u)
 }
 
 // SourceVertices returns the source vertices the view's APair ranges
@@ -445,7 +437,7 @@ func (h *ViewHandle) APair() []Pair {
 }
 
 func (h *ViewHandle) apairLocked(sources []graph.VID) []Pair {
-	return h.applyOverridesLocked(h.matcher.APair(sources, h.gen), graph.NoVertex)
+	return h.applyOverridesLocked(h.matcher.APair(sources, h.candidatesLocked), graph.NoVertex)
 }
 
 // APairParallel computes all matches with the BSP engine on n workers.
@@ -462,7 +454,7 @@ func (h *ViewHandle) APairParallel(workers int) ([]Pair, ParallelStats, error) {
 	if err != nil {
 		return nil, ParallelStats{}, err
 	}
-	return h.parallelResultLocked(eng.Run(h.sourcesLocked(), h.gen, bsp.Config{Workers: workers}))
+	return h.parallelResultLocked(eng.Run(h.sourcesLocked(), h.candidatesLocked, bsp.Config{Workers: workers}))
 }
 
 // APairParallelAsync computes all matches with the asynchronous engine
@@ -476,7 +468,7 @@ func (h *ViewHandle) APairParallelAsync(workers int) ([]Pair, ParallelStats, err
 	if err != nil {
 		return nil, ParallelStats{}, err
 	}
-	return h.parallelResultLocked(eng.RunAsync(h.sourcesLocked(), h.gen, bsp.Config{Workers: workers}))
+	return h.parallelResultLocked(eng.RunAsync(h.sourcesLocked(), h.candidatesLocked, bsp.Config{Workers: workers}))
 }
 
 // parallelEngineLocked builds a BSP engine over the view's live graphs,
